@@ -12,28 +12,41 @@ oracle     Mie series ground truth for the dielectric sphere
 cli        configuration-driven command line entry points
 """
 
-from .grid import ReferenceGrid
-from .geometry import Surface, DeformationField, Material, build_surface, sphere, deform
-from .solver import PlaneWave, solve, far_field
-from .shapederiv import d_solution_routeA, d_solution_routeB, d_solution_routeC
-from .oracle import mie_far_field, mie_radius_derivative
+import importlib
 
-__all__ = [
-    "ReferenceGrid",
-    "Surface",
-    "DeformationField",
-    "Material",
-    "build_surface",
-    "sphere",
-    "deform",
-    "PlaneWave",
-    "solve",
-    "far_field",
-    "d_solution_routeA",
-    "d_solution_routeB",
-    "d_solution_routeC",
-    "mie_far_field",
-    "mie_radius_derivative",
-]
+# Re-exports resolve on first access (PEP 562), so importing a light module
+# such as ``dielshape.cli`` does not load numpy before the command line has
+# applied DIELSHAPE_NUM_THREADS.
+_EXPORTS = {
+    "ReferenceGrid": "grid",
+    "Surface": "geometry",
+    "DeformationField": "geometry",
+    "Material": "geometry",
+    "build_surface": "geometry",
+    "sphere": "geometry",
+    "deform": "geometry",
+    "PlaneWave": "solver",
+    "solve": "solver",
+    "far_field": "solver",
+    "d_solution_routeA": "shapederiv",
+    "d_solution_routeB": "shapederiv",
+    "d_solution_routeC": "shapederiv",
+    "mie_far_field": "oracle",
+    "mie_radius_derivative": "oracle",
+}
+_SUBMODULES = {
+    "bio", "cli", "errors", "geometry", "grid", "kernels", "oracle", "sh",
+    "shapederiv", "solver", "surfcalc",
+}
+
+__all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,7 +20,10 @@ boundary operator becomes a dense complex matrix acting on such stacks:
 the transported-operator family r -> block(Gamma + r xi) with the potential
 coefficients held fixed; they differentiate the exact discrete recipe
 (kernel matrices, surface operators, Galerkin solves) term by term, so they
-agree with finite differences of the primal assembly to O(h^2).
+agree with finite differences of the primal assembly to O(h^2).  They take
+an optional coefficient batch c of shape (2K, m) and return dBlock @ c
+without forming the matrix: every stage then runs on m columns instead of
+2K.  Without c the batch is the identity and the result is the matrix.
 
 Far-field operators and smooth off-surface potential evaluations are at the
 end of the module.
@@ -53,6 +56,10 @@ __all__ = [
     "d_magnetic_potential",
 ]
 
+_LEVI_CIVITA = np.zeros((3, 3, 3))
+_LEVI_CIVITA[0, 1, 2] = _LEVI_CIVITA[1, 2, 0] = _LEVI_CIVITA[2, 0, 1] = 1.0
+_LEVI_CIVITA[0, 2, 1] = _LEVI_CIVITA[2, 1, 0] = _LEVI_CIVITA[1, 0, 2] = -1.0
+
 
 # -- basis densities and Galerkin plumbing --------------------------------
 def _basis_fields(S: Surface) -> dict:
@@ -72,6 +79,27 @@ def _basis_fields(S: Surface) -> dict:
             LBY += sc.surface_gradient(S, GY[:, a, :])[:, a, :]
         S._cache["bio_basis"] = {"GY": GY, "TK": TK, "LBY": LBY}
     return S._cache["bio_basis"]
+
+
+def _magnetic_test_divs(S: Surface) -> np.ndarray:
+    """Cached Df[b] = div_Gamma F_b - 2 H n.F_b with F_b = e_b ^ grad_Gamma Y.
+
+    Shape (N, 3, nc_full), like TK; independent of the wavenumber.
+    """
+    if "bio_Df" not in S._cache:
+        g = S.grid
+        GY = _basis_fields(S)["GY"]
+        n = S.normal
+        H = sc.mean_curvature(S)
+        Df = []
+        for b in range(3):
+            eb = np.zeros(3)
+            eb[b] = 1.0
+            F = np.cross(np.broadcast_to(eb, (g.nnodes, 3))[:, :, None], GY, axis=1)
+            nF = np.einsum("ij,ijk->ik", n, F)
+            Df.append(_div_batch(S, F) - 2.0 * H[:, None] * nF)
+        S._cache["bio_Df"] = np.stack(Df, axis=1)
+    return S._cache["bio_Df"]
 
 
 def density_basis(S: Surface):
@@ -121,16 +149,9 @@ def _vec_apply(Vmat: np.ndarray, U: np.ndarray) -> np.ndarray:
     return np.tensordot(Vmat, U, axes=(1, 0))
 
 
-def _hh_rows(S: Surface, fields: np.ndarray):
-    """Helmholtz coordinates of a batch of tangential fields.
-
-    Returns (p_rows, q_rows) over the solver truncation, each (K, 2K)-shaped
-    for a (N, 3, 2K) input: p = Delta^{-1} div, q = -Delta^{-1} scurl.
-    """
-    ncL = S.grid.ncoef(S.grid.L)
-    p = _weak_poisson(S, _div_batch(S, fields))[1:ncL]
-    q = -_weak_poisson(S, _scurl_batch(S, fields))[1:ncL]
-    return p, q
+def _bsum(T: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """sum_b T[:, b]^T U[:, b] for T of shape (N, 3, k) and U of shape (N, 3, m)."""
+    return np.tensordot(T, U, axes=([0, 1], [0, 1]))
 
 
 def _project(S: Surface, f: np.ndarray) -> np.ndarray:
@@ -156,29 +177,16 @@ def electric_block(S: Surface, kappa: float) -> np.ndarray:
 def _magnetic_galerkin_rhs(S: Surface, kappa: float):
     """Cached target-independent matrices of the magnetic Galerkin form.
 
-    Returns (W1, W2) with W1 = V Df - Ks Tk summed later against densities:
-    here per Cartesian component b, W[b] has shape (N, nc_full) and the
-    rotational coefficients are c = sum_b W[b]^T (w J j_b).
+    Per Cartesian component b, W[b] = V Df[b] - KS TK_b has shape
+    (N, nc_full) and the rotational coefficients are c = sum_b W[b]^T (w J j_b).
     """
     key = ("mag_rhs", float(kappa))
     if key not in S._cache:
-        g = S.grid
-        bb = _basis_fields(S)
-        GY, TK = bb["GY"], bb["TK"]
-        n = S.normal
-        H = sc.mean_curvature(S)
+        TK = _basis_fields(S)["TK"]
+        Df = _magnetic_test_divs(S)
         V = kn.vmat(S, kappa)
         KS = kn.kprime_src_mat(S, kappa)
-        W = []
-        for b in range(3):
-            eb = np.zeros(3)
-            eb[b] = 1.0
-            F = np.cross(np.broadcast_to(eb, (g.nnodes, 3))[:, :, None], GY, axis=1)
-            divF = _div_batch(S, F)
-            nF = np.einsum("ij,ijk->ik", n, F)
-            Df = divF - 2.0 * H[:, None] * nF
-            W.append(V @ Df - KS @ TK[:, b, :])
-        S._cache[key] = W
+        S._cache[key] = [V @ Df[:, b, :] - KS @ TK[:, b, :] for b in range(3)]
     return S._cache[key]
 
 
@@ -240,10 +248,32 @@ def _dgeom(S: Surface, xi: DeformationField) -> dict:
     dJ = S.jacobian * divxi
     dGY = sc.d_surface_operator("gradient", S, xi, g.Y)
     dTK = np.cross(dGY, n[:, :, None], axis=1) + np.cross(GY, dN[:, :, None], axis=1)
-    dLBY = sc.d_surface_operator("divergence", S, xi, GY) + _div_batch(S, dGY)
     dH = 0.5 * (
         sc.d_surface_operator("divergence", S, xi, n) + sc.surface_divergence(S, dN)
     )
+    # d/dt div_Gamma U for the fields U = M GY with constant 3x3 mixes M:
+    # M = [e_b ^ .] gives F_b of the magnetic test divergences Df[b], M = I
+    # gives GY itself (dLBY).  This is the divergence formula of
+    # sc.d_surface_operator plus div_Gamma dU, written so that the surface
+    # gradients of the components of GY and dGY are computed once for all U.
+    mixes = np.concatenate([_LEVI_CIVITA.transpose(1, 0, 2), np.eye(3)[None]])
+    A = sc.tangential_jacobian(S, xiv)
+    An = np.einsum("iac,ic->ia", A, n)
+    W = np.einsum("bej,ie,ic->ibjc", mixes, n, An)
+    W -= np.einsum("baj,iac->ibjc", mixes, A)
+    ddiv = np.zeros((g.nnodes, 4, GY.shape[2]))
+    for j in range(3):
+        Tj = sc.surface_gradient(S, GY[:, j])
+        dTj = sc.surface_gradient(S, dGY[:, j])
+        ddiv += np.einsum("ibc,ick->ibk", W[:, :, j], Tj)
+        ddiv += np.einsum("bc,ick->ibk", mixes[:, :, j], dTj)
+    dLBY = ddiv[:, 3, : g.ncoef(g.L)].copy()  # a view would keep ddiv alive
+    # Df[b] = div_Gamma F_b - 2 H n.F_b
+    nF = np.einsum("cbj,ic,ijk->ibk", _LEVI_CIVITA, n, GY)
+    dnF = np.einsum("cbj,ic,ijk->ibk", _LEVI_CIVITA, dN, GY)
+    dnF += np.einsum("cbj,ic,ijk->ibk", _LEVI_CIVITA, n, dGY)
+    H = sc.mean_curvature(S)
+    dDf = ddiv[:, :3] - 2.0 * dH[:, None, None] * nF - 2.0 * H[:, None, None] * dnF
     # Galerkin stage derivatives
     w = g.weights
     GYw = GY * (w * S.jacobian)[:, None, None]
@@ -258,7 +288,7 @@ def _dgeom(S: Surface, xi: DeformationField) -> dict:
         "dGY": dGY,
         "dTK": dTK,
         "dLBY": dLBY,
-        "dH": dH,
+        "dDf": dDf,
         "dA": dA,
         "dmass": dmass,
     }
@@ -296,44 +326,70 @@ def _d_scurl(S: Surface, xi, U, dU):
     return sc.d_surface_operator("scalar_curl", S, xi, U) + _scurl_batch(S, dU)
 
 
-def d_electric_block(S: Surface, kappa: float, xi: DeformationField) -> np.ndarray:
-    """Derivative of the transported electric block at the base surface."""
-    g = S.grid
+def _coef_batch(S: Surface, dg: dict, c):
+    """Node values of the densities with coefficient batch c, their
+    divergences, and the stage derivatives of both.
+
+    c has shape (2K, m); c = None stands for the identity, so the basis
+    densities themselves are returned and the caller assembles a matrix.
+    """
     jb, divb = density_basis(S)
-    dg = _dgeom(S, xi)
     djb, ddivb = _d_density_basis(S, dg)
+    if c is None:
+        return jb, divb, djb, ddivb
+    return jb @ c, divb @ c, djb @ c, ddivb @ c
+
+
+def _d_layer_block(S: Surface, kappa: float, xi, c, sa: float, sv: float):
+    """Derivative of the single-layer recipe shared by the electric and static
+    blocks: p = -sa Delta^{-1} div a, q = sa Delta^{-1} scurl a + sv P(V div j)
+    with a = n ^ V j."""
+    g = S.grid
+    dg = _dgeom(S, xi)
+    j, divj, dj, ddivj = _coef_batch(S, dg, c)
     n, dN = S.normal, dg["dN"]
     V = kn.vmat(S, kappa)
     dV = kn.dvmat(S, kappa, xi, measure_term=True)
     ncL = g.ncoef(g.L)
 
-    Vj = _vec_apply(V, jb)
+    Vj = _vec_apply(V, j)
     a = _cross_n_batch(n, Vj)
     da = _cross_n_batch(dN, Vj) + _cross_n_batch(
-        n, _vec_apply(dV, jb) + _vec_apply(V, djb)
+        n, _vec_apply(dV, j) + _vec_apply(V, dj)
     )
-    p_rows = -kappa * _d_weak_poisson(
-        S, dg, _div_batch(S, a), _d_div(S, xi, a, da)
-    )[1:ncL]
-    q_rows = kappa * _d_weak_poisson(
-        S, dg, _scurl_batch(S, a), _d_scurl(S, xi, a, da)
-    )[1:ncL]
-    q_rows += (1.0 / kappa) * _project(S, dV @ divb + V @ ddivb)
+    d_div_a = _d_weak_poisson(S, dg, _div_batch(S, a), _d_div(S, xi, a, da))
+    d_scurl_a = _d_weak_poisson(S, dg, _scurl_batch(S, a), _d_scurl(S, xi, a, da))
+    p_rows = -sa * d_div_a[1:ncL]
+    q_rows = sa * d_scurl_a[1:ncL] + sv * _project(S, dV @ divj + V @ ddivj)
     return np.concatenate([p_rows, q_rows], axis=0)
 
 
-def d_magnetic_block(S: Surface, kappa: float, xi: DeformationField) -> np.ndarray:
-    """Derivative of the transported magnetic block at the base surface."""
+def d_electric_block(
+    S: Surface, kappa: float, xi: DeformationField, c=None
+) -> np.ndarray:
+    """Derivative of the transported electric block at the base surface,
+    applied to the coefficient batch c (the matrix when c is None)."""
+    return _d_layer_block(S, kappa, xi, c, kappa, 1.0 / kappa)
+
+
+def d_magnetic_block(
+    S: Surface, kappa: float, xi: DeformationField, c=None
+) -> np.ndarray:
+    """Derivative of the transported magnetic block at the base surface,
+    applied to the coefficient batch c (the matrix when c is None).
+
+    The Galerkin right-hand side W[b]^T y_b = Df[b]^T V^T y_b - TK_b^T KS^T y_b
+    and its derivative are applied factor by factor to y_b = w J j_b, so no
+    (N, nc_full) matrix is formed.
+    """
     g = S.grid
-    bb = _basis_fields(S)
-    GY, TK = bb["GY"], bb["TK"]
-    jb, divb = density_basis(S)
+    TK = _basis_fields(S)["TK"]
+    Df = _magnetic_test_divs(S)
     dg = _dgeom(S, xi)
-    djb, ddivb = _d_density_basis(S, dg)
-    n, dN, dH = S.normal, dg["dN"], dg["dH"]
-    H = sc.mean_curvature(S)
-    wJ = g.weights * S.jacobian
-    wdJ = g.weights * dg["dJ"]
+    j, divj, dj, ddivj = _coef_batch(S, dg, c)
+    n, dN = S.normal, dg["dN"]
+    wJ = (g.weights * S.jacobian)[:, None, None]
+    wdJ = (g.weights * dg["dJ"])[:, None, None]
     ncL = g.ncoef(g.L)
 
     V = kn.vmat(S, kappa)
@@ -344,69 +400,39 @@ def d_magnetic_block(S: Surface, kappa: float, xi: DeformationField) -> np.ndarr
     dKS = kn.dkprime_src_mat(S, kappa, xi, measure_term=True)
 
     # gradient potential
-    Vj = _vec_apply(V, jb)
+    Vj = _vec_apply(V, j)
     nVj = np.einsum("ij,ijk->ik", n, Vj)
-    f = kappa**2 * nVj + KP @ divb
+    f = kappa**2 * nVj + KP @ divj
     dnVj = np.einsum("ij,ijk->ik", dN, Vj) + np.einsum(
-        "ij,ijk->ik", n, _vec_apply(dV, jb) + _vec_apply(V, djb)
+        "ij,ijk->ik", n, _vec_apply(dV, j) + _vec_apply(V, dj)
     )
-    df = kappa**2 * dnVj + dKP @ divb + KP @ ddivb
+    df = kappa**2 * dnVj + dKP @ divj + KP @ ddivj
     p_rows = _d_weak_poisson(S, dg, f, df)[1:ncL]
 
-    # rotational potential: Q = A^{-1} c, dQ = A^{-1}(dc - dA Q)
-    W = _magnetic_galerkin_rhs(S, kappa)
-    ncf = g.ncoef(g.Lmax)
-    c = np.zeros((ncf, 2 * (ncL - 1)), dtype=complex)
-    dc = np.zeros_like(c)
-    for b in range(3):
-        eb = np.zeros(3)
-        eb[b] = 1.0
-        ebN = np.broadcast_to(eb, (g.nnodes, 3))[:, :, None]
-        F = np.cross(ebN, GY, axis=1)
-        dF = np.cross(ebN, dg["dGY"], axis=1)
-        nF = np.einsum("ij,ijk->ik", n, F)
-        Df = _div_batch(S, F) - 2.0 * H[:, None] * nF
-        dDf = (
-            _d_div(S, xi, F, dF)
-            - 2.0 * dH[:, None] * nF
-            - 2.0
-            * H[:, None]
-            * (np.einsum("ij,ijk->ik", dN, F) + np.einsum("ij,ijk->ik", n, dF))
-        )
-        dW = dV @ Df + V @ dDf - dKS @ TK[:, b, :] - KS @ dg["dTK"][:, b, :]
-        c += W[b].T @ (wJ[:, None] * jb[:, b, :])
-        dc += dW.T @ (wJ[:, None] * jb[:, b, :])
-        dc += W[b].T @ (wdJ[:, None] * jb[:, b, :] + wJ[:, None] * djb[:, b, :])
+    # rotational potential: Q = A^{-1} rc, dQ = A^{-1}(drc - dA Q)
+    y = wJ * j
+    dy = wdJ * j + wJ * dj
+    Vy = _vec_apply(V.T, y)
+    dVy = _vec_apply(dV.T, y) + _vec_apply(V.T, dy)
+    Ky = _vec_apply(KS.T, y)
+    dKy = _vec_apply(KS.T, dy) + _vec_apply(dKS.T, y)
+    rc = _bsum(Df, Vy) - _bsum(TK, Ky)
+    drc = _bsum(Df, dVy) + _bsum(dg["dDf"], Vy)
+    drc -= _bsum(TK, dKy) + _bsum(dg["dTK"], Ky)
     fac = sc._lb_factor(S)
-    Q = np.zeros_like(c)
-    Q[1:] = cho_solve(fac, c[1:])
-    rhs = dc - dg["dA"] @ Q
-    dQ = np.zeros_like(c)
+    Q = np.zeros_like(rc)
+    Q[1:] = cho_solve(fac, rc[1:])
+    rhs = drc - dg["dA"] @ Q
+    dQ = np.zeros_like(rc)
     dQ[1:] = cho_solve(fac, rhs[1:])
     q_rows = -dQ[1:ncL]
     return np.concatenate([p_rows, q_rows], axis=0)
 
 
-def d_static_block(S: Surface, xi: DeformationField) -> np.ndarray:
-    """Derivative of the transported static coupling block."""
-    g = S.grid
-    jb, divb = density_basis(S)
-    dg = _dgeom(S, xi)
-    djb, ddivb = _d_density_basis(S, dg)
-    n, dN = S.normal, dg["dN"]
-    V0 = kn.vmat(S, 0.0)
-    dV0 = kn.dvmat(S, 0.0, xi, measure_term=True)
-    ncL = g.ncoef(g.L)
-
-    Vj = _vec_apply(V0, jb)
-    a = _cross_n_batch(n, Vj)
-    da = _cross_n_batch(dN, Vj) + _cross_n_batch(
-        n, _vec_apply(dV0, jb) + _vec_apply(V0, djb)
-    )
-    p_rows = -_d_weak_poisson(S, dg, _div_batch(S, a), _d_div(S, xi, a, da))[1:ncL]
-    q_rows = _d_weak_poisson(S, dg, _scurl_batch(S, a), _d_scurl(S, xi, a, da))[1:ncL]
-    q_rows -= _project(S, dV0 @ divb + V0 @ ddivb)
-    return np.concatenate([p_rows, q_rows], axis=0)
+def d_static_block(S: Surface, xi: DeformationField, c=None) -> np.ndarray:
+    """Derivative of the transported static coupling block, applied to the
+    coefficient batch c (the matrix when c is None)."""
+    return _d_layer_block(S, 0.0, xi, c, 1.0, -1.0)
 
 
 # -- far-field operators --------------------------------------------------
@@ -513,14 +539,9 @@ def magnetic_potential(S: Surface, kappa: float, density, targets) -> np.ndarray
 def _d_density_values(S: Surface, density, xi):
     """Stage derivative of the transported density realization at the nodes."""
     dg = _dgeom(S, xi)
-    nc = S.grid.ncoef(S.grid.Lmax)
-    pc = np.zeros(nc, dtype=complex)
-    qc = np.zeros(nc, dtype=complex)
-    pc[: density.p_coeffs.shape[0]] = density.p_coeffs
-    qc[: density.q_coeffs.shape[0]] = density.q_coeffs
-    dj = np.tensordot(dg["dGY"], pc, axes=(2, 0)) + np.tensordot(
-        dg["dTK"], qc, axes=(2, 0)
-    )
+    pc, qc = density.p_coeffs, density.q_coeffs  # degrees <= L
+    nc = pc.shape[0]
+    dj = dg["dGY"][:, :, :nc] @ pc + dg["dTK"][:, :, :nc] @ qc
     ddivj = dg["dLBY"] @ pc
     return dj, ddivj
 

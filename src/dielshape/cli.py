@@ -13,8 +13,9 @@ theta, phi, re_Ex, im_Ex, re_Ey, im_Ey, re_Ez, im_Ez.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.  The
 environment variable DIELSHAPE_NUM_THREADS (integer) bounds the BLAS/OpenMP
-thread count; it must be set before heavy imports, which is why the numeric
-modules are imported lazily inside :func:`main`.
+thread count; it must be set before numpy is loaded, which is why the numeric
+modules are imported lazily inside :func:`main` and why the package's
+re-exports resolve lazily.
 """
 
 from __future__ import annotations

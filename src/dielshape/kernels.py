@@ -30,11 +30,9 @@ __all__ = [
     "vmat",
     "kprime_mat",
     "kprime_src_mat",
-    "MKernel",
     "dkprime_src_mat",
     "dvmat",
     "dkprime_mat",
-    "DMKernel",
 ]
 
 PROBE_T = 1.0e-3
@@ -279,87 +277,35 @@ def dkprime_src_mat(S: Surface, kappa: float, xi: DeformationField, measure_term
     )
     Phip = np.einsum("ijk,ijk->ij", dyp, dyxip)
 
+    mA, mAp = -_A_fun(kappa, R), -_A_fun(kappa, Rp)  # shared with the measure term
     F = (
-        -_A_fun(kappa, R) * (dTs / chord**2) * s**3
+        mA * (dTs / chord**2) * s**3
         + 2.0 * _N5(kappa, R) * (Ts / chord**2) * (Phi / chord**2) * s**5
     )
     Fd = _diag_average(
-        -_A_fun(kappa, Rp) * (dTsp / ch**2) * (ch / Rp) ** 3
+        mAp * (dTsp / ch**2) * (ch / Rp) ** 3
         + 2.0 * _N5(kappa, Rp) * (Tsp / ch**2) * (Phip / ch**2) * (ch / Rp) ** 5
     )
     np.fill_diagonal(F, Fd)
     M = (B * F * J[None, :]).astype(complex)
 
     if kappa != 0.0:
-        sm = dTs * _gm3(kappa, R) + Ts * 2.0 * Phi * _dgm3_du(kappa, R)
+        gm = _gm3(kappa, R)
+        sm = dTs * gm + Ts * 2.0 * Phi * _dgm3_du(kappa, R)
         np.fill_diagonal(sm, 0.0)
         M += 1j * sm * (g.weights * J)[None, :]
 
     if measure_term:
         dJ = J * surface_divergence(S, xiv)
-        Fv = -_A_fun(kappa, R) * (Ts / chord**2) * s**3
-        Fvd = _diag_average(-_A_fun(kappa, Rp) * (Tsp / ch**2) * (ch / Rp) ** 3)
+        Fv = mA * (Ts / chord**2) * s**3
+        Fvd = _diag_average(mAp * (Tsp / ch**2) * (ch / Rp) ** 3)
         np.fill_diagonal(Fv, Fvd)
         M += B * Fv * dJ[None, :]
         if kappa != 0.0:
-            sm = Ts * _gm3(kappa, R)
+            sm = Ts * gm
             np.fill_diagonal(sm, 0.0)
             M += 1j * sm * (g.weights * dJ)[None, :]
     return M
-
-
-# -- the magnetic boundary operator applied node-wise ---------------------
-class MKernel:
-    """Node-wise application of M_kappa = D_kappa - B_kappa on tangential fields.
-
-    M j(x) = n(x) ^ curl int G j ds
-           = int grad_x G ((n(x)-n(y)) . j(y)) ds - int (n(x) . grad_x G) j(y) ds,
-    using n(y).j(y) = 0.  The second term is K' applied componentwise; the
-    first has a kernel vanishing linearly on the diagonal.
-    """
-
-    def __init__(self, S: Surface, kappa: float):
-        self.S = S
-        self.kappa = kappa
-        self._kp = kprime_mat(S, kappa)
-
-    def apply(self, jb: np.ndarray) -> np.ndarray:
-        """jb: (N, 3[, k]) tangential field batch -> same shape."""
-        S, k = self.S, self.kappa
-        g = S.grid
-        P = pair_geometry(S)
-        R, chord, s = P["R"], P["chord"], P["s"]
-        B = g.singular_weights
-        J = S.jacobian
-        x, n = S.points, S.normal
-
-        out = -np.tensordot(self._kp, jb, axes=(1, 0))
-
-        # gradient term: kernel (x-y) dn.j * g(R), g = e^{ikR}(ikR-1)/(4 pi R^3)
-        pr = probe_geometry(S)
-        dxp = x[:, None, :] - pr["x"]
-        Rp = np.linalg.norm(dxp, axis=2)
-        dnp = n[:, None, :] - pr["n"]
-        ch = pr["chord"]
-        gs = -_A_fun(k, R)
-        gsp = -_A_fun(k, Rp)
-        gm = _gm3(k, R) if k != 0.0 else None
-        wJ = g.weights * J
-        for a in range(3):
-            for b in range(3):
-                dxa = x[:, None, a] - x[None, :, a]
-                dnb = n[:, None, b] - n[None, :, b]
-                T = B * (gs * (dxa / chord) * (dnb / chord) * s**3 * J[None, :])
-                Td = _diag_average(
-                    gsp * (dxp[..., a] / ch) * (dnp[..., b] / ch) * (ch / Rp) ** 3
-                )
-                np.fill_diagonal(T, B.diagonal() * Td * J)
-                if gm is not None:
-                    sm = dxa * dnb * gm
-                    np.fill_diagonal(sm, 0.0)
-                    T = T + 1j * sm * wJ[None, :]
-                out[:, a] += np.tensordot(T, jb[:, b], axes=(1, 0))
-        return out
 
 
 # -- shape derivatives of the kernels ------------------------------------
@@ -452,119 +398,32 @@ def dkprime_mat(S: Surface, kappa: float, xi: DeformationField, measure_term=Tru
     Phip = np.einsum("ijk,ijk->ij", dxp, dxip)
 
     # gs = -A/(4 pi R^3): d(T gs) = dT gs + T * (N5/R^5) * 2 Phi
+    mA, mAp = -_A_fun(kappa, R), -_A_fun(kappa, Rp)  # shared with the measure term
     F = (
-        -_A_fun(kappa, R) * (dT / chord**2) * s**3
+        mA * (dT / chord**2) * s**3
         + 2.0 * _N5(kappa, R) * (T / chord**2) * (Phi / chord**2) * s**5
     )
     Fd = _diag_average(
-        -_A_fun(kappa, Rp) * (dTp / ch**2) * (ch / Rp) ** 3
+        mAp * (dTp / ch**2) * (ch / Rp) ** 3
         + 2.0 * _N5(kappa, Rp) * (Tp / ch**2) * (Phip / ch**2) * (ch / Rp) ** 5
     )
     np.fill_diagonal(F, Fd)
     M = (B * F * J[None, :]).astype(complex)
 
     if kappa != 0.0:
-        sm = dT * _gm3(kappa, R) + T * 2.0 * Phi * _dgm3_du(kappa, R)
+        gm = _gm3(kappa, R)
+        sm = dT * gm + T * 2.0 * Phi * _dgm3_du(kappa, R)
         np.fill_diagonal(sm, 0.0)
         M += 1j * sm * (g.weights * J)[None, :]
 
     if measure_term:
         dJ = J * surface_divergence(S, xiv)
-        Fv = -_A_fun(kappa, R) * (T / chord**2) * s**3
-        Fvd = _diag_average(
-            -_A_fun(kappa, Rp) * (Tp / ch**2) * (ch / Rp) ** 3
-        )
+        Fv = mA * (T / chord**2) * s**3
+        Fvd = _diag_average(mAp * (Tp / ch**2) * (ch / Rp) ** 3)
         np.fill_diagonal(Fv, Fvd)
         M += B * Fv * dJ[None, :]
         if kappa != 0.0:
-            sm = T * _gm3(kappa, R)
+            sm = T * gm
             np.fill_diagonal(sm, 0.0)
             M += 1j * sm * (g.weights * dJ)[None, :]
     return M
-
-
-class DMKernel:
-    """Shape derivative of the node-wise M_kappa application at the base surface."""
-
-    def __init__(self, S: Surface, kappa: float, xi: DeformationField, measure_term=True):
-        self.S = S
-        self.kappa = kappa
-        self.xi = xi
-        self.measure_term = measure_term
-        self._dkp = dkprime_mat(S, kappa, xi, measure_term=measure_term)
-
-    def apply(self, jb: np.ndarray) -> np.ndarray:
-        S, k, xi = self.S, self.kappa, self.xi
-        g = S.grid
-        P = pair_geometry(S)
-        R, chord, s = P["R"], P["chord"], P["s"]
-        B = g.singular_weights
-        J = S.jacobian
-        x, n = S.points, S.normal
-        xiv = xi.values
-        dn = d_normal(S, xi)
-
-        out = -np.tensordot(self._dkp, jb, axes=(1, 0))
-
-        dx = x[:, None, :] - x[None, :, :]
-        dxi = xiv[:, None, :] - xiv[None, :, :]
-        dnn = n[:, None, :] - n[None, :, :]
-        ddn = dn[:, None, :] - dn[None, :, :]
-        Phi = np.einsum("ijk,ijk->ij", dx, dxi)
-
-        pr = probe_geometry(S)
-        xip = _xi_probe(S, xi)
-        dnprb = probe_node_field(S, dn)
-        nprb = pr["n"]
-        dxp = x[:, None, :] - pr["x"]
-        dxip = xiv[:, None, :] - xip
-        dnp = n[:, None, :] - nprb
-        ddnp = dn[:, None, :] - dnprb
-        Rp = np.linalg.norm(dxp, axis=2)
-        ch = pr["chord"]
-        Phip = np.einsum("ijk,ijk->ij", dxp, dxip)
-
-        gsA = -_A_fun(k, R)
-        gsAp = -_A_fun(k, Rp)
-        N5 = _N5(k, R)
-        N5p = _N5(k, Rp)
-        gm = _gm3(k, R)
-        dgm = _dgm3_du(k, R)
-        wJ = g.weights * J
-        if self.measure_term:
-            dJ = J * surface_divergence(S, xiv)
-
-        for a in range(3):
-            for b in range(3):
-                P2 = dx[..., a] * dnn[..., b]          # O(R^2) product
-                dP2 = (
-                    dxi[..., a] * dnn[..., b] + dx[..., a] * ddn[..., b]
-                )
-                P2p = dxp[..., a] * dnp[..., b]
-                dP2p = dxip[..., a] * dnp[..., b] + dxp[..., a] * ddnp[..., b]
-
-                F = (
-                    gsA * (dP2 / chord**2) * s**3
-                    + 2.0 * N5 * (P2 / chord**2) * (Phi / chord**2) * s**5
-                )
-                Fd = _diag_average(
-                    gsAp * (dP2p / ch**2) * (ch / Rp) ** 3
-                    + 2.0 * N5p * (P2p / ch**2) * (Phip / ch**2) * (ch / Rp) ** 5
-                )
-                np.fill_diagonal(F, Fd)
-                T = (B * F * J[None, :]).astype(complex)
-                if k != 0.0:
-                    sm = dP2 * gm + P2 * 2.0 * Phi * dgm
-                    np.fill_diagonal(sm, 0.0)
-                    T += 1j * sm * wJ[None, :]
-                if self.measure_term:
-                    Fm = gsA * (P2 / chord**2) * s**3
-                    Fmd = _diag_average(gsAp * (P2p / ch**2) * (ch / Rp) ** 3)
-                    np.fill_diagonal(Fm, Fmd)
-                    T += B * Fm * dJ[None, :]
-                    if k != 0.0:
-                        sm = P2 * gm
-                        np.fill_diagonal(sm, 0.0)
-                        T += 1j * sm * (g.weights * dJ)[None, :]
-                out[:, a] += np.tensordot(T, jb[:, b], axes=(1, 0))
-        return out

@@ -161,35 +161,37 @@ def d_solution_routeA(
     ops = sol.ops
     ke, ki = mat.kappa_e, mat.kappa_i
     eta, rho = mat.eta, mat.rho
-    K2 = ops.S.shape[0]
-    I = np.eye(K2)
-    half_Me = -0.5 * I + ops.Me
-    half_Mi = -0.5 * I + ops.Mi
+    j = sol.j
+    a = ops.C0 @ j
+    half = lambda M, v: M @ v - 0.5 * v  # (-1/2 + M) v
 
-    dCe = bio.d_electric_block(S, ke, xi)
-    dMe = bio.d_magnetic_block(S, ke, xi)
-    dCi = bio.d_electric_block(S, ki, xi)
-    dMi = bio.d_magnetic_block(S, ki, xi)
-    dC0 = bio.d_static_block(S, xi)
+    # derivative blocks only ever act on these few vectors
+    ja = np.stack([j, a], axis=1)
+    dCe_j, dCe_a = bio.d_electric_block(S, ke, xi, ja).T
+    dMe_j, dMe_a = bio.d_magnetic_block(S, ke, xi, ja).T
+    dC0_j = bio.d_static_block(S, xi, j[:, None])[:, 0]
+    # dL j and dN j, the derivatives of the exterior traces at fixed j
+    dL_j = dCe_j + 1j * eta * (dMe_a + half(ops.Me, dC0_j))
+    dN_j = dMe_j + 1j * eta * (dCe_a + ops.Ce @ dC0_j)
 
-    dL = dCe + 1j * eta * (dMe @ ops.C0 + half_Me @ dC0)
-    dN = dMe + 1j * eta * (dCe @ ops.C0 + ops.Ce @ dC0)
-    dS = dCi @ ops.N + ops.Ci @ dN + rho * (dMi @ ops.L + half_Mi @ dL)
-
+    # S dj = db - dS j, and at fixed j the right side is the derivative of
+    # b - S j = C_i (g_N - N j) + rho (-1/2 + M_i)(g_D - L j), whose
+    # factors are the interior Cauchy data: g_N - N j = rho tN, g_D - L j = tD
     dgD, dgN = incident_trace_derivative(S, mat, wave, xi)
-    db = dCi @ sol.gN + ops.Ci @ dgN + rho * (dMi @ sol.gD + half_Mi @ dgD)
+    dCi_t = bio.d_electric_block(S, ki, xi, sol.tN[:, None])[:, 0]
+    dMi_t = bio.d_magnetic_block(S, ki, xi, sol.tD[:, None])[:, 0]
+    rhs = rho * (dCi_t + dMi_t) + ops.Ci @ (dgN - dN_j) + rho * half(ops.Mi, dgD - dL_j)
 
     try:
-        dj = np.linalg.solve(ops.S, db - dS @ sol.j)
+        dj = np.linalg.solve(ops.S, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"derivative solve failed: {exc}") from exc
 
     FE, FM = _far_matrices(S, mat, directions)
     dFE = bio.d_far_field_block(S, ke, directions, "electric", xi)
     dFM = bio.d_far_field_block(S, ke, directions, "magnetic", xi)
-    a = ops.C0 @ sol.j
-    da = dC0 @ sol.j + ops.C0 @ dj
-    dF = -(dFE @ sol.j + FE @ dj) - 1j * eta * (dFM @ a + FM @ da)
+    da = dC0_j + ops.C0 @ dj
+    dF = -(dFE @ j + FE @ dj) - 1j * eta * (dFM @ a + FM @ da)
 
     dE_near = None
     if exterior_probes is not None or interior_probes is not None:
@@ -197,15 +199,15 @@ def d_solution_routeA(
         hd = lambda v: sc.HelmholtzDensity.from_stacked(S, v)
         if exterior_probes is not None:
             pts = np.atleast_2d(exterior_probes)
-            out = -bio.d_electric_potential(S, ke, hd(sol.j), pts, xi)
+            out = -bio.d_electric_potential(S, ke, hd(j), pts, xi)
             out -= bio.electric_potential(S, ke, hd(dj), pts)
             out -= 1j * eta * bio.d_magnetic_potential(S, ke, hd(a), pts, xi)
             out -= 1j * eta * bio.magnetic_potential(S, ke, hd(da), pts)
             dE_near["exterior"] = out
         if interior_probes is not None:
             pts = np.atleast_2d(interior_probes)
-            dtD = dgD - dL @ sol.j - ops.L @ dj
-            dtN = (dgN - dN @ sol.j - ops.N @ dj) / rho
+            dtD = dgD - dL_j - ops.L @ dj
+            dtN = (dgN - dN_j - ops.N @ dj) / rho
             out = bio.d_electric_potential(S, ki, hd(sol.tN), pts, xi)
             out += bio.electric_potential(S, ki, hd(dtN), pts)
             out += bio.d_magnetic_potential(S, ki, hd(sol.tD), pts, xi)

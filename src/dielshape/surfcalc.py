@@ -42,11 +42,6 @@ __all__ = [
 
 
 # -- broadcasting helpers -------------------------------------------------
-def _vec_weight(v, w):
-    """v (N,3[,k]) times per-node scalar w (N,)."""
-    return v * (w[:, None] if v.ndim == 2 else w[:, None, None])
-
-
 def _cross_n(a, n):
     """Cross product a x n for a of shape (N,3[,k]), n of shape (N,3)."""
     if a.ndim == 2:

@@ -167,6 +167,23 @@ class TestShapeDerivativeBlocks:
         out = bio.d_far_field_block(S, KAPPA, directions, kind, generic_xi)
         assert_allclose(out, fd, atol=1e-7 * np.abs(fd).max())
 
+    @pytest.mark.parametrize("which", ["electric", "magnetic", "static"])
+    def test_batch_form_equals_matrix_product(self, wobbly_surface, generic_xi, which):
+        # dBlock applied to a coefficient batch is the matrix times the batch
+        S = wobbly_surface
+        d_block = {
+            "electric": lambda *c: bio.d_electric_block(S, KAPPA, generic_xi, *c),
+            "magnetic": lambda *c: bio.d_magnetic_block(S, KAPPA, generic_xi, *c),
+            "static": lambda *c: bio.d_static_block(S, generic_xi, *c),
+        }[which]
+        rng = np.random.default_rng(5)
+        K2 = 2 * (S.grid.ncoef(S.grid.L) - 1)
+        c = rng.normal(size=(K2, 2)) + 1j * rng.normal(size=(K2, 2))
+        ref = d_block() @ c
+        out = d_block(c)
+        assert out.shape == (K2, 2)
+        assert_allclose(out, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
     def test_d_potentials(self, wobbly_surface, generic_xi):
         S = wobbly_surface
         g = S.grid

@@ -3,10 +3,15 @@ tables, and determinism of repeated runs."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dielshape
 from dielshape.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 
 CSV_HEADER = ["theta", "phi", "re_Ex", "im_Ex", "re_Ey", "im_Ey", "re_Ez", "im_Ez"]
@@ -146,3 +151,17 @@ class TestErrors:
         cfg = write_cfg(tmp_path)
         assert main(["solve", "--config", str(cfg)]) == EXIT_CONFIG
         assert json.loads(capsys.readouterr().out)["error"] == "config"
+
+
+class TestThreadLimit:
+    def test_cli_import_leaves_numpy_unloaded(self):
+        # DIELSHAPE_NUM_THREADS only takes effect if numpy (and its BLAS) is
+        # loaded after main() has applied it
+        code = "import sys, dielshape.cli; assert 'numpy' not in sys.modules"
+        src = str(Path(dielshape.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr

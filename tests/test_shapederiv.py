@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dielshape import oracle, shapederiv as sd, solver
+from dielshape import bio, oracle, shapederiv as sd, solver
+from dielshape import surfcalc as sc
 from dielshape.geometry import DeformationField, Material, sphere
 
 
@@ -167,6 +168,64 @@ class TestNearFieldDerivative:
         fd_int = (ip - im) / (2 * h)
         assert rel(a.dE_near["exterior"], fd_ext) < 1e-5
         assert rel(a.dE_near["interior"], fd_int) < 1e-5
+
+
+class TestRouteAMatrixReference:
+    def test_matrix_free_route_matches_matrix_algebra(
+        self, wobbly_surface, material, wave, dirs, xi_profile
+    ):
+        # Reference: assemble the five derivative matrices and recompose the
+        # derivative of the system, right-hand side and traces from them.
+        S, xi = wobbly_surface, xi_profile
+        ext = np.array([[2.0, 0.3, -0.4], [-0.3, 2.1, 0.5]])
+        itr = np.array([[0.2, 0.1, -0.15]])
+        sol = solver.solve(S, material, wave)
+        A = sd.d_solution_routeA(
+            S, material, wave, xi, dirs, sol=sol,
+            exterior_probes=ext, interior_probes=itr,
+        )
+
+        ops = sol.ops
+        ke, ki = material.kappa_e, material.kappa_i
+        eta, rho = material.eta, material.rho
+        I = np.eye(ops.S.shape[0])
+        half_Me, half_Mi = ops.Me - 0.5 * I, ops.Mi - 0.5 * I
+        dCe = bio.d_electric_block(S, ke, xi)
+        dMe = bio.d_magnetic_block(S, ke, xi)
+        dCi = bio.d_electric_block(S, ki, xi)
+        dMi = bio.d_magnetic_block(S, ki, xi)
+        dC0 = bio.d_static_block(S, xi)
+        dL = dCe + 1j * eta * (dMe @ ops.C0 + half_Me @ dC0)
+        dN = dMe + 1j * eta * (dCe @ ops.C0 + ops.Ce @ dC0)
+        dS = dCi @ ops.N + ops.Ci @ dN + rho * (dMi @ ops.L + half_Mi @ dL)
+        dgD, dgN = sd.incident_trace_derivative(S, material, wave, xi)
+        db = dCi @ sol.gN + ops.Ci @ dgN + rho * (dMi @ sol.gD + half_Mi @ dgD)
+        dj = np.linalg.solve(ops.S, db - dS @ sol.j)
+
+        a = ops.C0 @ sol.j
+        da = dC0 @ sol.j + ops.C0 @ dj
+        FE = bio.far_field_block(S, ke, dirs, "electric")
+        FM = bio.far_field_block(S, ke, dirs, "magnetic")
+        dFE = bio.d_far_field_block(S, ke, dirs, "electric", xi)
+        dFM = bio.d_far_field_block(S, ke, dirs, "magnetic", xi)
+        dF = -(dFE @ sol.j + FE @ dj) - 1j * eta * (dFM @ a + FM @ da)
+
+        hd = lambda v: sc.HelmholtzDensity.from_stacked(S, v)
+        d_ext = -bio.d_electric_potential(S, ke, hd(sol.j), ext, xi)
+        d_ext -= bio.electric_potential(S, ke, hd(dj), ext)
+        d_ext -= 1j * eta * bio.d_magnetic_potential(S, ke, hd(a), ext, xi)
+        d_ext -= 1j * eta * bio.magnetic_potential(S, ke, hd(da), ext)
+        dtD = dgD - dL @ sol.j - ops.L @ dj
+        dtN = (dgN - dN @ sol.j - ops.N @ dj) / rho
+        d_int = bio.d_electric_potential(S, ki, hd(sol.tN), itr, xi)
+        d_int += bio.electric_potential(S, ki, hd(dtN), itr)
+        d_int += bio.d_magnetic_potential(S, ki, hd(sol.tD), itr, xi)
+        d_int += bio.magnetic_potential(S, ki, hd(dtD), itr)
+
+        assert abs(A.diagnostics["dj_norm"] / np.linalg.norm(dj) - 1.0) < 1e-12
+        assert rel(A.dE_far, dF) < 1e-12
+        assert rel(A.dE_near["exterior"], d_ext) < 1e-12
+        assert rel(A.dE_near["interior"], d_int) < 1e-12
 
 
 class TestDispatchAndData:
