@@ -3,8 +3,10 @@ scattering on star-shaped surfaces, with shape-derivative engines.
 
 Subpackage layout
 -----------------
-geometry   reference grid, surfaces, deformations, pullbacks
+grid       reference sphere quadrature and harmonic transforms
+geometry   surfaces, materials, deformation fields
 surfcalc   surface differential operators and their shape derivatives
+kernels    singular quadrature of the scalar layer kernels and derivatives
 bio        boundary integral operators / potentials in Helmholtz coordinates
 solver     the single-source transmission integral equation
 shapederiv three routes to the first shape derivative of the far field

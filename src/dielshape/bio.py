@@ -12,9 +12,12 @@ boundary operator becomes a dense complex matrix acting on such stacks:
 * ``magnetic_block``  -- the principal value M_k j = (curl Psi_k j) ^ n,
   realized in a Galerkin form that only needs single-layer and
   normal-derivative kernels (the exterior/interior traces of curl Psi are
-  -1/2 j + M j and +1/2 j + M j).
+  -1/2 j + M j and +1/2 j + M j).  Its rotational right-hand side
+  sum_b Df_b^T V^T y_b - TK_b^T KS^T y_b is applied factor by factor to
+  y_b = w J j_b; Df_b is memoised per surface, nothing per wavenumber.
 * ``static_block``    -- the static coupling j -> -n ^ V_0 j - curl_Gamma
-  V_0 (div_Gamma j) used to regularize the layer ansatz.
+  V_0 (div_Gamma j) used to regularize the layer ansatz.  It and the
+  electric block share one single-layer recipe with two scalar weights.
 
 ``d_*_block`` variants return the first derivative, at the base surface, of
 the transported-operator family r -> block(Gamma + r xi) with the potential
@@ -32,7 +35,6 @@ end of the module.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .errors import TargetOnSurface
 from .geometry import Surface, DeformationField
@@ -70,8 +72,7 @@ def _basis_fields(S: Surface) -> dict:
     """
     if "bio_basis" not in S._cache:
         g = S.grid
-        sc._lb_factor(S)  # ensures lb_gradbasis / lb_mass / lb_factor
-        GY = S._cache["lb_gradbasis"]
+        GY = sc._lb_data(S)["gradbasis"]
         n = S.normal
         TK = np.cross(GY, n[:, :, None], axis=1)
         LBY = np.zeros((g.nnodes, g.ncoef(g.Lmax)))
@@ -120,12 +121,7 @@ def density_basis(S: Surface):
 
 def _weak_poisson(S: Surface, f: np.ndarray) -> np.ndarray:
     """Coefficients of the mean-zero weak solution of Delta u = f (batched)."""
-    fac = sc._lb_factor(S)
-    mass = S._cache["lb_mass"]
-    rhs = -(mass @ f)
-    out = np.zeros(rhs.shape, dtype=complex)
-    out[1:] = cho_solve(fac, rhs[1:])
-    return out
+    return sc._lb_solve(S, -(sc._lb_data(S)["mass"] @ f))
 
 
 def _div_batch(S: Surface, U: np.ndarray) -> np.ndarray:
@@ -133,10 +129,6 @@ def _div_batch(S: Surface, U: np.ndarray) -> np.ndarray:
     for c in (1, 2):
         out += sc.surface_gradient(S, U[:, c, :])[:, c, :]
     return out
-
-
-def _scurl_batch(S: Surface, U: np.ndarray) -> np.ndarray:
-    return sc.surface_scalar_curl(S, U)
 
 
 def _cross_n_batch(n: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -161,33 +153,23 @@ def _project(S: Surface, f: np.ndarray) -> np.ndarray:
 
 
 # -- primal operator blocks ----------------------------------------------
-def electric_block(S: Surface, kappa: float) -> np.ndarray:
-    """Matrix of C_kappa = gamma_D Psi_E on stacked (p, q) coefficients."""
+def _layer_block(S: Surface, kappa: float, sa: float, sv: float) -> np.ndarray:
+    """Single-layer recipe shared by the electric and static blocks:
+    p = -sa Delta^{-1} div a, q = sa Delta^{-1} scurl a + sv P(V div j)
+    with a = n ^ V j."""
     jb, divb = density_basis(S)
     V = kn.vmat(S, kappa)
     a = _cross_n_batch(S.normal, _vec_apply(V, jb))
-    p1 = _weak_poisson(S, _div_batch(S, a))
-    q1 = _weak_poisson(S, _scurl_batch(S, a))
     ncL = S.grid.ncoef(S.grid.L)
-    p_rows = -kappa * p1[1:ncL]
-    q_rows = kappa * q1[1:ncL] + (1.0 / kappa) * _project(S, V @ divb)
+    p_rows = -sa * _weak_poisson(S, _div_batch(S, a))[1:ncL]
+    q_rows = sa * _weak_poisson(S, sc.surface_scalar_curl(S, a))[1:ncL]
+    q_rows += sv * _project(S, V @ divb)
     return np.concatenate([p_rows, q_rows], axis=0)
 
 
-def _magnetic_galerkin_rhs(S: Surface, kappa: float):
-    """Cached target-independent matrices of the magnetic Galerkin form.
-
-    Per Cartesian component b, W[b] = V Df[b] - KS TK_b has shape
-    (N, nc_full) and the rotational coefficients are c = sum_b W[b]^T (w J j_b).
-    """
-    key = ("mag_rhs", float(kappa))
-    if key not in S._cache:
-        TK = _basis_fields(S)["TK"]
-        Df = _magnetic_test_divs(S)
-        V = kn.vmat(S, kappa)
-        KS = kn.kprime_src_mat(S, kappa)
-        S._cache[key] = [V @ Df[:, b, :] - KS @ TK[:, b, :] for b in range(3)]
-    return S._cache[key]
+def electric_block(S: Surface, kappa: float) -> np.ndarray:
+    """Matrix of C_kappa = gamma_D Psi_E on stacked (p, q) coefficients."""
+    return _layer_block(S, kappa, kappa, 1.0 / kappa)
 
 
 def magnetic_block(S: Surface, kappa: float) -> np.ndarray:
@@ -196,40 +178,34 @@ def magnetic_block(S: Surface, kappa: float) -> np.ndarray:
     The gradient potential follows from div_Gamma(M j) = kappa^2 n.Vj +
     K'(div_Gamma j); the rotational potential from the weak form
     int curl_Gamma Y . M j ds = int grad Y . (grad G ^ j) ds integrated by
-    parts so that only weakly singular kernels appear.
+    parts so that only weakly singular kernels appear.  Its right-hand side
+    sum_b Df[b]^T V^T y_b - TK_b^T KS^T y_b is applied factor by factor to
+    y_b = w J j_b.
     """
     g = S.grid
     jb, divb = density_basis(S)
     n = S.normal
-    wJ = g.weights * S.jacobian
+    TK = _basis_fields(S)["TK"]
+    Df = _magnetic_test_divs(S)
+    wJ = (g.weights * S.jacobian)[:, None, None]
     V = kn.vmat(S, kappa)
     KP = kn.kprime_mat(S, kappa)
+    KS = kn.kprime_src_mat(S, kappa)
     ncL = g.ncoef(g.L)
 
     Vj = _vec_apply(V, jb)
     nVj = np.einsum("ij,ijk->ik", n, Vj)
     p_rows = _weak_poisson(S, kappa**2 * nVj + KP @ divb)[1:ncL]
 
-    W = _magnetic_galerkin_rhs(S, kappa)
-    c = np.zeros((g.ncoef(g.Lmax), 2 * (ncL - 1)), dtype=complex)
-    for b in range(3):
-        c += W[b].T @ (wJ[:, None] * jb[:, b, :])
-    fac = sc._lb_factor(S)
-    Q = np.zeros_like(c)
-    Q[1:] = cho_solve(fac, c[1:])
-    q_rows = -Q[1:ncL]
+    y = wJ * jb
+    rc = _bsum(Df, _vec_apply(V.T, y)) - _bsum(TK, _vec_apply(KS.T, y))
+    q_rows = -sc._lb_solve(S, rc)[1:ncL]
     return np.concatenate([p_rows, q_rows], axis=0)
 
 
 def static_block(S: Surface) -> np.ndarray:
     """Matrix of the static coupling j -> -n^V_0 j - curl_Gamma V_0 div_Gamma j."""
-    jb, divb = density_basis(S)
-    V0 = kn.vmat(S, 0.0)
-    a = _cross_n_batch(S.normal, _vec_apply(V0, jb))
-    ncL = S.grid.ncoef(S.grid.L)
-    p_rows = -_weak_poisson(S, _div_batch(S, a))[1:ncL]
-    q_rows = _weak_poisson(S, _scurl_batch(S, a))[1:ncL] - _project(S, V0 @ divb)
-    return np.concatenate([p_rows, q_rows], axis=0)
+    return _layer_block(S, 0.0, 1.0, -1.0)
 
 
 # -- shape derivatives of the blocks --------------------------------------
@@ -298,13 +274,9 @@ def _dgeom(S: Surface, xi: DeformationField) -> dict:
 
 def _d_weak_poisson(S: Surface, dg: dict, f: np.ndarray, df: np.ndarray):
     """Derivative of the transported Galerkin solve u(r) = Delta_r^{-1} f(r)."""
-    fac = sc._lb_factor(S)
-    mass = S._cache["lb_mass"]
     u = _weak_poisson(S, f)
-    rhs = -(dg["dmass"] @ f) - (mass @ df) - dg["dA"] @ u
-    out = np.zeros(rhs.shape, dtype=complex)
-    out[1:] = cho_solve(fac, rhs[1:])
-    return out
+    rhs = -(dg["dmass"] @ f) - (sc._lb_data(S)["mass"] @ df) - dg["dA"] @ u
+    return sc._lb_solve(S, rhs)
 
 
 def _d_density_basis(S: Surface, dg: dict):
@@ -323,7 +295,7 @@ def _d_div(S: Surface, xi, U, dU):
 
 
 def _d_scurl(S: Surface, xi, U, dU):
-    return sc.d_surface_operator("scalar_curl", S, xi, U) + _scurl_batch(S, dU)
+    return sc.d_surface_operator("scalar_curl", S, xi, U) + sc.surface_scalar_curl(S, dU)
 
 
 def _coef_batch(S: Surface, dg: dict, c):
@@ -349,7 +321,7 @@ def _d_layer_block(S: Surface, kappa: float, xi, c, sa: float, sv: float):
     j, divj, dj, ddivj = _coef_batch(S, dg, c)
     n, dN = S.normal, dg["dN"]
     V = kn.vmat(S, kappa)
-    dV = kn.dvmat(S, kappa, xi, measure_term=True)
+    dV = kn.dvmat(S, kappa, xi)
     ncL = g.ncoef(g.L)
 
     Vj = _vec_apply(V, j)
@@ -358,7 +330,9 @@ def _d_layer_block(S: Surface, kappa: float, xi, c, sa: float, sv: float):
         n, _vec_apply(dV, j) + _vec_apply(V, dj)
     )
     d_div_a = _d_weak_poisson(S, dg, _div_batch(S, a), _d_div(S, xi, a, da))
-    d_scurl_a = _d_weak_poisson(S, dg, _scurl_batch(S, a), _d_scurl(S, xi, a, da))
+    d_scurl_a = _d_weak_poisson(
+        S, dg, sc.surface_scalar_curl(S, a), _d_scurl(S, xi, a, da)
+    )
     p_rows = -sa * d_div_a[1:ncL]
     q_rows = sa * d_scurl_a[1:ncL] + sv * _project(S, dV @ divj + V @ ddivj)
     return np.concatenate([p_rows, q_rows], axis=0)
@@ -393,11 +367,11 @@ def d_magnetic_block(
     ncL = g.ncoef(g.L)
 
     V = kn.vmat(S, kappa)
-    dV = kn.dvmat(S, kappa, xi, measure_term=True)
+    dV = kn.dvmat(S, kappa, xi)
     KP = kn.kprime_mat(S, kappa)
-    dKP = kn.dkprime_mat(S, kappa, xi, measure_term=True)
+    dKP = kn.dkprime_mat(S, kappa, xi)
     KS = kn.kprime_src_mat(S, kappa)
-    dKS = kn.dkprime_src_mat(S, kappa, xi, measure_term=True)
+    dKS = kn.dkprime_src_mat(S, kappa, xi)
 
     # gradient potential
     Vj = _vec_apply(V, j)
@@ -419,13 +393,8 @@ def d_magnetic_block(
     rc = _bsum(Df, Vy) - _bsum(TK, Ky)
     drc = _bsum(Df, dVy) + _bsum(dg["dDf"], Vy)
     drc -= _bsum(TK, dKy) + _bsum(dg["dTK"], Ky)
-    fac = sc._lb_factor(S)
-    Q = np.zeros_like(rc)
-    Q[1:] = cho_solve(fac, rc[1:])
-    rhs = drc - dg["dA"] @ Q
-    dQ = np.zeros_like(rc)
-    dQ[1:] = cho_solve(fac, rhs[1:])
-    q_rows = -dQ[1:ncL]
+    Q = sc._lb_solve(S, rc)
+    q_rows = -sc._lb_solve(S, drc - dg["dA"] @ Q)[1:ncL]
     return np.concatenate([p_rows, q_rows], axis=0)
 
 
@@ -436,6 +405,16 @@ def d_static_block(S: Surface, xi: DeformationField, c=None) -> np.ndarray:
 
 
 # -- far-field operators --------------------------------------------------
+def _far_kind(kappa: float, d: np.ndarray, I: np.ndarray, kind: str) -> np.ndarray:
+    """Far-field pattern from the moments I(d) of shape (ndir, 3, m)."""
+    if kind == "electric":
+        dI = np.einsum("da,dak->dk", d, I)
+        return kappa * (I - d[:, :, None] * dI[:, None, :])
+    if kind == "magnetic":
+        return 1j * kappa * np.cross(d[:, :, None], I, axis=1)
+    raise ValueError(f"unknown far-field kind {kind!r}")
+
+
 def far_field_block(
     S: Surface, kappa: float, directions: np.ndarray, kind: str
 ) -> np.ndarray:
@@ -449,13 +428,7 @@ def far_field_block(
     d = np.atleast_2d(np.asarray(directions, dtype=float))
     wJ = g.weights * S.jacobian
     phase = np.exp(-1j * kappa * (d @ S.points.T)) * wJ[None, :]  # (ndir, N)
-    I = np.tensordot(phase, jb, axes=(1, 0))  # (ndir, 3, 2K)
-    if kind == "electric":
-        dI = np.einsum("da,dak->dk", d, I)
-        return kappa * (I - d[:, :, None] * dI[:, None, :])
-    if kind == "magnetic":
-        return 1j * kappa * np.cross(d[:, :, None], I, axis=1)
-    raise ValueError(f"unknown far-field kind {kind!r}")
+    return _far_kind(kappa, d, np.tensordot(phase, jb, axes=(1, 0)), kind)
 
 
 def d_far_field_block(
@@ -473,12 +446,7 @@ def d_far_field_block(
     dphase = phase * (-1j * kappa) * (d @ xi.values.T)
     I = np.tensordot(phase * wdJ[None, :] + dphase * wJ[None, :], jb, axes=(1, 0))
     I += np.tensordot(phase * wJ[None, :], djb, axes=(1, 0))
-    if kind == "electric":
-        dI = np.einsum("da,dak->dk", d, I)
-        return kappa * (I - d[:, :, None] * dI[:, None, :])
-    if kind == "magnetic":
-        return 1j * kappa * np.cross(d[:, :, None], I, axis=1)
-    raise ValueError(f"unknown far-field kind {kind!r}")
+    return _far_kind(kappa, d, I, kind)
 
 
 # -- off-surface potentials ----------------------------------------------

@@ -75,12 +75,27 @@ def _get(cfg, key, default=None, required=False):
     return cfg[key]
 
 
+def _section(cfg, key):
+    """Optional config section; it must be a JSON object."""
+    s = _get(cfg, key, {})
+    if not isinstance(s, dict):
+        raise ConfigError(f"{key!r} must be an object")
+    return s
+
+
+def _number(section, key, default, kind=float):
+    """section[key] (or the default) converted by kind, as a ConfigError if not numeric."""
+    v = section.get(key, default)
+    try:
+        return kind(v)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key!r} must be a number, got {v!r}") from exc
+
+
 def build_material(cfg):
     from .geometry import Material
 
-    m = _get(cfg, "material", {})
-    if not isinstance(m, dict):
-        raise ConfigError("'material' must be an object")
+    m = _section(cfg, "material")
     allowed = {"eps_i", "eps_e", "mu_i", "mu_e", "omega", "eta"}
     bad = set(m) - allowed
     if bad:
@@ -94,7 +109,7 @@ def build_material(cfg):
 def build_wave(cfg):
     from .solver import PlaneWave
 
-    w = _get(cfg, "wave", {})
+    w = _section(cfg, "wave")
     try:
         return PlaneWave(
             direction=tuple(w.get("direction", (0.0, 0.0, 1.0))),
@@ -105,12 +120,13 @@ def build_wave(cfg):
 
 
 def build_discretization(cfg):
-    d = _get(cfg, "discretization", {})
-    L = int(d.get("L", 12))
-    nquad = int(d.get("nquad", 2 * L + 2))
+    d = _section(cfg, "discretization")
+    L = _number(d, "L", 12, int)
+    nquad = _number(d, "nquad", 2 * L + 2, int)
     if L < 1 or nquad < 2:
         raise ConfigError(f"invalid discretization L={L}, nquad={nquad}")
-    return L, nquad, d.get("N_mie")
+    nmie = d.get("N_mie")
+    return L, nquad, None if nmie is None else _number(d, "N_mie", None, int)
 
 
 def build_surface(cfg, L, nquad):
@@ -127,21 +143,29 @@ def build_surface(cfg, L, nquad):
             return geometry.sphere(float(s.get("radius", 1.0)), L, nquad)
         if "radial" in s:
             return geometry.build_surface(dict(s["radial"]), L, nquad)
-    except (NonPositiveRadial, ResolutionTooLow, ValueError, KeyError) as exc:
+    except (NonPositiveRadial, ResolutionTooLow, TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"invalid surface: {exc}") from exc
     raise ConfigError(f"unrecognized surface specification {s!r}")
 
 
 def build_deformation(cfg, surface):
-    from . import sh
     from .geometry import DeformationField
 
     d = _get(cfg, "deformation", required=True)
-    grid = surface.grid
     if d == "radial":
         return DeformationField.radial(surface)
     if not isinstance(d, dict):
         raise ConfigError("'deformation' must be \"radial\" or an object")
+    try:
+        return _deformation_field(d, surface.grid)
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ConfigError(f"invalid deformation: {exc}") from exc
+
+
+def _deformation_field(d, grid):
+    from . import sh
+    from .geometry import DeformationField
+
     if "translation" in d:
         vec = d["translation"]
         if len(vec) != 3:
@@ -167,9 +191,9 @@ def build_deformation(cfg, surface):
 def direction_grid(cfg):
     import numpy as np
 
-    d = _get(cfg, "directions", {})
-    ntheta = int(d.get("n_theta", 10))
-    nphi = int(d.get("n_phi", 20))
+    d = _section(cfg, "directions")
+    ntheta = _number(d, "n_theta", 10, int)
+    nphi = _number(d, "n_phi", 20, int)
     if ntheta < 1 or nphi < 1:
         raise ConfigError("direction grid sizes must be positive")
     theta = (np.arange(ntheta) + 0.5) * np.pi / ntheta
@@ -205,7 +229,10 @@ def write_summary(outdir, summary):
 
 
 def _outdir(cfg):
-    out = Path(_get(cfg, "output", "."))
+    out = _get(cfg, "output", ".")
+    if not isinstance(out, str):
+        raise ConfigError("'output' must be a path string")
+    out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -255,7 +282,7 @@ def cmd_dsolve(cfg, routes):
     S = build_surface(cfg, L, nquad)
     xi = build_deformation(cfg, S)
     theta, phi, dirs = direction_grid(cfg)
-    h = float(_get(cfg, "h", 1e-3))
+    h = _number(cfg, "h", 1e-3)
     out = _outdir(cfg)
 
     sol = solver.solve(S, mat, wave)
@@ -299,8 +326,10 @@ def cmd_mie(cfg):
     mat = build_material(cfg)
     wave = build_wave(cfg)
     _, _, nmie = build_discretization(cfg)
-    s = _get(cfg, "surface", {"type": "sphere", "radius": 1.0})
-    radius = 1.0 if s == "sphere" else float(s.get("radius", 1.0))
+    s = _get(cfg, "surface", "sphere")
+    if s != "sphere" and not isinstance(s, dict):
+        raise ConfigError("'surface' must be \"sphere\" or an object")
+    radius = 1.0 if s == "sphere" else _number(s, "radius", 1.0)
     theta, phi, dirs = direction_grid(cfg)
     out = _outdir(cfg)
     F = oracle.mie_far_field(
@@ -420,7 +449,7 @@ def _suite_shapederiv(cfg):
     sol = solver.solve(S, mat, wave)
     A = shapederiv.d_solution_routeA(S, mat, wave, xi, dirs, sol=sol)
     B = shapederiv.d_solution_routeB(S, mat, wave, xi, dirs, sol=sol)
-    C = shapederiv.d_solution_routeC(S, mat, wave, xi, dirs, h=float(_get(cfg, "h", 1e-3)))
+    C = shapederiv.d_solution_routeC(S, mat, wave, xi, dirs, h=_number(cfg, "h", 1e-3))
     Fn = np.linalg.norm(solver.far_field(sol, dirs))
     checks = {
         "routeA_routeC": float(np.linalg.norm(A.dE_far - C.dE_far) / Fn),

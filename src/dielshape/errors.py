@@ -21,10 +21,6 @@ class GridMismatch(DielshapeError):
     """Two objects do not share the same ReferenceGrid."""
 
 
-class NearTangentNormals(DielshapeError):
-    """Normals of base and deformed surface nearly orthogonal; pullback ill posed."""
-
-
 class NonZeroMean(DielshapeError):
     """A mean-zero field was required but the input has non-negligible mean."""
 
@@ -37,10 +33,6 @@ class TargetOnSurface(DielshapeError):
     """Off-surface evaluation requested too close to the boundary."""
 
 
-class AssemblyFailure(DielshapeError):
-    """Boundary-operator assembly broke down."""
-
-
 class SingularSystem(DielshapeError):
     """The assembled linear system is numerically rank deficient."""
 
@@ -51,10 +43,6 @@ class NoConvergence(DielshapeError):
 
 class SeriesNotConverged(DielshapeError):
     """Separation-of-variables series truncation error above tolerance."""
-
-
-class TraceEvaluationFailure(DielshapeError):
-    """Boundary traces of a solved field could not be evaluated."""
 
 
 class ConfigError(DielshapeError):

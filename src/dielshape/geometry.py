@@ -1,4 +1,4 @@
-"""Surfaces over the reference sphere, deformation fields, and pullbacks.
+"""Surfaces over the reference sphere and deformation fields.
 
 A surface is stored as real spherical-harmonic coefficients of the three
 Cartesian components of the parametrization x(theta, phi); star-shaped
@@ -17,7 +17,6 @@ from .grid import ReferenceGrid
 from .errors import (
     GridMismatch,
     InadmissibleDeformation,
-    NearTangentNormals,
     NonPositiveRadial,
 )
 
@@ -28,12 +27,6 @@ __all__ = [
     "build_surface",
     "sphere",
     "deform",
-    "pullback_tau",
-    "pushforward_tau_inv",
-    "projector_pi",
-    "projector_pi_inv",
-    "helmholtz_pullback",
-    "helmholtz_pullback_inv",
 ]
 
 
@@ -101,7 +94,6 @@ class Surface:
         F = np.einsum("ij,ij->i", self.xt, self.xp)
         G = np.einsum("ij,ij->i", self.xp, self.xp)
         W2 = E * G - F * F
-        self.first_fundamental = (E, F, G)
         self.grad_t = (G[:, None] * self.xt - F[:, None] * self.xp) / W2[:, None]
         self.grad_p = (E[:, None] * self.xp - F[:, None] * self.xt) / W2[:, None]
 
@@ -127,11 +119,6 @@ class Surface:
             "normal": cross / norm[:, None],
             "jacobian": norm / st,
         }
-
-    def same_grid(self, other) -> bool:
-        return self.grid is other.grid or (
-            self.grid.L == other.grid.L and self.grid.nquad == other.grid.nquad
-        )
 
     @property
     def area(self) -> float:
@@ -245,68 +232,3 @@ def deform(base: Surface, xi: DeformationField, t: float) -> Surface:
             f"normal alignment n_r.n dropped to {align.min():.3f} < 0.1"
         )
     return out
-
-
-# -- pullbacks ------------------------------------------------------------
-def _check_grids(a, b):
-    if a.grid is not b.grid:
-        raise GridMismatch("objects do not share a ReferenceGrid")
-
-
-def pullback_tau(surface_r: Surface, u_r: np.ndarray) -> np.ndarray:
-    """tau_r: functions on Gamma_r -> functions on Gamma (node relabeling)."""
-    return np.asarray(u_r)
-
-
-def pushforward_tau_inv(surface_r: Surface, u: np.ndarray) -> np.ndarray:
-    """tau_r^{-1}: the inverse relabeling (identity on shared node values)."""
-    return np.asarray(u)
-
-
-def projector_pi(base: Surface, surface_r: Surface, u_r: np.ndarray) -> np.ndarray:
-    """pi(r) u_r = tau_r u_r - (n . tau_r u_r) n : tangential field on Gamma."""
-    _check_grids(base, surface_r)
-    u = pullback_tau(surface_r, u_r)
-    n = base.normal
-    return u - np.einsum("ij,ij...->i...", n, u)[:, None] * (
-        n if u.ndim == 2 else n[:, :, None]
-    )
-
-
-def projector_pi_inv(base: Surface, surface_r: Surface, u: np.ndarray) -> np.ndarray:
-    """Inverse of pi(r) on tangential fields of Gamma_r.
-
-    Adds the normal component that makes the result tangential to Gamma_r:
-    pi^{-1}(r) u = u - ((n_r . u)/(n_r . n)) n.
-    """
-    _check_grids(base, surface_r)
-    n = base.normal
-    nr = surface_r.normal
-    denom = np.einsum("ij,ij->i", nr, n)
-    if np.min(np.abs(denom)) < 0.1:
-        raise NearTangentNormals(
-            f"min |n_r . n| = {np.min(np.abs(denom)):.3f} < 0.1"
-        )
-    num = np.einsum("ij,ij...->i...", nr, u)
-    scale = num / (denom if u.ndim == 2 else denom[:, None])
-    return u - scale[:, None] * (n if u.ndim == 2 else n[:, :, None])
-
-
-def helmholtz_pullback(base: Surface, surface_r: Surface, j_r):
-    """P_r: Helmholtz densities on Gamma_r -> Gamma, via potential transport.
-
-    The potentials (p_r, q_r) are pulled back node-wise by tau_r and the
-    output density is realized with the base-surface gradients/curls.
-    """
-    from .surfcalc import HelmholtzDensity
-
-    _check_grids(base, surface_r)
-    return HelmholtzDensity(base, j_r.p_coeffs.copy(), j_r.q_coeffs.copy())
-
-
-def helmholtz_pullback_inv(base: Surface, surface_r: Surface, j):
-    """P_r^{-1}: transport a base-surface Helmholtz density onto Gamma_r."""
-    from .surfcalc import HelmholtzDensity
-
-    _check_grids(base, surface_r)
-    return HelmholtzDensity(surface_r, j.p_coeffs.copy(), j.q_coeffs.copy())

@@ -136,10 +136,5 @@ class ReferenceGrid:
         """Evaluate the full basis (degree <= Lmax) at arbitrary points."""
         return sh.sh_basis(self.Lmax, theta, phi, derivatives=derivatives)
 
-    def mean_zero_mask(self, L: int | None = None) -> np.ndarray:
-        """Boolean mask selecting degrees 1..L among coefficients of degree <= L."""
-        nc = self.ncoef(L)
-        return self.degrees[:nc] >= 1
-
     def __repr__(self):
         return f"ReferenceGrid(L={self.L}, nquad={self.nquad})"

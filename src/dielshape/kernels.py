@@ -1,19 +1,29 @@
 """Dense kernel matrices for the layer potentials and their shape derivatives.
 
-Weakly singular kernels are split as
+Every kernel here is a sum of terms  rad_p(kappa R) num / (4 pi R^(2p+1))
+of radial order p = 0, 1, 2, with R = |x - y| and a smooth numerator num
+(1, T = n(x).(x-y), Ts = n(y).(y-x), Phi = (x-y).(xi(x)-xi(y)) and the
+derivatives dT, dTs of T, Ts).  Order 0 is the single layer G_kappa; each
+shape derivative raises the order by one, since d/dt R^2 = 2 Phi.  The real
+part of e^{i kappa R} gives the singular radial factor (cos kR for order 0,
+-(cos kR + kR sin kR) for order 1, its d/d(R^2) companion for order 2), the
+imaginary part a smooth one.  The singular part is split as
 
-    K(x, y) = F(x, y) / |xhat - yhat|  +  smooth(x, y)
+    F(x, y) / |xhat - yhat|,   F = rad_p num chord / R^(2p+1)
 
 with F smooth away from the diagonal.  The 1/|xhat - yhat| factor is
 integrated by the product rule that is exact for spherical harmonics up to
-the grid degree (ReferenceGrid.singular_weights); the remainder uses the
-plain rule.  Diagonal limits of the F-factors are direction dependent; they
-are evaluated by averaging the off-diagonal formula over a ring of probe
-points at geodesic distance ``PROBE_T`` around each node.
+the grid degree (ReferenceGrid.singular_weights); the smooth part uses the
+plain rule.  Diagonal limits of F are direction dependent; they are
+evaluated by averaging the off-diagonal formula over a ring of probe points
+at geodesic distance ``PROBE_T`` around each node.  Order 0 takes its radial
+factor at R = 0 there (cos 0 = 1), higher orders at the probe distance.
 
 All matrices include the surface measure (weights are applied by the
 caller via the ``B``/``w`` structure baked in here), i.e. ``mat @ u``
-approximates the boundary integral of the kernel against ``u ds``.
+approximates the boundary integral of the kernel against ``u ds``.  The
+derivative matrices are those of the transported integrals, so they include
+the measure variation dJ = J div_Gamma xi as the term K diag(div_Gamma xi).
 """
 
 from __future__ import annotations
@@ -38,48 +48,54 @@ __all__ = [
 PROBE_T = 1.0e-3
 PROBE_NDIRS = 8
 
+# Kernel terms (order p, coefficient, numerator factors); see the docstring.
+_V = ((0, 1.0, ()),)
+_KP = ((1, 1.0, ("T",)),)
+_KS = ((1, 1.0, ("Ts",)),)
+_DV = ((1, 1.0, ("Phi",)),)
+_DKP = ((1, 1.0, ("dT",)), (2, 2.0, ("T", "Phi")))
+_DKS = ((1, 1.0, ("dTs",)), (2, 2.0, ("Ts", "Phi")))
 
-# -- even-analytic radial factors (all smooth functions of R^2) -----------
-def _A_fun(k, R):
-    """cos(kR) + kR sin(kR)."""
-    return np.cos(k * R) + k * R * np.sin(k * R)
+
+# -- radial factors (even-analytic: smooth functions of R^2) --------------
+def _trig(kappa, R):
+    """z = kappa R with cos z and sin z, evaluated once per distance array."""
+    if kappa == 0.0:
+        return 0.0, 1.0, 0.0
+    z = kappa * R
+    return z, np.cos(z), np.sin(z)
 
 
-def _sinc4pi(k, R):
-    """sin(kR)/(4 pi R), value k/(4 pi) at R=0."""
+def _singular_radial(p, z, c, s):
+    """cos z, -(cos z + z sin z) and d/d(R^2) of -A/R^3 times R^5, for p = 0, 1, 2."""
+    if p == 0:
+        return c
+    A = c + z * s
+    if p == 1:
+        return -A
+    return (3.0 * A - z * z * c) / 2.0
+
+
+def _smooth_radial(p, kappa, R, z, c, s):
+    """Imaginary parts of the order-p radial factors over 4 pi R^(2p+1).
+
+    p = 0: sin(kR)/(4 pi R); p = 1: (kR cos kR - sin kR)/(4 pi R^3); p = 2:
+    its d/d(R^2).  Series branches keep them accurate for small kR."""
     out = np.empty_like(R)
-    small = R < 1e-12
-    np.divide(np.sin(k * R), 4.0 * np.pi * R, out=out, where=~small)
-    out[small] = k / (4.0 * np.pi)
-    return out
-
-
-def _gm3(k, R):
-    """(kR cos kR - sin kR)/(4 pi R^3); smooth, -(k^3)/(12 pi) at R=0."""
-    out = np.empty_like(R)
-    small = k * R < 1e-2
-    z = k * R
-    np.divide(z * np.cos(z) - np.sin(z), 4.0 * np.pi * R**3, out=out, where=~small)
-    ks = k**3 / (4.0 * np.pi)
-    out[small] = ks * (-1.0 / 3.0 + z[small] ** 2 / 30.0 - z[small] ** 4 / 840.0)
-    return out
-
-
-def _N5(k, R):
-    """(3(cos kR + kR sin kR) - (kR)^2 cos kR)/2: d/d(R^2) of -A/R^3 is N5/R^5."""
-    z = k * R
-    return (3.0 * (np.cos(z) + z * np.sin(z)) - z * z * np.cos(z)) / 2.0
-
-
-def _dgm3_du(k, R):
-    """d/d(R^2) of _gm3; smooth, k^5/(120 pi) at R=0."""
-    out = np.empty_like(R)
-    z = k * R
-    small = z < 5e-2
-    num = -(z**2) * np.sin(z) - 3.0 * (z * np.cos(z) - np.sin(z))
-    np.divide(num, 8.0 * np.pi * R**5, out=out, where=~small)
-    k5 = k**5 / (8.0 * np.pi)
-    out[small] = k5 * (1.0 / 15.0 - z[small] ** 2 / 210.0)
+    if p == 0:
+        small = R < 1e-12
+        np.divide(s, 4.0 * np.pi * R, out=out, where=~small)
+        out[small] = kappa / (4.0 * np.pi)
+    elif p == 1:
+        small = z < 1e-2
+        np.divide(z * c - s, 4.0 * np.pi * R**3, out=out, where=~small)
+        zs = z[small]
+        out[small] = kappa**3 / (4.0 * np.pi) * (-1 / 3 + zs**2 / 30 - zs**4 / 840)
+    else:
+        small = z < 5e-2
+        num = -(z**2) * s - 3.0 * (z * c - s)
+        np.divide(num, 8.0 * np.pi * R**5, out=out, where=~small)
+        out[small] = kappa**5 / (8.0 * np.pi) * (1.0 / 15.0 - z[small] ** 2 / 210.0)
     return out
 
 
@@ -105,9 +121,9 @@ def pair_geometry(S: Surface) -> dict:
 def probe_geometry(S: Surface) -> dict:
     """Ring of probe points around each node for diagonal limits.
 
-    Returns per-node arrays of shape (N, ndirs, ...): surface point, normal,
-    Jacobian at the probes, the chordal distance to the node, and the basis
-    matrix used to evaluate further smooth fields at the probes.
+    Returns per-node arrays of shape (N, ndirs, 3): surface points and
+    normals at the probes; the chordal distance of the probes to the node;
+    and the basis matrix used to evaluate further smooth fields there.
     """
     if "probes" not in S._cache:
         g = S.grid
@@ -128,12 +144,9 @@ def probe_geometry(S: Surface) -> dict:
         Y = g.basis_at(theta, phi)
         chord = 2.0 * np.sin(t / 2.0)
         S._cache["probes"] = {
-            "theta": theta,
-            "phi": phi,
             "basis": Y,
             "x": data["points"].reshape(g.nnodes, nd, 3),
             "n": data["normal"].reshape(g.nnodes, nd, 3),
-            "J": data["jacobian"].reshape(g.nnodes, nd),
             "chord": chord,
         }
     return S._cache["probes"]
@@ -151,67 +164,135 @@ def probe_node_field(S: Surface, values: np.ndarray) -> np.ndarray:
     return out.reshape(g.nnodes, nd, values.shape[1])
 
 
-def _diag_average(vals: np.ndarray) -> np.ndarray:
-    """Average a kink factor over the probe ring: (N, ndirs) -> (N,)."""
-    return vals.mean(axis=1)
+# -- the one assembly recipe ----------------------------------------------
+def _dot(a, b):
+    return np.einsum("...k,...k->...", a, b)
 
 
-# -- single layer ---------------------------------------------------------
+def _numerators(tgt: dict, src: dict, names) -> dict:
+    """Kernel numerators between targets and sources.
+
+    tgt and src hold points x, normals n and, for derivatives, xi and the
+    normal derivative dn, broadcastable against each other: the node pairs
+    and the probe ring share this layout."""
+    out = {}
+    if not names:
+        return out
+    dx = tgt["x"] - src["x"]
+    dxi = tgt["xi"] - src["xi"] if "xi" in tgt else None
+    for nm in names:
+        if nm == "T":
+            out[nm] = _dot(tgt["n"], dx)
+        elif nm == "Ts":
+            out[nm] = -_dot(src["n"], dx)
+        elif nm == "Phi":
+            out[nm] = _dot(dx, dxi)
+        elif nm == "dT":
+            out[nm] = _dot(tgt["dn"], dx) + _dot(tgt["n"], dxi)
+        else:  # dTs
+            out[nm] = -(_dot(src["dn"], dx) + _dot(src["n"], dxi))
+    return out
+
+
+def _scale(s, R, p):
+    """chord / R^(2p+1), the singular factor's geometric part, as s / R^(2p)."""
+    return s if p == 0 else s / R ** (2 * p)
+
+
+def _term_sum(terms, nums, radial):
+    """sum over terms of coefficient * radial[p] * prod(numerator factors)."""
+    total = None
+    for p, coef, names in terms:
+        term = radial[p]
+        for nm in names:
+            term = term * nums[nm]
+        if coef != 1.0:
+            term = coef * term
+        total = term if total is None else total + term
+    return total
+
+
+def _kernel_mats(S: Surface, kappa: float, groups, xi=None) -> list:
+    """Matrices B F J + 1j sm w J, one per group of (order, coefficient,
+    numerator factors) terms; the groups share the radial factors and the
+    numerators.  This is the one place where diagonals are set: F from the
+    probe ring, sm from its R = 0 limit."""
+    g = S.grid
+    P = pair_geometry(S)
+    pr = probe_geometry(S)
+    R, s = P["R"], P["s"]
+    x, n = S.points, S.normal
+    names = {nm for terms in groups for _, _, nms in terms for nm in nms}
+    orders = {p for terms in groups for p, _, _ in terms}
+
+    tgt = {"x": x[:, None], "n": n[:, None]}
+    src = {"x": x[None], "n": n[None]}
+    prb = {"x": pr["x"], "n": pr["n"]}
+    if xi is not None:
+        xiv = xi.values
+        tgt["xi"], src["xi"] = xiv[:, None], xiv[None]
+        prb["xi"] = (pr["basis"] @ xi.coef.T).reshape(g.nnodes, PROBE_NDIRS, 3)
+        if names & {"dT", "dTs"}:
+            dn = d_normal(S, xi)
+            tgt["dn"], src["dn"] = dn[:, None], dn[None]
+            if "dTs" in names:
+                prb["dn"] = probe_node_field(S, dn)
+    nums = _numerators(tgt, src, names)
+    nums_p = _numerators(tgt, prb, names)
+
+    dxp = x[:, None] - pr["x"]
+    Rp = np.sqrt(_dot(dxp, dxp))
+    sp = pr["chord"] / Rp
+    zcs = _trig(kappa, R)
+    zcs_p = _trig(kappa, Rp)
+    sing = {p: _singular_radial(p, *zcs) * _scale(s, R, p) for p in orders}
+    sing_p = {
+        p: (_singular_radial(p, *zcs_p) if p else 1.0) * _scale(sp, Rp, p)
+        for p in orders
+    }
+    if kappa != 0.0:
+        smooth = {p: _smooth_radial(p, kappa, R, *zcs) for p in orders}
+
+    B = g.singular_weights
+    J = S.jacobian
+    wJ = g.weights * J
+    out = []
+    for terms in groups:
+        M = np.empty(R.shape, dtype=complex)
+        M.real = B * _term_sum(terms, nums, sing) * J[None, :]
+        if kappa != 0.0:
+            M.imag = _term_sum(terms, nums, smooth) * wJ[None, :]
+        else:
+            M.imag = 0.0
+        # diagonal: probe-ring limit of F; the smooth part is kappa/(4 pi)
+        # for order 0 and vanishes for the higher orders
+        Fd = _term_sum(terms, nums_p, sing_p).mean(axis=1)
+        smd = kappa / (4.0 * np.pi) if any(p == 0 for p, _, _ in terms) else 0.0
+        np.fill_diagonal(M, B.diagonal() * Fd * J + 1j * (smd * wJ))
+        out.append(M)
+    return out
+
+
+def _transported(S: Surface, kappa: float, xi: DeformationField, terms, dterms):
+    """Derivative of the transported kernel matrix: dK + K diag(div_Gamma xi)."""
+    K, dK = _kernel_mats(S, kappa, (terms, dterms), xi)
+    dK += K * surface_divergence(S, xi.values)[None, :]
+    return dK
+
+
+# -- primal kernel matrices -------------------------------------------------
 def vmat(S: Surface, kappa: float) -> np.ndarray:
     """Matrix of the on-surface single layer V_kappa including the measure.
 
     (vmat @ u)[i] ~ int_Gamma exp(i k R)/(4 pi R) u(y) ds(y) at x_i.
     Supports kappa = 0 (static kernel of C0*).
     """
-    g = S.grid
-    P = pair_geometry(S)
-    R, chord, s = P["R"], P["chord"], P["s"]
-    B = g.singular_weights
-    J = S.jacobian
-
-    F = s * np.cos(kappa * R)
-    pr = probe_geometry(S)
-    Rp = np.linalg.norm(pr["x"] - S.points[:, None, :], axis=2)
-    s_diag = _diag_average(pr["chord"] / Rp)
-    np.fill_diagonal(F, s_diag * np.cos(0.0))
-
-    M = (B * F * J[None, :]).astype(complex)
-    if kappa != 0.0:
-        sm = _sinc4pi(kappa, R)
-        np.fill_diagonal(sm, kappa / (4.0 * np.pi))
-        M += 1j * sm * (g.weights * J)[None, :]
-    return M
+    return _kernel_mats(S, kappa, (_V,))[0]
 
 
-# -- normal-derivative (adjoint double layer type) kernel -----------------
 def kprime_mat(S: Surface, kappa: float) -> np.ndarray:
     """Matrix of K'_kappa u(x) = int (d/dn(x)) G_kappa(|x-y|) u(y) ds(y)."""
-    g = S.grid
-    P = pair_geometry(S)
-    R, chord, s = P["R"], P["chord"], P["s"]
-    B = g.singular_weights
-    J = S.jacobian
-    x = S.points
-    dxn = np.einsum("ik,ijk->ij", S.normal, x[:, None, :] - x[None, :, :])  # T = n_i.(x_i-x_j)
-
-    # singular part: T * (-(cos kR + kR sin kR))/(4 pi R^3)
-    F = -_A_fun(kappa, R) * (dxn / chord**2) * s**3
-    pr = probe_geometry(S)
-    dxp = S.points[:, None, :] - pr["x"]
-    Rp = np.linalg.norm(dxp, axis=2)
-    Tp = np.einsum("ik,ijk->ij", S.normal, dxp)
-    ch = pr["chord"]
-    Fd = _diag_average(
-        -_A_fun(kappa, Rp) * (Tp / ch**2) * (ch / Rp) ** 3
-    )
-    np.fill_diagonal(F, Fd)
-
-    M = (B * F * J[None, :]).astype(complex)
-    if kappa != 0.0:
-        sm = dxn * _gm3(kappa, R)
-        np.fill_diagonal(sm, 0.0)
-        M += 1j * sm * (g.weights * J)[None, :]
-    return M
+    return _kernel_mats(S, kappa, (_KP,))[0]
 
 
 def kprime_src_mat(S: Surface, kappa: float) -> np.ndarray:
@@ -221,209 +302,28 @@ def kprime_src_mat(S: Surface, kappa: float) -> np.ndarray:
     grad_y G . n(y) = g(R) n(y).(y-x).  Used by the Galerkin realization of
     the magnetic boundary operator.
     """
-    g = S.grid
-    P = pair_geometry(S)
-    R, chord, s = P["R"], P["chord"], P["s"]
-    B = g.singular_weights
-    J = S.jacobian
-    x, n = S.points, S.normal
-    # T_src[i, j] = n(y_j) . (y_j - x_i)
-    Ts = np.einsum("jk,ijk->ij", n, x[None, :, :] - x[:, None, :])
-
-    F = -_A_fun(kappa, R) * (Ts / chord**2) * s**3
-    pr = probe_geometry(S)
-    dxp = pr["x"] - S.points[:, None, :]
-    Rp = np.linalg.norm(dxp, axis=2)
-    Tsp = np.einsum("ijk,ijk->ij", pr["n"], dxp)
-    ch = pr["chord"]
-    Fd = _diag_average(-_A_fun(kappa, Rp) * (Tsp / ch**2) * (ch / Rp) ** 3)
-    np.fill_diagonal(F, Fd)
-
-    M = (B * F * J[None, :]).astype(complex)
-    if kappa != 0.0:
-        sm = Ts * _gm3(kappa, R)
-        np.fill_diagonal(sm, 0.0)
-        M += 1j * sm * (g.weights * J)[None, :]
-    return M
-
-
-def dkprime_src_mat(S: Surface, kappa: float, xi: DeformationField, measure_term=True):
-    """Derivative of the transported source-normal kernel matrix at t = 0."""
-    g = S.grid
-    P = pair_geometry(S)
-    R, chord, s = P["R"], P["chord"], P["s"]
-    B = g.singular_weights
-    J = S.jacobian
-    x, n = S.points, S.normal
-    xiv = xi.values
-    dn = d_normal(S, xi)
-
-    dy = x[None, :, :] - x[:, None, :]
-    dyxi = xiv[None, :, :] - xiv[:, None, :]
-    Ts = np.einsum("jk,ijk->ij", n, dy)
-    dTs = np.einsum("jk,ijk->ij", dn, dy) + np.einsum("jk,ijk->ij", n, dyxi)
-    Phi = np.einsum("ijk,ijk->ij", dy, dyxi)
-
-    pr = probe_geometry(S)
-    xip = _xi_probe(S, xi)
-    dnprb = probe_node_field(S, dn)
-    dyp = pr["x"] - x[:, None, :]
-    dyxip = xip - xiv[:, None, :]
-    Rp = np.linalg.norm(dyp, axis=2)
-    ch = pr["chord"]
-    Tsp = np.einsum("ijk,ijk->ij", pr["n"], dyp)
-    dTsp = np.einsum("ijk,ijk->ij", dnprb, dyp) + np.einsum(
-        "ijk,ijk->ij", pr["n"], dyxip
-    )
-    Phip = np.einsum("ijk,ijk->ij", dyp, dyxip)
-
-    mA, mAp = -_A_fun(kappa, R), -_A_fun(kappa, Rp)  # shared with the measure term
-    F = (
-        mA * (dTs / chord**2) * s**3
-        + 2.0 * _N5(kappa, R) * (Ts / chord**2) * (Phi / chord**2) * s**5
-    )
-    Fd = _diag_average(
-        mAp * (dTsp / ch**2) * (ch / Rp) ** 3
-        + 2.0 * _N5(kappa, Rp) * (Tsp / ch**2) * (Phip / ch**2) * (ch / Rp) ** 5
-    )
-    np.fill_diagonal(F, Fd)
-    M = (B * F * J[None, :]).astype(complex)
-
-    if kappa != 0.0:
-        gm = _gm3(kappa, R)
-        sm = dTs * gm + Ts * 2.0 * Phi * _dgm3_du(kappa, R)
-        np.fill_diagonal(sm, 0.0)
-        M += 1j * sm * (g.weights * J)[None, :]
-
-    if measure_term:
-        dJ = J * surface_divergence(S, xiv)
-        Fv = mA * (Ts / chord**2) * s**3
-        Fvd = _diag_average(mAp * (Tsp / ch**2) * (ch / Rp) ** 3)
-        np.fill_diagonal(Fv, Fvd)
-        M += B * Fv * dJ[None, :]
-        if kappa != 0.0:
-            sm = Ts * gm
-            np.fill_diagonal(sm, 0.0)
-            M += 1j * sm * (g.weights * dJ)[None, :]
-    return M
+    return _kernel_mats(S, kappa, (_KS,))[0]
 
 
 # -- shape derivatives of the kernels ------------------------------------
-def _xi_probe(S: Surface, xi: DeformationField):
-    pr = probe_geometry(S)
-    out = pr["basis"] @ xi.coef.T
-    return out.reshape(S.grid.nnodes, PROBE_NDIRS, 3)
-
-
-def dvmat(S: Surface, kappa: float, xi: DeformationField, measure_term: bool = True):
+def dvmat(S: Surface, kappa: float, xi: DeformationField) -> np.ndarray:
     """Derivative of the transported single-layer matrix at the base surface.
 
     d/dt of  int G(kappa, |x_t - y_t|) u(y) J_t ds(y)  at t = 0, where
-    x_t = x + t xi.  ``measure_term=False`` drops the dJ part (used where the
-    relative Jacobian cancels against the density).
+    x_t = x + t xi.
     """
-    g = S.grid
-    P = pair_geometry(S)
-    R, chord, s = P["R"], P["chord"], P["s"]
-    B = g.singular_weights
-    J = S.jacobian
-    x = S.points
-    xiv = xi.values
-    dPhi = np.einsum(
-        "ijk,ijk->ij", x[:, None, :] - x[None, :, :], xiv[:, None, :] - xiv[None, :, :]
-    )  # Phi = (x-y).(xi(x)-xi(y)), O(R^2)
-
-    # d/dt G = dG/d(R^2) * Phi*2/(2)...: dG/du * dR^2/dt with dR^2/dt = 2 Phi
-    # singular: Phi * (-A)/(4 pi R^3) -> F = (-A/4pi)(Phi/chord^2) s^3
-    F = -_A_fun(kappa, R) * (dPhi / chord**2) * s**3
-    pr = probe_geometry(S)
-    xip = _xi_probe(S, xi)
-    dxp = x[:, None, :] - pr["x"]
-    Rp = np.linalg.norm(dxp, axis=2)
-    Phip = np.einsum("ijk,ijk->ij", dxp, xiv[:, None, :] - xip)
-    ch = pr["chord"]
-    Fd = _diag_average(
-        -_A_fun(kappa, Rp) * (Phip / ch**2) * (ch / Rp) ** 3
-    )
-    np.fill_diagonal(F, Fd)
-    M = (B * F * J[None, :]).astype(complex)
-
-    if kappa != 0.0:
-        sm = dPhi * _gm3(kappa, R)
-        np.fill_diagonal(sm, 0.0)
-        M += 1j * sm * (g.weights * J)[None, :]
-
-    if measure_term:
-        dJ = J * surface_divergence(S, xiv)
-        Fv = s * np.cos(kappa * R)
-        Rp2 = Rp
-        np.fill_diagonal(Fv, _diag_average(ch / Rp2))
-        M += B * Fv * dJ[None, :]
-        if kappa != 0.0:
-            sm = _sinc4pi(kappa, R)
-            np.fill_diagonal(sm, kappa / (4.0 * np.pi))
-            M += 1j * sm * (g.weights * dJ)[None, :]
-    return M
+    return _transported(S, kappa, xi, _V, _DV)
 
 
-def dkprime_mat(S: Surface, kappa: float, xi: DeformationField, measure_term=True):
+def dkprime_mat(S: Surface, kappa: float, xi: DeformationField) -> np.ndarray:
     """Derivative of the transported K'_kappa matrix at the base surface.
 
     Kernel T_t g(R_t) with T_t = n_t(x).(x_t - y_t); uses
     dT = dN(x).(x-y) + n(x).(xi(x)-xi(y)) and the chain rule in R^2.
     """
-    g = S.grid
-    P = pair_geometry(S)
-    R, chord, s = P["R"], P["chord"], P["s"]
-    B = g.singular_weights
-    J = S.jacobian
-    x, n = S.points, S.normal
-    xiv = xi.values
-    dn = d_normal(S, xi)
+    return _transported(S, kappa, xi, _KP, _DKP)
 
-    dx = x[:, None, :] - x[None, :, :]
-    dxi = xiv[:, None, :] - xiv[None, :, :]
-    T = np.einsum("ik,ijk->ij", n, dx)
-    dT = np.einsum("ik,ijk->ij", dn, dx) + np.einsum("ik,ijk->ij", n, dxi)
-    Phi = np.einsum("ijk,ijk->ij", dx, dxi)
 
-    pr = probe_geometry(S)
-    xip = _xi_probe(S, xi)
-    dxp = x[:, None, :] - pr["x"]
-    dxip = xiv[:, None, :] - xip
-    Rp = np.linalg.norm(dxp, axis=2)
-    ch = pr["chord"]
-    Tp = np.einsum("ik,ijk->ij", n, dxp)
-    dTp = np.einsum("ik,ijk->ij", dn, dxp) + np.einsum("ik,ijk->ij", n, dxip)
-    Phip = np.einsum("ijk,ijk->ij", dxp, dxip)
-
-    # gs = -A/(4 pi R^3): d(T gs) = dT gs + T * (N5/R^5) * 2 Phi
-    mA, mAp = -_A_fun(kappa, R), -_A_fun(kappa, Rp)  # shared with the measure term
-    F = (
-        mA * (dT / chord**2) * s**3
-        + 2.0 * _N5(kappa, R) * (T / chord**2) * (Phi / chord**2) * s**5
-    )
-    Fd = _diag_average(
-        mAp * (dTp / ch**2) * (ch / Rp) ** 3
-        + 2.0 * _N5(kappa, Rp) * (Tp / ch**2) * (Phip / ch**2) * (ch / Rp) ** 5
-    )
-    np.fill_diagonal(F, Fd)
-    M = (B * F * J[None, :]).astype(complex)
-
-    if kappa != 0.0:
-        gm = _gm3(kappa, R)
-        sm = dT * gm + T * 2.0 * Phi * _dgm3_du(kappa, R)
-        np.fill_diagonal(sm, 0.0)
-        M += 1j * sm * (g.weights * J)[None, :]
-
-    if measure_term:
-        dJ = J * surface_divergence(S, xiv)
-        Fv = mA * (T / chord**2) * s**3
-        Fvd = _diag_average(mAp * (Tp / ch**2) * (ch / Rp) ** 3)
-        np.fill_diagonal(Fv, Fvd)
-        M += B * Fv * dJ[None, :]
-        if kappa != 0.0:
-            sm = T * gm
-            np.fill_diagonal(sm, 0.0)
-            M += 1j * sm * (g.weights * dJ)[None, :]
-    return M
+def dkprime_src_mat(S: Surface, kappa: float, xi: DeformationField) -> np.ndarray:
+    """Derivative of the transported source-normal kernel matrix at t = 0."""
+    return _transported(S, kappa, xi, _KS, _DKS)

@@ -134,13 +134,6 @@ def incident_trace_derivative(S: Surface, mat: Material, wave: sv.PlaneWave, xi)
     return d_stack(vD, dvD), d_stack(vN, dvN)
 
 
-def _far_matrices(S, mat, directions):
-    ke = mat.kappa_e
-    FE = bio.far_field_block(S, ke, directions, "electric")
-    FM = bio.far_field_block(S, ke, directions, "magnetic")
-    return FE, FM
-
-
 def d_solution_routeA(
     S: Surface,
     mat: Material,
@@ -187,7 +180,8 @@ def d_solution_routeA(
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"derivative solve failed: {exc}") from exc
 
-    FE, FM = _far_matrices(S, mat, directions)
+    FE = bio.far_field_block(S, ke, directions, "electric")
+    FM = bio.far_field_block(S, ke, directions, "magnetic")
     dFE = bio.d_far_field_block(S, ke, directions, "electric", xi)
     dFM = bio.d_far_field_block(S, ke, directions, "magnetic", xi)
     da = dC0_j + ops.C0 @ dj
@@ -290,7 +284,8 @@ def d_solution_routeB(
         jB = np.linalg.solve(ops.S, b)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"transmission solve failed: {exc}") from exc
-    FE, FM = _far_matrices(S, mat, directions)
+    FE = bio.far_field_block(S, mat.kappa_e, directions, "electric")
+    FM = bio.far_field_block(S, mat.kappa_e, directions, "magnetic")
     dF = -(FE @ jB) - 1j * mat.eta * (FM @ (ops.C0 @ jB))
     return DerivativeResult(
         route="B",

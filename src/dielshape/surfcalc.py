@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import KindMismatch, NonZeroMean
-from .geometry import Surface, projector_pi_inv
+from .geometry import Surface
 
 __all__ = [
     "HelmholtzDensity",
@@ -34,8 +34,6 @@ __all__ = [
     "d_surface_operator",
     "rstar_apply",
     "d_rstar",
-    "dstar_apply",
-    "d_dstar",
     "d_lstar",
     "d_laplace_inverse",
 ]
@@ -51,13 +49,6 @@ def _cross_n(a, n):
     out[:, 1] = a[:, 2] * n[:, 0, None] - a[:, 0] * n[:, 2, None]
     out[:, 2] = a[:, 0] * n[:, 1, None] - a[:, 1] * n[:, 0, None]
     return out
-
-
-def dot_n(a, n):
-    """Dot product with a per-node vector, shape (N[,k])."""
-    if a.ndim == 2:
-        return np.einsum("ij,ij->i", a, n.astype(a.dtype, copy=False))
-    return np.einsum("ijk,ij->ik", a, n.astype(a.dtype, copy=False))
 
 
 # -- first-order operators ------------------------------------------------
@@ -99,18 +90,11 @@ def surface_divergence(S: Surface, U: np.ndarray) -> np.ndarray:
 def surface_scalar_curl(S: Surface, U: np.ndarray) -> np.ndarray:
     """curl_Gamma U = n . curl(extension of U); defined for any vector field."""
     J = tangential_jacobian(S, U)
-    n = S.normal
-    if U.ndim == 2:
-        curl = np.stack(
-            [J[:, 1, 2] - J[:, 2, 1], J[:, 2, 0] - J[:, 0, 2], J[:, 0, 1] - J[:, 1, 0]],
-            axis=1,
-        )
-        return np.einsum("ij,ij->i", curl, n)
     curl = np.stack(
         [J[:, 1, 2] - J[:, 2, 1], J[:, 2, 0] - J[:, 0, 2], J[:, 0, 1] - J[:, 1, 0]],
         axis=1,
     )
-    return np.einsum("ijk,ij->ik", curl, n)
+    return np.einsum("ij...,ij->i...", curl, S.normal)
 
 
 def laplace_beltrami(S: Surface, u: np.ndarray) -> np.ndarray:
@@ -131,9 +115,12 @@ def mean_curvature(S: Surface) -> np.ndarray:
 
 
 # -- Laplace-Beltrami inverse (spectral Galerkin) -------------------------
-def _lb_factor(S: Surface):
-    """Cholesky factor of the stiffness matrix on degrees >= 1."""
-    if "lb_factor" not in S._cache:
+def _lb_data(S: Surface) -> dict:
+    """Cached Galerkin data of the Laplace-Beltrami operator in the full
+    spherical-harmonic basis: surface gradients of the basis ("gradbasis",
+    (N, 3, nc)), the Cholesky factor of the stiffness matrix on degrees >= 1
+    ("factor") and the mass rows int . Y_k ds ("mass", (nc, N))."""
+    if "lb" not in S._cache:
         g = S.grid
         nc = g.ncoef(g.Lmax)
         GY = np.empty((g.nnodes, 3, nc))
@@ -145,10 +132,19 @@ def _lb_factor(S: Surface):
         GYw = GY * w[:, None, None]
         A = np.tensordot(GYw, GY, axes=([0, 1], [0, 1]))
         A1 = A[1:, 1:]
-        S._cache["lb_gradbasis"] = GY
-        S._cache["lb_factor"] = cho_factor(A1)
-        S._cache["lb_mass"] = (w[:, None] * g.Y).T  # (nc, N): k-th row int . Y_k ds
-    return S._cache["lb_factor"]
+        S._cache["lb"] = {
+            "gradbasis": GY,
+            "factor": cho_factor(A1),
+            "mass": (w[:, None] * g.Y).T,
+        }
+    return S._cache["lb"]
+
+
+def _lb_solve(S: Surface, rhs: np.ndarray) -> np.ndarray:
+    """Mean-zero Galerkin solve: u[0] = 0 and A u[1:] = rhs[1:] (batched)."""
+    out = np.zeros(rhs.shape, dtype=np.result_type(rhs, float))
+    out[1:] = cho_solve(_lb_data(S)["factor"], rhs[1:])
+    return out
 
 
 def laplace_beltrami_inverse(
@@ -159,9 +155,7 @@ def laplace_beltrami_inverse(
     Galerkin in the spherical-harmonic basis through the grid's full degree:
     int grad u . grad phi ds = -int f phi ds.
     """
-    fac = _lb_factor(S)
-    mass = S._cache["lb_mass"]
-    rhs = -np.tensordot(mass, f, axes=(1, 0))
+    rhs = -np.tensordot(_lb_data(S)["mass"], f, axes=(1, 0))
     if check_mean:
         mean = rhs[0] / np.sqrt(4.0 * np.pi)  # int f ds
         scale = np.max(np.abs(f)) + 1e-300
@@ -170,12 +164,7 @@ def laplace_beltrami_inverse(
                 f"laplace_beltrami_inverse requires mean-zero data; "
                 f"|int f ds| = {np.max(np.abs(mean)):.3e}"
             )
-    c = cho_solve(fac, rhs[1:])
-    if c.ndim == 1:
-        full = np.concatenate([np.zeros(1, dtype=c.dtype), c])
-    else:
-        full = np.concatenate([np.zeros((1, c.shape[1]), dtype=c.dtype), c], axis=0)
-    u = S.grid.synthesize(full)
+    u = S.grid.synthesize(_lb_solve(S, rhs))
     return u - mean_value(S, u)
 
 
@@ -272,51 +261,29 @@ def d_surface_operator(which: str, S: Surface, xi, u: np.ndarray) -> np.ndarray:
         if u.ndim not in (1, 2) or (u.ndim == 2 and u.shape[1] == 3):
             raise KindMismatch("gradient derivative needs a scalar field")
         gu = surface_gradient(S, u)
-        if gu.ndim == 2:
-            Agu = np.einsum("iac,ic->ia", A, gu)
-            An = np.einsum("iac,ic->ia", A, n)
-            return -Agu + np.einsum("ia,ia->i", gu, An)[:, None] * n
-        Agu = np.einsum("iac,ick->iak", A, gu)
+        Agu = np.einsum("iac,ic...->ia...", A, gu)
         An = np.einsum("iac,ic->ia", A, n)
-        return -Agu + np.einsum("iak,ia->ik", gu, An)[:, None, :] * n[:, :, None]
+        nb = n if gu.ndim == 2 else n[:, :, None]
+        return -Agu + np.einsum("ia...,ia->i...", gu, An)[:, None] * nb
     if which == "divergence":
         Au = tangential_jacobian(S, u)
         An = np.einsum("iac,ic->ia", A, n)
-        if u.ndim == 2:
-            tr = np.einsum("iac,ica->i", A, Au)
-            Aun = np.einsum("iac,ic->ia", Au, n)
-            return -tr + np.einsum("ia,ia->i", Aun, An)
-        tr = np.einsum("iac,icak->ik", A, Au)
-        Aun = np.einsum("iack,ic->iak", Au, n)
-        return -tr + np.einsum("iak,ia->ik", Aun, An)
+        tr = np.einsum("iac,ica...->i...", A, Au)
+        Aun = np.einsum("iac...,ic->ia...", Au, n)
+        return -tr + np.einsum("ia...,ia->i...", Aun, An)
     if which == "vector_curl":
         cu = tangential_vector_curl(S, u)
         dxi = surface_divergence(S, xiv)
-        if cu.ndim == 2:
-            At_cu = np.einsum("iac,ia->ic", A, cu)
-            return At_cu - dxi[:, None] * cu
-        At_cu = np.einsum("iac,iak->ick", A, cu)
-        return At_cu - dxi[:, None, None] * cu
+        At_cu = np.einsum("iac,ia...->ic...", A, cu)
+        return At_cu - (dxi[:, None] if cu.ndim == 2 else dxi[:, None, None]) * cu
     if which == "scalar_curl":
         dxi = surface_divergence(S, xiv)
         ru = surface_scalar_curl(S, u)
-        if u.ndim == 2:
-            acc = np.zeros(u.shape[0], dtype=np.result_type(u, float))
-            for c in range(3):
-                acc += np.einsum(
-                    "ia,ia->i", A[:, :, c], tangential_vector_curl(S, u[:, c])
-                )
-            return -acc - dxi * ru
-        acc = np.zeros((u.shape[0], u.shape[2]), dtype=np.result_type(u, float))
-        for c in range(3):
-            acc += np.einsum(
-                "ia,iak->ik", A[:, :, c], tangential_vector_curl(S, u[:, c])
-            )
-        return -acc - dxi[:, None] * ru
+        return _d_rstar(S, A, u) - (dxi if u.ndim == 2 else dxi[:, None]) * ru
     raise KindMismatch(f"unknown surface operator {which!r}")
 
 
-# -- transported weighted operators R*, D* --------------------------------
+# -- transported weighted operators R*, L* --------------------------------
 def rstar_apply(base: Surface, S_r: Surface, u: np.ndarray) -> np.ndarray:
     """R*(r) u = J_rel tau_r curl_{Gamma_r} tau_r^{-1} u (J-weighted scalar curl)."""
     jrel = S_r.jacobian / base.jacobian
@@ -324,42 +291,19 @@ def rstar_apply(base: Surface, S_r: Surface, u: np.ndarray) -> np.ndarray:
     return out * (jrel if out.ndim == 1 else jrel[:, None])
 
 
-def d_rstar(S: Surface, xi, u: np.ndarray) -> np.ndarray:
-    """dR*[0,xi] u = -sum_c grad_Gamma xi_c . curl_Gamma u_c ; all higher
-    derivatives of r -> R*(r) vanish identically."""
-    xiv = _xi_values(S, xi)
-    A = tangential_jacobian(S, xiv)
-    if u.ndim == 2:
-        acc = np.zeros(u.shape[0], dtype=np.result_type(u, float))
-        for c in range(3):
-            acc += np.einsum("ia,ia->i", A[:, :, c], tangential_vector_curl(S, u[:, c]))
-        return -acc
-    acc = np.zeros((u.shape[0], u.shape[2]), dtype=np.result_type(u, float))
+def _d_rstar(S: Surface, A: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """-sum_c grad_Gamma xi_c . curl_Gamma u_c for A = [grad_Gamma xi]."""
+    acc = 0.0
     for c in range(3):
-        acc += np.einsum("ia,iak->ik", A[:, :, c], tangential_vector_curl(S, u[:, c]))
+        curl_c = tangential_vector_curl(S, u[:, c])
+        acc = acc + np.einsum("ia,ia...->i...", A[:, :, c], curl_c)
     return -acc
 
 
-def dstar_apply(base: Surface, S_r: Surface, u: np.ndarray) -> np.ndarray:
-    """D*(r) u = J_rel tau_r div_{Gamma_r} pi^{-1}(r) u for tangential u."""
-    jrel = S_r.jacobian / base.jacobian
-    ur = projector_pi_inv(base, S_r, u)
-    out = surface_divergence(S_r, ur)
-    return out * (jrel if out.ndim == 1 else jrel[:, None])
-
-
-def d_dstar(S: Surface, xi, u: np.ndarray) -> np.ndarray:
-    """First derivative of D*(r) at r = 0 on tangential u."""
-    xiv = _xi_values(S, xi)
-    dxi = surface_divergence(S, xiv)
-    du = surface_divergence(S, u)
-    dd = d_surface_operator("divergence", S, xi, u)
-    dn = d_normal(S, xi)
-    H = mean_curvature(S)
-    dn_u = dot_n(u, dn)
-    if u.ndim == 2:
-        return dxi * du + dd - 2.0 * H * dn_u
-    return dxi[:, None] * du + dd - 2.0 * H[:, None] * dn_u
+def d_rstar(S: Surface, xi, u: np.ndarray) -> np.ndarray:
+    """dR*[0,xi] u = -sum_c grad_Gamma xi_c . curl_Gamma u_c ; all higher
+    derivatives of r -> R*(r) vanish identically."""
+    return _d_rstar(S, tangential_jacobian(S, _xi_values(S, xi)), u)
 
 
 def d_lstar(S: Surface, xi, u: np.ndarray) -> np.ndarray:

@@ -146,6 +146,26 @@ class TestErrors:
         rc = main(["dsolve", "--config", str(cfg), "--routes", "C"])
         assert rc == EXIT_NUMERICAL
 
+    @pytest.mark.parametrize(
+        "command,overrides",
+        [
+            ("solve", {"wave": [1, 2]}),
+            ("solve", {"directions": 5}),
+            ("solve", {"discretization": {"L": "x"}}),
+            ("solve", {"surface": {"radial": 3}}),
+            ("solve", {"material": [2.25]}),
+            ("solve", {"output": 7}),
+            ("mie", {"surface": "ellipsoid"}),
+            ("mie", {"discretization": {"N_mie": "many"}}),
+            ("dsolve", {"deformation": "radial", "h": "small"}),
+            ("dsolve", {"deformation": {"translation": 5}}),
+        ],
+    )
+    def test_malformed_section(self, tmp_path, capsys, command, overrides):
+        cfg = write_cfg(tmp_path, **overrides)
+        assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().out)["error"] == "config"
+
     def test_bad_thread_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("DIELSHAPE_NUM_THREADS", "abc")
         cfg = write_cfg(tmp_path)

@@ -13,11 +13,6 @@ from dielshape.geometry import (
     Material,
     build_surface,
     deform,
-    helmholtz_pullback,
-    helmholtz_pullback_inv,
-    projector_pi,
-    projector_pi_inv,
-    pullback_tau,
     sphere,
 )
 
@@ -106,45 +101,3 @@ class TestDeform:
         xi = DeformationField.radial(other)
         with pytest.raises(GridMismatch):
             deform(small_sphere, xi, 0.1)
-
-
-class TestPullbacks:
-    def test_tau_is_node_relabeling(self, small_sphere):
-        d = np.array([0.1, 0.0, 0.05])
-        St = deform(
-            small_sphere, DeformationField.translation(small_sphere.grid, d), 1.0
-        )
-        u_r = St.points @ np.array([0.0, 0.0, 1.0])
-        assert_allclose(
-            pullback_tau(St, u_r),
-            (small_sphere.points + d) @ np.array([0.0, 0.0, 1.0]),
-            atol=1e-12,
-        )
-
-    def test_projector_kills_normal_part(self, small_sphere):
-        out = projector_pi(small_sphere, small_sphere, small_sphere.normal)
-        assert_allclose(out, 0.0, atol=1e-12)
-
-    def test_projector_roundtrip(self, small_sphere, generic_xi):
-        St = deform(small_sphere, generic_xi, 0.1)
-        rng = np.random.default_rng(4)
-        v = rng.normal(size=St.points.shape)
-        v -= np.einsum("ij,ij->i", v, St.normal)[:, None] * St.normal
-        back = projector_pi_inv(
-            small_sphere, St, projector_pi(small_sphere, St, v)
-        )
-        assert_allclose(back, v, atol=1e-12)
-
-    def test_helmholtz_pullback_roundtrip(self, small_sphere, generic_xi):
-        from dielshape.surfcalc import HelmholtzDensity
-
-        St = deform(small_sphere, generic_xi, 0.1)
-        rng = np.random.default_rng(5)
-        nc = small_sphere.grid.ncoef(small_sphere.grid.L)
-        j = HelmholtzDensity(St, rng.normal(size=nc), rng.normal(size=nc))
-        back = helmholtz_pullback_inv(
-            small_sphere, St, helmholtz_pullback(small_sphere, St, j)
-        )
-        assert_allclose(back.p_coeffs, j.p_coeffs, atol=1e-12)
-        assert_allclose(back.q_coeffs, j.q_coeffs, atol=1e-12)
-        assert back.surface is St

@@ -36,9 +36,3 @@ def test_angular_derivatives_match_basis():
     f_ph = g.synthesize(c, deriv="phi")
     assert_allclose(g.dtheta(g.synthesize(c)), f_th, atol=1e-9)
     assert_allclose(g.dphi(g.synthesize(c)), f_ph, atol=1e-9)
-
-
-def test_mean_zero_mask():
-    g = ReferenceGrid.get(6, 14)
-    mask = g.mean_zero_mask()
-    assert not mask[0] and mask[1:].all()

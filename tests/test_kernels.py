@@ -92,27 +92,49 @@ class TestOffSurfaceLayer:
             scalar_single_layer(S, 1.0, np.ones(S.grid.nnodes), S.points[:1] * 1.001)
 
 
+# (primal, derivative, FD tolerance, translation tolerance) per kernel family
+KERNEL_PAIRS = [
+    ("vmat", "dvmat", 1e-7, 1e-10),
+    ("kprime_mat", "dkprime_mat", 1e-6, 1e-8),
+    ("kprime_src_mat", "dkprime_src_mat", 1e-6, 1e-8),
+]
+
+
 class TestKernelShapeDerivatives:
+    @staticmethod
+    def _fd_pair(S, xi, primal, deriv):
+        kap, h = 1.3, 1e-4
+        K = getattr(kn, primal)
+        fd = (K(deform(S, xi, h), kap) - K(deform(S, xi, -h), kap)) / (2 * h)
+        return getattr(kn, deriv)(S, kap, xi), fd
+
+    def _check_fd(self, S, xi, primal, deriv, atol, _):
+        assert_allclose(*self._fd_pair(S, xi, primal, deriv), atol=atol)
+
     def test_dvmat_matches_fd(self, wobbly_surface, generic_xi):
-        S, kap, h = wobbly_surface, 1.3, 1e-4
-        fd = (
-            kn.vmat(deform(S, generic_xi, h), kap)
-            - kn.vmat(deform(S, generic_xi, -h), kap)
-        ) / (2 * h)
-        assert_allclose(kn.dvmat(S, kap, generic_xi), fd, atol=1e-7)
+        self._check_fd(wobbly_surface, generic_xi, *KERNEL_PAIRS[0])
 
     def test_dkprime_matches_fd(self, wobbly_surface, generic_xi):
-        S, kap, h = wobbly_surface, 1.3, 1e-4
-        fd = (
-            kn.kprime_mat(deform(S, generic_xi, h), kap)
-            - kn.kprime_mat(deform(S, generic_xi, -h), kap)
-        ) / (2 * h)
-        assert_allclose(kn.dkprime_mat(S, kap, generic_xi), fd, atol=1e-6)
+        self._check_fd(wobbly_surface, generic_xi, *KERNEL_PAIRS[1])
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the probe-ring diagonal takes dn at the probes by interpolating "
+        "its node values (error 3e-5), so the diagonal is off by 1.3e-5",
+    )
+    def test_dkprime_src_matches_fd(self, wobbly_surface, generic_xi):
+        self._check_fd(wobbly_surface, generic_xi, *KERNEL_PAIRS[2])
+
+    def test_dkprime_src_matches_fd_off_diagonal(self, wobbly_surface, generic_xi):
+        primal, deriv, atol, _ = KERNEL_PAIRS[2]
+        d, fd = self._fd_pair(wobbly_surface, generic_xi, primal, deriv)
+        off = ~np.eye(d.shape[0], dtype=bool)
+        assert_allclose(d[off], fd[off], atol=atol)
 
     def test_translation_invariance(self, small_sphere):
         # A rigid translation changes no pairwise distances, so the kernel
         # matrix derivative reduces to the (zero) measure variation.
         S = small_sphere
         xi = DeformationField.translation(S.grid, [0.3, -0.2, 0.1])
-        assert np.abs(kn.dvmat(S, 1.3, xi)).max() < 1e-10
-        assert np.abs(kn.dkprime_mat(S, 1.3, xi)).max() < 1e-8
+        for _, deriv, _, tol in KERNEL_PAIRS:
+            assert np.abs(getattr(kn, deriv)(S, 1.3, xi)).max() < tol, deriv
