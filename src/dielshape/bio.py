@@ -320,8 +320,7 @@ def _d_layer_block(S: Surface, kappa: float, xi, c, sa: float, sv: float):
     dg = _dgeom(S, xi)
     j, divj, dj, ddivj = _coef_batch(S, dg, c)
     n, dN = S.normal, dg["dN"]
-    V = kn.vmat(S, kappa)
-    dV = kn.dvmat(S, kappa, xi)
+    V, dV = kn.dvmat(S, kappa, xi)
     ncL = g.ncoef(g.L)
 
     Vj = _vec_apply(V, j)
@@ -366,12 +365,9 @@ def d_magnetic_block(
     wdJ = (g.weights * dg["dJ"])[:, None, None]
     ncL = g.ncoef(g.L)
 
-    V = kn.vmat(S, kappa)
-    dV = kn.dvmat(S, kappa, xi)
-    KP = kn.kprime_mat(S, kappa)
-    dKP = kn.dkprime_mat(S, kappa, xi)
-    KS = kn.kprime_src_mat(S, kappa)
-    dKS = kn.dkprime_src_mat(S, kappa, xi)
+    V, dV = kn.dvmat(S, kappa, xi)
+    KP, dKP = kn.dkprime_mat(S, kappa, xi)
+    KS, dKS = kn.dkprime_src_mat(S, kappa, xi)
 
     # gradient potential
     Vj = _vec_apply(V, j)

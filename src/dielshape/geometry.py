@@ -9,7 +9,7 @@ the coefficients -- no finite differencing of geometry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,29 +97,6 @@ class Surface:
         self.grad_t = (G[:, None] * self.xt - F[:, None] * self.xp) / W2[:, None]
         self.grad_p = (E[:, None] * self.xp - F[:, None] * self.xt) / W2[:, None]
 
-    # -- evaluation off the grid -----------------------------------------
-    def at(self, theta, phi) -> dict:
-        """Synthesize surface data at arbitrary reference points.
-
-        Returns a dict with points, tangents, unit normal and Jacobian;
-        used by the near-diagonal quadrature probes.
-        """
-        Y, Yth, Yph = self.grid.basis_at(theta, phi, derivatives=True)
-        c = self.coef.T
-        x = Y @ c
-        xt = Yth @ c
-        xp = Yph @ c
-        cross = np.cross(xt, xp)
-        norm = np.linalg.norm(cross, axis=1)
-        st = np.sin(np.atleast_1d(theta))
-        return {
-            "points": x,
-            "xt": xt,
-            "xp": xp,
-            "normal": cross / norm[:, None],
-            "jacobian": norm / st,
-        }
-
     @property
     def area(self) -> float:
         return float(np.sum(self.grid.weights * self.jacobian))
@@ -137,12 +114,6 @@ class DeformationField:
         if self.coef.shape != (3, grid.ncoef(grid.Lmax)):
             raise ValueError("deformation coefficients must span the full grid basis")
         self.values = grid.synthesize(self.coef.T)
-
-    @classmethod
-    def from_callable(cls, grid: ReferenceGrid, surface: Surface, fn):
-        """xi(x) sampled at the surface nodes and expanded spectrally."""
-        vals = np.asarray(fn(surface.points), dtype=float)
-        return cls(grid, grid.analyze(vals, grid.Lmax).T)
 
     @classmethod
     def from_node_values(cls, grid: ReferenceGrid, values: np.ndarray):
@@ -169,10 +140,6 @@ class DeformationField:
         f = grid.synthesize(c)
         vals = f[:, None] * grid.nodes
         return cls.from_node_values(grid, vals)
-
-    def at(self, theta, phi) -> np.ndarray:
-        Y = self.grid.basis_at(theta, phi)
-        return Y @ self.coef.T
 
     @property
     def sup_norm(self) -> float:

@@ -16,6 +16,11 @@ from .errors import ResolutionTooLow
 
 __all__ = ["ReferenceGrid"]
 
+# probe ring for the diagonal limits of the kernels: PROBE_NDIRS points at
+# geodesic distance PROBE_T around each node
+PROBE_T = 1.0e-3
+PROBE_NDIRS = 8
+
 
 class ReferenceGrid:
     """Quadrature nodes, weights and spectral transform data on S^2.
@@ -74,6 +79,8 @@ class ReferenceGrid:
         self._dtheta = None
         self._dphi = None
         self._singular = None
+        self._chord = None
+        self._ring = None
 
     # -- construction ----------------------------------------------------
     @classmethod
@@ -132,9 +139,42 @@ class ReferenceGrid:
             self._singular = (self.Y * scale) @ self.analysis_full
         return self._singular
 
-    def basis_at(self, theta, phi, derivatives: bool = False):
-        """Evaluate the full basis (degree <= Lmax) at arbitrary points."""
-        return sh.sh_basis(self.Lmax, theta, phi, derivatives=derivatives)
+    @property
+    def chord_matrix(self) -> np.ndarray:
+        """Chords |xhat_i - xhat_j| between the nodes, 1 on the diagonal."""
+        if self._chord is None:
+            dot = np.clip(self.nodes @ self.nodes.T, -1.0, 1.0)
+            chord = np.sqrt(np.maximum(2.0 - 2.0 * dot, 0.0))
+            np.fill_diagonal(chord, 1.0)
+            self._chord = chord
+        return self._chord
+
+    # -- probe ring --------------------------------------------------------
+    @property
+    def ring(self) -> dict:
+        """Basis Y, Y_theta, Y_phi on the probe ring and the probes' chord.
+
+        The ring holds PROBE_NDIRS points at geodesic distance PROBE_T
+        around each node, in evenly spread tangent directions; basis rows
+        are node-major, (N * PROBE_NDIRS, ncoef).  Built on first use.
+        """
+        if self._ring is None:
+            alphas = 2.0 * np.pi * np.arange(PROBE_NDIRS) / PROBE_NDIRS
+            dirs = (
+                np.cos(alphas)[None, :, None] * self.e_theta[:, None, :]
+                + np.sin(alphas)[None, :, None] * self.e_phi[:, None, :]
+            )
+            y = np.cos(PROBE_T) * self.nodes[:, None, :] + np.sin(PROBE_T) * dirs
+            theta = np.arccos(np.clip(y[..., 2], -1.0, 1.0)).ravel()
+            phi = np.mod(np.arctan2(y[..., 1], y[..., 0]), 2.0 * np.pi).ravel()
+            Y, Yth, Yph = sh.sh_basis(self.Lmax, theta, phi, derivatives=True)
+            self._ring = {
+                "Y": Y,
+                "Yth": Yth,
+                "Yph": Yph,
+                "chord": 2.0 * np.sin(PROBE_T / 2.0),
+            }
+        return self._ring
 
     def __repr__(self):
         return f"ReferenceGrid(L={self.L}, nquad={self.nquad})"

@@ -17,13 +17,19 @@ the grid degree (ReferenceGrid.singular_weights); the smooth part uses the
 plain rule.  Diagonal limits of F are direction dependent; they are
 evaluated by averaging the off-diagonal formula over a ring of probe points
 at geodesic distance ``PROBE_T`` around each node.  Order 0 takes its radial
-factor at R = 0 there (cos 0 = 1), higher orders at the probe distance.
+factor at R = 0 there (cos 0 = 1), higher orders at the probe distance.  The
+ring and the basis with its angular derivatives there are grid data
+(ReferenceGrid.ring, built once per grid); a surface or a deformation reaches
+the probes by a few matrix products with its coefficients, and the normal
+derivative there comes from the tangents of the surface and of xi.
 
 All matrices include the surface measure (weights are applied by the
 caller via the ``B``/``w`` structure baked in here), i.e. ``mat @ u``
 approximates the boundary integral of the kernel against ``u ds``.  The
 derivative matrices are those of the transported integrals, so they include
 the measure variation dJ = J div_Gamma xi as the term K diag(div_Gamma xi).
+That term needs the primal matrix K, so each derivative kernel returns the
+pair (K, dK) from one assembly.
 """
 
 from __future__ import annotations
@@ -31,12 +37,12 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import Surface, DeformationField
+from .grid import PROBE_NDIRS
 from .surfcalc import surface_divergence, d_normal
 
 __all__ = [
     "pair_geometry",
     "probe_geometry",
-    "probe_node_field",
     "vmat",
     "kprime_mat",
     "kprime_src_mat",
@@ -44,9 +50,6 @@ __all__ = [
     "dvmat",
     "dkprime_mat",
 ]
-
-PROBE_T = 1.0e-3
-PROBE_NDIRS = 8
 
 # Kernel terms (order p, coefficient, numerator factors); see the docstring.
 _V = ((0, 1.0, ()),)
@@ -101,67 +104,44 @@ def _smooth_radial(p, kappa, R, z, c, s):
 
 # -- pairwise and probe geometry -----------------------------------------
 def pair_geometry(S: Surface) -> dict:
-    """Cached pairwise distances: ambient R, reference chord, ratio s=chord/R.
+    """Cached pairwise distances R and the ratio s = chord/R of the grid's
+    reference chord to R.
 
-    The diagonal of R and chord is set to 1 (never used directly; diagonal
-    kernel values come from the probe limits)."""
+    The diagonal of R is set to 1 (never used directly; diagonal kernel
+    values come from the probe limits)."""
     if "pairs" not in S._cache:
         x = S.points
         dx = x[:, None, :] - x[None, :, :]
         R = np.sqrt(np.einsum("ijk,ijk->ij", dx, dx))
-        xh = S.grid.nodes
-        dot = np.clip(xh @ xh.T, -1.0, 1.0)
-        chord = np.sqrt(np.maximum(2.0 - 2.0 * dot, 0.0))
         np.fill_diagonal(R, 1.0)
-        np.fill_diagonal(chord, 1.0)
-        S._cache["pairs"] = {"R": R, "chord": chord, "s": chord / R}
+        S._cache["pairs"] = {"R": R, "s": S.grid.chord_matrix / R}
     return S._cache["pairs"]
 
 
 def probe_geometry(S: Surface) -> dict:
-    """Ring of probe points around each node for diagonal limits.
-
-    Returns per-node arrays of shape (N, ndirs, 3): surface points and
-    normals at the probes; the chordal distance of the probes to the node;
-    and the basis matrix used to evaluate further smooth fields there.
-    """
+    """Surface points, tangents x_theta, x_phi and unit normals on the
+    grid's probe ring, each of shape (N, PROBE_NDIRS, 3), and the area
+    element |x_theta ^ x_phi| there, shape (N, PROBE_NDIRS)."""
     if "probes" not in S._cache:
-        g = S.grid
-        t = PROBE_T
-        nd = PROBE_NDIRS
-        alphas = 2.0 * np.pi * np.arange(nd) / nd
-        xh = g.nodes
-        e1 = g.e_theta
-        e2 = g.e_phi
-        dirs = (
-            np.cos(alphas)[None, :, None] * e1[:, None, :]
-            + np.sin(alphas)[None, :, None] * e2[:, None, :]
-        )
-        y = np.cos(t) * xh[:, None, :] + np.sin(t) * dirs
-        theta = np.arccos(np.clip(y[..., 2], -1.0, 1.0)).ravel()
-        phi = np.mod(np.arctan2(y[..., 1], y[..., 0]), 2.0 * np.pi).ravel()
-        data = S.at(theta, phi)
-        Y = g.basis_at(theta, phi)
-        chord = 2.0 * np.sin(t / 2.0)
-        S._cache["probes"] = {
-            "basis": Y,
-            "x": data["points"].reshape(g.nnodes, nd, 3),
-            "n": data["normal"].reshape(g.nnodes, nd, 3),
-            "chord": chord,
-        }
+        ring = S.grid.ring
+        shape = (S.grid.nnodes, PROBE_NDIRS, 3)
+        x, xt, xp = ((ring[k] @ S.coef.T).reshape(shape) for k in ("Y", "Yth", "Yph"))
+        cross = np.cross(xt, xp)
+        area = np.linalg.norm(cross, axis=-1)
+        n = cross / area[..., None]
+        S._cache["probes"] = {"x": x, "n": n, "xt": xt, "xp": xp, "area": area}
     return S._cache["probes"]
 
 
-def probe_node_field(S: Surface, values: np.ndarray) -> np.ndarray:
-    """Evaluate a smooth node field at the probe ring, shape (N, ndirs[, c])."""
+def _probe_dn(S: Surface, xi: DeformationField) -> np.ndarray:
+    """Normal derivative at the probes, P_perp (xi_theta ^ x_phi + x_theta ^
+    xi_phi) / |x_theta ^ x_phi|, from the tangents of the surface and of xi."""
     pr = probe_geometry(S)
-    g = S.grid
-    c = g.analyze(values, g.Lmax)
-    out = pr["basis"] @ c
-    nd = PROBE_NDIRS
-    if values.ndim == 1:
-        return out.reshape(g.nnodes, nd)
-    return out.reshape(g.nnodes, nd, values.shape[1])
+    ring = S.grid.ring
+    xit, xip = ((ring[k] @ xi.coef.T).reshape(pr["x"].shape) for k in ("Yth", "Yph"))
+    dc = np.cross(xit, pr["xp"]) + np.cross(pr["xt"], xip)
+    n = pr["n"]
+    return (dc - _dot(n, dc)[..., None] * n) / pr["area"][..., None]
 
 
 # -- the one assembly recipe ----------------------------------------------
@@ -212,11 +192,15 @@ def _term_sum(terms, nums, radial):
     return total
 
 
-def _kernel_mats(S: Surface, kappa: float, groups, xi=None) -> list:
+def _kernel_mats(S: Surface, kappa: float, groups, xi=None) -> tuple:
     """Matrices B F J + 1j sm w J, one per group of (order, coefficient,
     numerator factors) terms; the groups share the radial factors and the
     numerators.  This is the one place where diagonals are set: F from the
-    probe ring, sm from its R = 0 limit."""
+    probe ring, sm from its R = 0 limit.
+
+    With a deformation xi the groups are (terms, dterms), and the second
+    matrix becomes the derivative of the transported first one: dK +
+    K diag(div_Gamma xi), the measure term coming from dJ = J div_Gamma xi."""
     g = S.grid
     P = pair_geometry(S)
     pr = probe_geometry(S)
@@ -231,18 +215,18 @@ def _kernel_mats(S: Surface, kappa: float, groups, xi=None) -> list:
     if xi is not None:
         xiv = xi.values
         tgt["xi"], src["xi"] = xiv[:, None], xiv[None]
-        prb["xi"] = (pr["basis"] @ xi.coef.T).reshape(g.nnodes, PROBE_NDIRS, 3)
+        prb["xi"] = (g.ring["Y"] @ xi.coef.T).reshape(pr["x"].shape)
         if names & {"dT", "dTs"}:
             dn = d_normal(S, xi)
             tgt["dn"], src["dn"] = dn[:, None], dn[None]
             if "dTs" in names:
-                prb["dn"] = probe_node_field(S, dn)
+                prb["dn"] = _probe_dn(S, xi)
     nums = _numerators(tgt, src, names)
     nums_p = _numerators(tgt, prb, names)
 
     dxp = x[:, None] - pr["x"]
     Rp = np.sqrt(_dot(dxp, dxp))
-    sp = pr["chord"] / Rp
+    sp = g.ring["chord"] / Rp
     zcs = _trig(kappa, R)
     zcs_p = _trig(kappa, Rp)
     sing = {p: _singular_radial(p, *zcs) * _scale(s, R, p) for p in orders}
@@ -270,14 +254,9 @@ def _kernel_mats(S: Surface, kappa: float, groups, xi=None) -> list:
         smd = kappa / (4.0 * np.pi) if any(p == 0 for p, _, _ in terms) else 0.0
         np.fill_diagonal(M, B.diagonal() * Fd * J + 1j * (smd * wJ))
         out.append(M)
-    return out
-
-
-def _transported(S: Surface, kappa: float, xi: DeformationField, terms, dterms):
-    """Derivative of the transported kernel matrix: dK + K diag(div_Gamma xi)."""
-    K, dK = _kernel_mats(S, kappa, (terms, dterms), xi)
-    dK += K * surface_divergence(S, xi.values)[None, :]
-    return dK
+    if xi is not None:
+        out[1] += out[0] * surface_divergence(S, xi.values)[None, :]
+    return tuple(out)
 
 
 # -- primal kernel matrices -------------------------------------------------
@@ -305,25 +284,21 @@ def kprime_src_mat(S: Surface, kappa: float) -> np.ndarray:
     return _kernel_mats(S, kappa, (_KS,))[0]
 
 
-# -- shape derivatives of the kernels ------------------------------------
-def dvmat(S: Surface, kappa: float, xi: DeformationField) -> np.ndarray:
-    """Derivative of the transported single-layer matrix at the base surface.
-
-    d/dt of  int G(kappa, |x_t - y_t|) u(y) J_t ds(y)  at t = 0, where
-    x_t = x + t xi.
-    """
-    return _transported(S, kappa, xi, _V, _DV)
+# -- shape derivatives: each returns (K, dK), the primal matrix and the ----
+# -- derivative of its transported family at the base surface ------------
+def dvmat(S: Surface, kappa: float, xi: DeformationField) -> tuple:
+    """(vmat, dV) with dV = d/dt of  int G(kappa, |x_t - y_t|) u(y) J_t ds(y)
+    at t = 0, where x_t = x + t xi."""
+    return _kernel_mats(S, kappa, (_V, _DV), xi)
 
 
-def dkprime_mat(S: Surface, kappa: float, xi: DeformationField) -> np.ndarray:
-    """Derivative of the transported K'_kappa matrix at the base surface.
-
-    Kernel T_t g(R_t) with T_t = n_t(x).(x_t - y_t); uses
-    dT = dN(x).(x-y) + n(x).(xi(x)-xi(y)) and the chain rule in R^2.
-    """
-    return _transported(S, kappa, xi, _KP, _DKP)
+def dkprime_mat(S: Surface, kappa: float, xi: DeformationField) -> tuple:
+    """(kprime_mat, dK') for the kernel T_t g(R_t), T_t = n_t(x).(x_t - y_t);
+    uses dT = dN(x).(x-y) + n(x).(xi(x)-xi(y)) and the chain rule in R^2."""
+    return _kernel_mats(S, kappa, (_KP, _DKP), xi)
 
 
-def dkprime_src_mat(S: Surface, kappa: float, xi: DeformationField) -> np.ndarray:
-    """Derivative of the transported source-normal kernel matrix at t = 0."""
-    return _transported(S, kappa, xi, _KS, _DKS)
+def dkprime_src_mat(S: Surface, kappa: float, xi: DeformationField) -> tuple:
+    """(kprime_src_mat, its derivative) for the source-normal kernel, with
+    dTs = -(dn(y).(y-x) + n(y).(xi(y)-xi(x)))."""
+    return _kernel_mats(S, kappa, (_KS, _DKS), xi)

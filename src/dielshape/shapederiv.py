@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Surface, Material, DeformationField, deform
-from .errors import SingularSystem
 from . import bio
 from . import solver as sv
 from . import surfcalc as sc
@@ -175,10 +174,7 @@ def d_solution_routeA(
     dMi_t = bio.d_magnetic_block(S, ki, xi, sol.tD[:, None])[:, 0]
     rhs = rho * (dCi_t + dMi_t) + ops.Ci @ (dgN - dN_j) + rho * half(ops.Mi, dgD - dL_j)
 
-    try:
-        dj = np.linalg.solve(ops.S, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"derivative solve failed: {exc}") from exc
+    dj = ops.solve(rhs)
 
     FE = bio.far_field_block(S, ke, directions, "electric")
     FM = bio.far_field_block(S, ke, directions, "magnetic")
@@ -280,10 +276,7 @@ def d_solution_routeB(
     gD_eff = -data.g_D_stack
     gN_eff = -(mat.mu_e / mat.kappa_e) * data.g_N_stack
     b = ops.rhs(gD_eff, gN_eff)
-    try:
-        jB = np.linalg.solve(ops.S, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"transmission solve failed: {exc}") from exc
+    jB = ops.solve(b)
     FE = bio.far_field_block(S, mat.kappa_e, directions, "electric")
     FM = bio.far_field_block(S, mat.kappa_e, directions, "magnetic")
     dF = -(FE @ jB) - 1j * mat.eta * (FM @ (ops.C0 @ jB))

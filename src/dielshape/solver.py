@@ -26,9 +26,12 @@ t_D = g_D - L j and t_N = (g_N - N j)/rho.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .errors import SingularSystem, NoConvergence
 from .geometry import Surface, Material
@@ -116,6 +119,19 @@ class SystemOperators:
         self.N = half_Me + 1j * eta * self.Ce @ self.C0
         self.S = self.Ci @ self.N + rho * half_Mi @ self.L
 
+    @cached_property
+    def _lu(self):
+        with warnings.catch_warnings():  # lu_factor only warns on a zero pivot
+            warnings.simplefilter("ignore", LinAlgWarning)
+            lu, piv = lu_factor(self.S, check_finite=False)
+        if not np.all(np.diagonal(lu)):
+            raise SingularSystem("system matrix has a zero pivot")
+        return lu, piv
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """S^{-1} b from the one LU factorization of S, made on first use."""
+        return lu_solve(self._lu, b, check_finite=False)
+
     def rhs(self, gD: np.ndarray, gN: np.ndarray) -> np.ndarray:
         """Right-hand side for stacked incident trace coefficients."""
         rho = self.material.rho
@@ -179,10 +195,7 @@ def solve(
     gD = dD.stacked()
     gN = dN.stacked()
     b = ops.rhs(gD, gN)
-    try:
-        j = np.linalg.solve(ops.S, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"direct solve failed: {exc}") from exc
+    j = ops.solve(b)
     res = np.linalg.norm(ops.S @ j - b) / max(np.linalg.norm(b), 1e-300)
     if res > residual_tol:
         raise NoConvergence(f"relative residual {res:.3e} exceeds {residual_tol:.1e}")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dielshape import geometry
+from dielshape import geometry, kernels, sh
 from dielshape.errors import (
     GridMismatch,
     InadmissibleDeformation,
@@ -15,6 +15,7 @@ from dielshape.geometry import (
     deform,
     sphere,
 )
+from dielshape.grid import PROBE_NDIRS, PROBE_T
 
 
 class TestMaterial:
@@ -59,16 +60,27 @@ class TestSurface:
         with pytest.raises(NonPositiveRadial):
             build_surface({"0,0": 0.1, "1,0": 5.0}, 6, 14)
 
-    def test_probe_evaluation_matches_nodes(self, wobbly_surface):
-        S = wobbly_surface
-        g = S.grid
-        i = 37
-        th = np.array([g.theta[i]])
-        ph = np.array([g.phi[i]])
-        probe = S.at(th, ph)
-        assert_allclose(probe["points"][0], S.points[i], atol=1e-10)
-        assert_allclose(probe["normal"][0], S.normal[i], atol=1e-10)
-        assert_allclose(probe["jacobian"][0], S.jacobian[i], rtol=1e-10)
+    def test_probe_ring_on_unit_sphere(self, small_sphere):
+        S = small_sphere
+        pr = kernels.probe_geometry(S)
+        x = pr["x"]
+        assert x.shape == (S.grid.nnodes, PROBE_NDIRS, 3)
+        assert_allclose(np.linalg.norm(x, axis=2), 1.0, atol=1e-12)
+        chord = np.linalg.norm(x - S.points[:, None, :], axis=2)
+        assert_allclose(chord, 2.0 * np.sin(PROBE_T / 2.0), rtol=1e-9)
+        assert_allclose(pr["n"], x, atol=1e-12)
+
+    def test_probe_data_reuses_grid_ring(self, monkeypatch):
+        coeffs = {"0,0": np.sqrt(4.0 * np.pi), "2,1": 0.2}
+        kernels.probe_geometry(build_surface(coeffs, 6, 14))
+
+        def no_basis(*args, **kwargs):
+            raise AssertionError("the probe basis was evaluated again")
+
+        monkeypatch.setattr(sh, "sh_basis", no_basis)
+        other = build_surface({**coeffs, "3,0": 0.1}, 6, 14)
+        pr = kernels.probe_geometry(other)
+        assert np.isfinite(pr["n"]).all()
 
 
 class TestDeform:

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dielshape import oracle, solver
+from dielshape.errors import SingularSystem
 from dielshape.geometry import Material, sphere
 
 
@@ -34,6 +35,19 @@ class TestPlaneWave:
 class TestSolve:
     def test_residual_reported_small(self, small_solution):
         assert small_solution.residual < 1e-12
+
+    def test_shared_factor_solves_several_rhs(self, small_solution):
+        ops = small_solution.ops
+        b = np.random.default_rng(3).normal(size=(ops.S.shape[0], 2))
+        assert_allclose(ops.S @ ops.solve(b), b, atol=1e-10)
+        assert ops.solve(b[:, 0]).shape == (ops.S.shape[0],)
+
+    def test_singular_system_raises(self, small_sphere, material):
+        # All blocks zero give S = 0, whose LU factor has zero pivots.
+        Z = np.zeros((4, 4), dtype=complex)
+        ops = solver.SystemOperators(small_sphere, material, Z, Z, Z, Z, Z)
+        with pytest.raises(SingularSystem):
+            ops.solve(np.ones(4))
 
     def test_no_contrast_scatters_nothing(self, small_sphere, wave, unit_directions):
         mat = Material(eps_i=1.0, eps_e=1.0, mu_i=1.0, mu_e=1.0)
