@@ -19,6 +19,13 @@ boundary operator becomes a dense complex matrix acting on such stacks:
   V_0 (div_Gamma j) used to regularize the layer ansatz.  It and the
   electric block share one single-layer recipe with two scalar weights.
 
+The recipes take the kernel matrices as arguments.  ``wave_blocks`` builds
+(V, K', K's) of one wavenumber in a single kernel pass and returns both the
+electric and the magnetic block, which share V; a forward assembly thus
+makes three kernel passes (kappa_e, kappa_i, static) and keeps no matrix
+afterwards.  Kernel matrices meet the real basis batches through their real
+and imaginary parts, so no real operand is promoted to complex.
+
 ``d_*_block`` variants return the first derivative, at the base surface, of
 the transported-operator family r -> block(Gamma + r xi) with the potential
 coefficients held fixed; they differentiate the exact discrete recipe
@@ -38,6 +45,7 @@ import numpy as np
 
 from .errors import TargetOnSurface
 from .geometry import Surface, DeformationField
+from .grid import _real_apply
 from . import kernels as kn
 from . import surfcalc as sc
 
@@ -46,6 +54,7 @@ __all__ = [
     "electric_block",
     "magnetic_block",
     "static_block",
+    "wave_blocks",
     "d_electric_block",
     "d_magnetic_block",
     "d_static_block",
@@ -65,42 +74,27 @@ _LEVI_CIVITA[0, 2, 1] = _LEVI_CIVITA[2, 1, 0] = _LEVI_CIVITA[1, 0, 2] = -1.0
 
 # -- basis densities and Galerkin plumbing --------------------------------
 def _basis_fields(S: Surface) -> dict:
-    """Cached node data of the potential basis: gradients, curls, Laplacians.
+    """Cached node data of the potential basis over the full grid degree.
 
     GY[:, a, k] = (grad_Gamma Y_k)_a, TK = GY ^ n (the curl basis),
-    LBY[:, k] = Delta_Gamma Y_k, over the full grid degree.
+    LBY[:, k] = Delta_Gamma Y_k, and the magnetic test divergences
+    Df[:, b, k] = div_Gamma F_b - 2 H n.F_b with F_b = e_b ^ grad_Gamma Y_k,
+    independent of the wavenumber.  With J_ac = (grad_Gamma GY_c)_a, LBY is
+    the trace of J and div_Gamma F_b = sum_ac eps_abc J_ac, so one tangential
+    Jacobian of GY, taken a component at a time, gives both; n.F_b = TK_b.
     """
     if "bio_basis" not in S._cache:
-        g = S.grid
         GY = sc._lb_data(S)["gradbasis"]
-        n = S.normal
-        TK = np.cross(GY, n[:, :, None], axis=1)
-        LBY = np.zeros((g.nnodes, g.ncoef(g.Lmax)))
-        for a in range(3):
-            LBY += sc.surface_gradient(S, GY[:, a, :])[:, a, :]
-        S._cache["bio_basis"] = {"GY": GY, "TK": TK, "LBY": LBY}
+        TK = np.cross(GY, S.normal[:, :, None], axis=1)
+        LBY = 0.0
+        divF = np.zeros_like(GY)
+        for c in range(3):
+            Jc = sc.surface_gradient(S, GY[:, c])
+            LBY = LBY + Jc[:, c]
+            divF += np.einsum("ab,iak->ibk", _LEVI_CIVITA[:, :, c], Jc)
+        Df = divF - 2.0 * sc.mean_curvature(S)[:, None, None] * TK
+        S._cache["bio_basis"] = {"GY": GY, "TK": TK, "LBY": LBY, "Df": Df}
     return S._cache["bio_basis"]
-
-
-def _magnetic_test_divs(S: Surface) -> np.ndarray:
-    """Cached Df[b] = div_Gamma F_b - 2 H n.F_b with F_b = e_b ^ grad_Gamma Y.
-
-    Shape (N, 3, nc_full), like TK; independent of the wavenumber.
-    """
-    if "bio_Df" not in S._cache:
-        g = S.grid
-        GY = _basis_fields(S)["GY"]
-        n = S.normal
-        H = sc.mean_curvature(S)
-        Df = []
-        for b in range(3):
-            eb = np.zeros(3)
-            eb[b] = 1.0
-            F = np.cross(np.broadcast_to(eb, (g.nnodes, 3))[:, :, None], GY, axis=1)
-            nF = np.einsum("ij,ijk->ik", n, F)
-            Df.append(_div_batch(S, F) - 2.0 * H[:, None] * nF)
-        S._cache["bio_Df"] = np.stack(Df, axis=1)
-    return S._cache["bio_Df"]
 
 
 def density_basis(S: Surface):
@@ -121,14 +115,7 @@ def density_basis(S: Surface):
 
 def _weak_poisson(S: Surface, f: np.ndarray) -> np.ndarray:
     """Coefficients of the mean-zero weak solution of Delta u = f (batched)."""
-    return sc._lb_solve(S, -(sc._lb_data(S)["mass"] @ f))
-
-
-def _div_batch(S: Surface, U: np.ndarray) -> np.ndarray:
-    out = sc.surface_gradient(S, U[:, 0, :])[:, 0, :].astype(U.dtype)
-    for c in (1, 2):
-        out += sc.surface_gradient(S, U[:, c, :])[:, c, :]
-    return out
+    return sc._lb_solve(S, -_real_apply(sc._lb_data(S)["mass"], f))
 
 
 def _cross_n_batch(n: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -136,14 +123,27 @@ def _cross_n_batch(n: np.ndarray, U: np.ndarray) -> np.ndarray:
     return np.cross(n[:, :, None], U, axis=1)
 
 
-def _vec_apply(Vmat: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Apply an (N, N) kernel matrix componentwise to (N, 3, K) fields."""
-    return np.tensordot(Vmat, U, axes=(1, 0))
+def _vec_apply(Kmat: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Kmat @ U for a complex (r, N) kernel matrix and node data U of shape
+    (N, ...).
+
+    A real U meets the real and imaginary parts of Kmat separately: two real
+    products instead of a complex one on a complex copy of U.
+    """
+    cols = U.reshape(U.shape[0], -1)
+    if np.iscomplexobj(cols):
+        out = Kmat @ cols
+    else:
+        out = np.empty((Kmat.shape[0], cols.shape[1]), dtype=complex)
+        out.real = Kmat.real @ cols
+        out.imag = Kmat.imag @ cols
+    return out.reshape(Kmat.shape[:1] + U.shape[1:])
 
 
 def _bsum(T: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """sum_b T[:, b]^T U[:, b] for T of shape (N, 3, k) and U of shape (N, 3, m)."""
-    return np.tensordot(T, U, axes=([0, 1], [0, 1]))
+    """sum_b T[:, b]^T U[:, b] for a real T of shape (N, 3, k) and U of shape
+    (N, 3, m)."""
+    return _real_apply(T.reshape(-1, T.shape[2]).T, U.reshape(-1, U.shape[2]))
 
 
 def _project(S: Surface, f: np.ndarray) -> np.ndarray:
@@ -153,23 +153,59 @@ def _project(S: Surface, f: np.ndarray) -> np.ndarray:
 
 
 # -- primal operator blocks ----------------------------------------------
-def _layer_block(S: Surface, kappa: float, sa: float, sv: float) -> np.ndarray:
+# The recipes take the kernel matrices and the product V jb, which the
+# electric and magnetic blocks of one wavenumber share; the public blocks
+# make them, wave_blocks from a single kernel pass.  divb vanishes on the K
+# curl columns, so products with it run on the K gradient columns only.
+def _single_layer(S: Surface, V: np.ndarray) -> tuple:
+    """(V, V jb): the single-layer matrix and its product with the basis
+    densities jb, the data the blocks of one wavenumber share."""
+    return V, _vec_apply(V, density_basis(S)[0])
+
+
+def _layer_block(S: Surface, V, Vj, sa: float, sv: float) -> np.ndarray:
     """Single-layer recipe shared by the electric and static blocks:
     p = -sa Delta^{-1} div a, q = sa Delta^{-1} scurl a + sv P(V div j)
     with a = n ^ V j."""
-    jb, divb = density_basis(S)
-    V = kn.vmat(S, kappa)
-    a = _cross_n_batch(S.normal, _vec_apply(V, jb))
+    divb = density_basis(S)[1]
+    a = _cross_n_batch(S.normal, Vj)
+    div_a, scurl_a = sc._div_scurl(S, a)
     ncL = S.grid.ncoef(S.grid.L)
-    p_rows = -sa * _weak_poisson(S, _div_batch(S, a))[1:ncL]
-    q_rows = sa * _weak_poisson(S, sc.surface_scalar_curl(S, a))[1:ncL]
-    q_rows += sv * _project(S, V @ divb)
+    K = ncL - 1
+    p_rows = -sa * _weak_poisson(S, div_a)[1:ncL]
+    q_rows = sa * _weak_poisson(S, scurl_a)[1:ncL]
+    q_rows[:, :K] += sv * _project(S, _vec_apply(V, divb[:, :K]))
     return np.concatenate([p_rows, q_rows], axis=0)
+
+
+def _magnetic_block(S: Surface, kappa: float, V, Vj, KP, KS) -> np.ndarray:
+    """Magnetic recipe on the kernel matrices V, K' and K's of kappa."""
+    g = S.grid
+    jb, divb = density_basis(S)
+    bb = _basis_fields(S)
+    TK, Df = bb["TK"], bb["Df"]
+    wJ = (g.weights * S.jacobian)[:, None, None]
+    ncL = g.ncoef(g.L)
+    K = ncL - 1
+
+    f = kappa**2 * np.einsum("ij,ijk->ik", S.normal, Vj)
+    f[:, :K] += _vec_apply(KP, divb[:, :K])
+    p_rows = _weak_poisson(S, f)[1:ncL]
+
+    y = wJ * jb
+    rc = _bsum(Df, _vec_apply(V.T, y)) - _bsum(TK, _vec_apply(KS.T, y))
+    q_rows = -sc._lb_solve(S, rc)[1:ncL]
+    return np.concatenate([p_rows, q_rows], axis=0)
+
+
+def _wave_mats(S: Surface, kappa: float) -> tuple:
+    """(V, K', K's) of kappa from one kernel pass."""
+    return kn._kernel_mats(S, kappa, (kn._V, kn._KP, kn._KS))
 
 
 def electric_block(S: Surface, kappa: float) -> np.ndarray:
     """Matrix of C_kappa = gamma_D Psi_E on stacked (p, q) coefficients."""
-    return _layer_block(S, kappa, kappa, 1.0 / kappa)
+    return _layer_block(S, *_single_layer(S, kn.vmat(S, kappa)), kappa, 1.0 / kappa)
 
 
 def magnetic_block(S: Surface, kappa: float) -> np.ndarray:
@@ -182,30 +218,22 @@ def magnetic_block(S: Surface, kappa: float) -> np.ndarray:
     sum_b Df[b]^T V^T y_b - TK_b^T KS^T y_b is applied factor by factor to
     y_b = w J j_b.
     """
-    g = S.grid
-    jb, divb = density_basis(S)
-    n = S.normal
-    TK = _basis_fields(S)["TK"]
-    Df = _magnetic_test_divs(S)
-    wJ = (g.weights * S.jacobian)[:, None, None]
-    V = kn.vmat(S, kappa)
-    KP = kn.kprime_mat(S, kappa)
-    KS = kn.kprime_src_mat(S, kappa)
-    ncL = g.ncoef(g.L)
+    V, KP, KS = _wave_mats(S, kappa)
+    return _magnetic_block(S, kappa, *_single_layer(S, V), KP, KS)
 
-    Vj = _vec_apply(V, jb)
-    nVj = np.einsum("ij,ijk->ik", n, Vj)
-    p_rows = _weak_poisson(S, kappa**2 * nVj + KP @ divb)[1:ncL]
 
-    y = wJ * jb
-    rc = _bsum(Df, _vec_apply(V.T, y)) - _bsum(TK, _vec_apply(KS.T, y))
-    q_rows = -sc._lb_solve(S, rc)[1:ncL]
-    return np.concatenate([p_rows, q_rows], axis=0)
+def wave_blocks(S: Surface, kappa: float) -> tuple:
+    """(electric_block, magnetic_block) of one wavenumber from one kernel
+    pass; the two blocks share V and its product with the basis."""
+    V, KP, KS = _wave_mats(S, kappa)
+    V, Vj = _single_layer(S, V)
+    C = _layer_block(S, V, Vj, kappa, 1.0 / kappa)
+    return C, _magnetic_block(S, kappa, V, Vj, KP, KS)
 
 
 def static_block(S: Surface) -> np.ndarray:
     """Matrix of the static coupling j -> -n^V_0 j - curl_Gamma V_0 div_Gamma j."""
-    return _layer_block(S, 0.0, 1.0, -1.0)
+    return _layer_block(S, *_single_layer(S, kn.vmat(S, 0.0)), 1.0, -1.0)
 
 
 # -- shape derivatives of the blocks --------------------------------------
@@ -275,7 +303,8 @@ def _dgeom(S: Surface, xi: DeformationField) -> dict:
 def _d_weak_poisson(S: Surface, dg: dict, f: np.ndarray, df: np.ndarray):
     """Derivative of the transported Galerkin solve u(r) = Delta_r^{-1} f(r)."""
     u = _weak_poisson(S, f)
-    rhs = -(dg["dmass"] @ f) - (sc._lb_data(S)["mass"] @ df) - dg["dA"] @ u
+    rhs = -_real_apply(dg["dmass"], f) - _real_apply(sc._lb_data(S)["mass"], df)
+    rhs -= _real_apply(dg["dA"], u)
     return sc._lb_solve(S, rhs)
 
 
@@ -290,14 +319,6 @@ def _d_density_basis(S: Surface, dg: dict):
     return djb, ddivb
 
 
-def _d_div(S: Surface, xi, U, dU):
-    return sc.d_surface_operator("divergence", S, xi, U) + _div_batch(S, dU)
-
-
-def _d_scurl(S: Surface, xi, U, dU):
-    return sc.d_surface_operator("scalar_curl", S, xi, U) + sc.surface_scalar_curl(S, dU)
-
-
 def _coef_batch(S: Surface, dg: dict, c):
     """Node values of the densities with coefficient batch c, their
     divergences, and the stage derivatives of both.
@@ -309,7 +330,11 @@ def _coef_batch(S: Surface, dg: dict, c):
     djb, ddivb = _d_density_basis(S, dg)
     if c is None:
         return jb, divb, djb, ddivb
-    return jb @ c, divb @ c, djb @ c, ddivb @ c
+
+    def times_c(B):  # B @ c for a real B of shape (..., 2K)
+        return _real_apply(B.reshape(-1, B.shape[-1]), c).reshape(B.shape[:-1] + (-1,))
+
+    return tuple(times_c(B) for B in (jb, divb, djb, ddivb))
 
 
 def _d_layer_block(S: Surface, kappa: float, xi, c, sa: float, sv: float):
@@ -328,10 +353,12 @@ def _d_layer_block(S: Surface, kappa: float, xi, c, sa: float, sv: float):
     da = _cross_n_batch(dN, Vj) + _cross_n_batch(
         n, _vec_apply(dV, j) + _vec_apply(V, dj)
     )
-    d_div_a = _d_weak_poisson(S, dg, _div_batch(S, a), _d_div(S, xi, a, da))
-    d_scurl_a = _d_weak_poisson(
-        S, dg, sc.surface_scalar_curl(S, a), _d_scurl(S, xi, a, da)
-    )
+    div_a, scurl_a = sc._div_scurl(S, a)
+    div_da, scurl_da = sc._div_scurl(S, da)
+    div_da += sc.d_surface_operator("divergence", S, xi, a)
+    scurl_da += sc.d_surface_operator("scalar_curl", S, xi, a)
+    d_div_a = _d_weak_poisson(S, dg, div_a, div_da)
+    d_scurl_a = _d_weak_poisson(S, dg, scurl_a, scurl_da)
     p_rows = -sa * d_div_a[1:ncL]
     q_rows = sa * d_scurl_a[1:ncL] + sv * _project(S, dV @ divj + V @ ddivj)
     return np.concatenate([p_rows, q_rows], axis=0)
@@ -356,8 +383,8 @@ def d_magnetic_block(
     (N, nc_full) matrix is formed.
     """
     g = S.grid
-    TK = _basis_fields(S)["TK"]
-    Df = _magnetic_test_divs(S)
+    bb = _basis_fields(S)
+    TK, Df = bb["TK"], bb["Df"]
     dg = _dgeom(S, xi)
     j, divj, dj, ddivj = _coef_batch(S, dg, c)
     n, dN = S.normal, dg["dN"]
@@ -390,7 +417,7 @@ def d_magnetic_block(
     drc = _bsum(Df, dVy) + _bsum(dg["dDf"], Vy)
     drc -= _bsum(TK, dKy) + _bsum(dg["dTK"], Ky)
     Q = sc._lb_solve(S, rc)
-    q_rows = -sc._lb_solve(S, drc - dg["dA"] @ Q)[1:ncL]
+    q_rows = -sc._lb_solve(S, drc - _real_apply(dg["dA"], Q))[1:ncL]
     return np.concatenate([p_rows, q_rows], axis=0)
 
 
@@ -424,7 +451,7 @@ def far_field_block(
     d = np.atleast_2d(np.asarray(directions, dtype=float))
     wJ = g.weights * S.jacobian
     phase = np.exp(-1j * kappa * (d @ S.points.T)) * wJ[None, :]  # (ndir, N)
-    return _far_kind(kappa, d, np.tensordot(phase, jb, axes=(1, 0)), kind)
+    return _far_kind(kappa, d, _vec_apply(phase, jb), kind)
 
 
 def d_far_field_block(
@@ -440,8 +467,8 @@ def d_far_field_block(
     wdJ = g.weights * dg["dJ"]
     phase = np.exp(-1j * kappa * (d @ S.points.T))
     dphase = phase * (-1j * kappa) * (d @ xi.values.T)
-    I = np.tensordot(phase * wdJ[None, :] + dphase * wJ[None, :], jb, axes=(1, 0))
-    I += np.tensordot(phase * wJ[None, :], djb, axes=(1, 0))
+    I = _vec_apply(phase * wdJ[None, :] + dphase * wJ[None, :], jb)
+    I += _vec_apply(phase * wJ[None, :], djb)
     return _far_kind(kappa, d, I, kind)
 
 

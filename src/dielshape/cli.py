@@ -12,10 +12,10 @@ a summary JSON document plus CSV tables with columns
 theta, phi, re_Ex, im_Ex, re_Ey, im_Ey, re_Ez, im_Ez.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.  The
-environment variable DIELSHAPE_NUM_THREADS (integer) bounds the BLAS/OpenMP
-thread count; it must be set before numpy is loaded, which is why the numeric
-modules are imported lazily inside :func:`main` and why the package's
-re-exports resolve lazily.
+environment variable DIELSHAPE_NUM_THREADS (an integer >= 1) bounds the
+BLAS/OpenMP thread count; it must be set before numpy is loaded, which is
+why the numeric modules are imported lazily inside :func:`main` and why the
+package's re-exports resolve lazily.
 """
 
 from __future__ import annotations
@@ -41,9 +41,12 @@ def _apply_thread_limit():
     if n is None:
         return
     try:
-        int(n)
+        count = int(n)
     except ValueError as exc:
         raise ConfigError(f"{THREAD_ENV} must be an integer, got {n!r}") from exc
+    if count < 1:
+        # OpenBLAS reads 0 as "all cores", so it would bound nothing
+        raise ConfigError(f"{THREAD_ENV} must be at least 1, got {n!r}")
     for var in (
         "OMP_NUM_THREADS",
         "OPENBLAS_NUM_THREADS",

@@ -22,6 +22,20 @@ PROBE_T = 1.0e-3
 PROBE_NDIRS = 8
 
 
+def _real_apply(op, f: np.ndarray) -> np.ndarray:
+    """op applied along the first axis of f, in real arithmetic.
+
+    op is a real matrix, or a function that applies a real linear map to the
+    columns of a real 2-D array.  Complex data enters through its real view,
+    which interleaves real and imaginary parts as columns; a real f is its
+    own view, so both kinds of data take the same path.
+    """
+    f = np.ascontiguousarray(f, dtype=np.result_type(f, float))
+    cols = f.reshape(f.shape[0], int(np.prod(f.shape[1:]))).view(np.float64)
+    out = np.ascontiguousarray(op(cols) if callable(op) else op @ cols)
+    return out.view(f.dtype).reshape(out.shape[:1] + f.shape[1:])
+
+
 class ReferenceGrid:
     """Quadrature nodes, weights and spectral transform data on S^2.
 
@@ -98,13 +112,13 @@ class ReferenceGrid:
     def analyze(self, f: np.ndarray, L: int | None = None) -> np.ndarray:
         """Spherical-harmonic coefficients of node values, degrees <= L."""
         nc = self.ncoef(L)
-        return np.tensordot(self.analysis_full[:nc], f, axes=(1, 0))
+        return _real_apply(self.analysis_full[:nc], f)
 
     def synthesize(self, c: np.ndarray, deriv: str | None = None) -> np.ndarray:
         """Node values (or an angular derivative) from coefficients."""
         nc = c.shape[0]
         basis = {None: self.Y, "theta": self.Yth, "phi": self.Yph}[deriv]
-        return np.tensordot(basis[:, :nc], c, axes=(1, 0))
+        return _real_apply(basis[:, :nc], c)
 
     @property
     def dtheta_matrix(self) -> np.ndarray:
@@ -120,10 +134,10 @@ class ReferenceGrid:
         return self._dphi
 
     def dtheta(self, f: np.ndarray) -> np.ndarray:
-        return np.tensordot(self.dtheta_matrix, f, axes=(1, 0))
+        return _real_apply(self.dtheta_matrix, f)
 
     def dphi(self, f: np.ndarray) -> np.ndarray:
-        return np.tensordot(self.dphi_matrix, f, axes=(1, 0))
+        return _real_apply(self.dphi_matrix, f)
 
     # -- singular product quadrature -------------------------------------
     @property

@@ -236,6 +236,7 @@ def _kernel_mats(S: Surface, kappa: float, groups, xi=None) -> tuple:
     }
     if kappa != 0.0:
         smooth = {p: _smooth_radial(p, kappa, R, *zcs) for p in orders}
+    del zcs  # three N x N arrays; a pass of several groups peaks below
 
     B = g.singular_weights
     J = S.jacobian

@@ -114,14 +114,10 @@ def incident_trace_derivative(S: Surface, mat: Material, wave: sv.PlaneWave, xi)
     ncL = S.grid.ncoef(S.grid.L)
 
     def d_stack(v, dv):
-        divv = sc.surface_divergence(S, v)
-        ddivv = sc.d_surface_operator("divergence", S, xi, v) + sc.surface_divergence(
-            S, dv
-        )
-        rotv = sc.surface_scalar_curl(S, v)
-        drotv = sc.d_surface_operator("scalar_curl", S, xi, v) + sc.surface_scalar_curl(
-            S, dv
-        )
+        divv, rotv = sc._div_scurl(S, v)
+        ddivv, drotv = sc._div_scurl(S, dv)
+        ddivv += sc.d_surface_operator("divergence", S, xi, v)
+        drotv += sc.d_surface_operator("scalar_curl", S, xi, v)
         dp = bio._d_weak_poisson(S, dg, divv, ddivv)[1:ncL]
         dq = -bio._d_weak_poisson(S, dg, rotv, drotv)[1:ncL]
         return np.concatenate([dp, dq])

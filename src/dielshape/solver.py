@@ -111,13 +111,11 @@ class SystemOperators:
     def __post_init__(self):
         eta = self.material.eta
         rho = self.material.rho
-        K2 = self.Ce.shape[0]
-        I = np.eye(K2)
-        half_Me = -0.5 * I + self.Me
-        half_Mi = -0.5 * I + self.Mi
-        self.L = self.Ce + 1j * eta * half_Me @ self.C0
-        self.N = half_Me + 1j * eta * self.Ce @ self.C0
-        self.S = self.Ci @ self.N + rho * half_Mi @ self.L
+        # (-1/2 + M) X is formed as M X - X/2, without an identity matrix
+        self.L = self.Ce + 1j * eta * (self.Me @ self.C0 - 0.5 * self.C0)
+        self.N = self.Me + 1j * eta * (self.Ce @ self.C0)
+        self.N[np.diag_indices_from(self.N)] -= 0.5
+        self.S = self.Ci @ self.N + rho * (self.Mi @ self.L - 0.5 * self.L)
 
     @cached_property
     def _lu(self):
@@ -135,22 +133,18 @@ class SystemOperators:
     def rhs(self, gD: np.ndarray, gN: np.ndarray) -> np.ndarray:
         """Right-hand side for stacked incident trace coefficients."""
         rho = self.material.rho
-        K2 = self.Ci.shape[0]
-        half_Mi = -0.5 * np.eye(K2) + self.Mi
-        return self.Ci @ gN + rho * (half_Mi @ gD)
+        return self.Ci @ gN + rho * (self.Mi @ gD - 0.5 * gD)
 
 
 def build_system(S: Surface, mat: Material) -> SystemOperators:
-    """Assemble all boundary operator blocks for a surface and material."""
-    ke, ki = mat.kappa_e, mat.kappa_i
+    """Assemble all boundary operator blocks for a surface and material.
+
+    Three kernel passes: one per wavenumber for (C, M), one static for C0.
+    """
+    Ce, Me = bio.wave_blocks(S, mat.kappa_e)
+    Ci, Mi = bio.wave_blocks(S, mat.kappa_i)
     return SystemOperators(
-        surface=S,
-        material=mat,
-        Ce=bio.electric_block(S, ke),
-        Me=bio.magnetic_block(S, ke),
-        Ci=bio.electric_block(S, ki),
-        Mi=bio.magnetic_block(S, ki),
-        C0=bio.static_block(S),
+        surface=S, material=mat, Ce=Ce, Me=Me, Ci=Ci, Mi=Mi, C0=bio.static_block(S)
     )
 
 

@@ -11,11 +11,14 @@ vector fields (N, 3) or (N, 3, k).  Everything works for complex data.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import KindMismatch, NonZeroMean
 from .geometry import Surface
+from .grid import _real_apply
 
 __all__ = [
     "HelmholtzDensity",
@@ -52,13 +55,18 @@ def _cross_n(a, n):
 
 
 # -- first-order operators ------------------------------------------------
+def _tangents(S: Surface, ndim: int):
+    """grad_Gamma theta and grad_Gamma phi, shape (N, 3) followed by ndim
+    unit axes, to broadcast against batched angular derivatives."""
+    shape = S.grad_t.shape + (1,) * ndim
+    return S.grad_t.reshape(shape), S.grad_p.reshape(shape)
+
+
 def surface_gradient(S: Surface, u: np.ndarray) -> np.ndarray:
-    """grad_Gamma u via the contravariant tangent basis."""
-    uth = S.grid.dtheta(u)
-    uph = S.grid.dphi(u)
-    if u.ndim == 1:
-        return S.grad_t * uth[:, None] + S.grad_p * uph[:, None]
-    return S.grad_t[:, :, None] * uth[:, None, :] + S.grad_p[:, :, None] * uph[:, None, :]
+    """grad_Gamma u via the contravariant tangent basis; out[:, a, ...] is the
+    a-th Cartesian component for u of shape (N, ...)."""
+    gt, gp = _tangents(S, u.ndim - 1)
+    return gt * S.grid.dtheta(u)[:, None] + gp * S.grid.dphi(u)[:, None]
 
 
 def tangential_vector_curl(S: Surface, u: np.ndarray) -> np.ndarray:
@@ -70,31 +78,35 @@ def tangential_jacobian(S: Surface, U: np.ndarray) -> np.ndarray:
     """Matrix [grad_Gamma U] with entries out[:, a, c] = (grad_Gamma U_c)_a.
 
     The c-th column is the surface gradient of the c-th Cartesian component;
-    this is the matrix written [G(r)u] in the derivative formulas.
+    this is the matrix written [G(r)u] in the derivative formulas.  The three
+    components share one d/dtheta and one d/dphi transform.
     """
-    shape = (U.shape[0], 3, 3) if U.ndim == 2 else (U.shape[0], 3, 3, U.shape[2])
-    out = np.empty(shape, dtype=U.dtype if np.iscomplexobj(U) else float)
-    for c in range(3):
-        out[:, :, c] = surface_gradient(S, U[:, c])
-    return out
+    return surface_gradient(S, U)
+
+
+def _div_scurl(S: Surface, U: np.ndarray):
+    """(div_Gamma U, curl_Gamma U) from one d/dtheta and one d/dphi transform.
+
+    With t, p = grad_Gamma theta, grad_Gamma phi the tangential Jacobian is
+    [grad_Gamma U]_ac = t_a U_c,theta + p_a U_c,phi.  The divergence is its
+    trace; the scalar curl n . curl U is its contraction eps_bac n_b, which
+    pairs U_theta and U_phi with n ^ t and n ^ p.  The nine entries of the
+    Jacobian are never formed.
+    """
+    t, p = _tangents(S, U.ndim - 2)
+    nt, npp = (np.cross(S.normal, v).reshape(t.shape) for v in (S.grad_t, S.grad_p))
+    uth, uph = S.grid.dtheta(U), S.grid.dphi(U)
+    return (t * uth + p * uph).sum(axis=1), (nt * uth + npp * uph).sum(axis=1)
 
 
 def surface_divergence(S: Surface, U: np.ndarray) -> np.ndarray:
     """div_Gamma U = trace of the tangential Jacobian (extension-free)."""
-    out = surface_gradient(S, U[:, 0])[:, 0]
-    for c in (1, 2):
-        out = out + surface_gradient(S, U[:, c])[:, c]
-    return out
+    return _div_scurl(S, U)[0]
 
 
 def surface_scalar_curl(S: Surface, U: np.ndarray) -> np.ndarray:
     """curl_Gamma U = n . curl(extension of U); defined for any vector field."""
-    J = tangential_jacobian(S, U)
-    curl = np.stack(
-        [J[:, 1, 2] - J[:, 2, 1], J[:, 2, 0] - J[:, 0, 2], J[:, 0, 1] - J[:, 1, 0]],
-        axis=1,
-    )
-    return np.einsum("ij...,ij->i...", curl, S.normal)
+    return _div_scurl(S, U)[1]
 
 
 def laplace_beltrami(S: Surface, u: np.ndarray) -> np.ndarray:
@@ -143,7 +155,7 @@ def _lb_data(S: Surface) -> dict:
 def _lb_solve(S: Surface, rhs: np.ndarray) -> np.ndarray:
     """Mean-zero Galerkin solve: u[0] = 0 and A u[1:] = rhs[1:] (batched)."""
     out = np.zeros(rhs.shape, dtype=np.result_type(rhs, float))
-    out[1:] = cho_solve(_lb_data(S)["factor"], rhs[1:])
+    out[1:] = _real_apply(partial(cho_solve, _lb_data(S)["factor"]), rhs[1:])
     return out
 
 
@@ -155,7 +167,7 @@ def laplace_beltrami_inverse(
     Galerkin in the spherical-harmonic basis through the grid's full degree:
     int grad u . grad phi ds = -int f phi ds.
     """
-    rhs = -np.tensordot(_lb_data(S)["mass"], f, axes=(1, 0))
+    rhs = -_real_apply(_lb_data(S)["mass"], f)
     if check_mean:
         mean = rhs[0] / np.sqrt(4.0 * np.pi)  # int f ds
         scale = np.max(np.abs(f)) + 1e-300
@@ -223,8 +235,7 @@ def helmholtz_decompose(S: Surface, j: np.ndarray) -> HelmholtzDensity:
 
     p = Delta^{-1} div_Gamma j,  q = -Delta^{-1} curl_Gamma j.
     """
-    div = surface_divergence(S, j)
-    rot = surface_scalar_curl(S, j)
+    div, rot = _div_scurl(S, j)
     p = laplace_beltrami_inverse(S, div, check_mean=False)
     q = -laplace_beltrami_inverse(S, rot, check_mean=False)
     L = S.grid.L

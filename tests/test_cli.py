@@ -172,6 +172,15 @@ class TestErrors:
         assert main(["solve", "--config", str(cfg)]) == EXIT_CONFIG
         assert json.loads(capsys.readouterr().out)["error"] == "config"
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_thread_env_below_one(self, tmp_path, monkeypatch, capsys, value):
+        # OpenBLAS reads 0 threads as "all cores"; the limit must be >= 1.
+        # The check runs before any numeric work, so no thread is started.
+        monkeypatch.setenv("DIELSHAPE_NUM_THREADS", value)
+        cfg = write_cfg(tmp_path)
+        assert main(["solve", "--config", str(cfg)]) == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().out)["error"] == "config"
+
 
 class TestThreadLimit:
     def test_cli_import_leaves_numpy_unloaded(self):

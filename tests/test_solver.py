@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dielshape import oracle, solver
+from dielshape import kernels, oracle, solver
 from dielshape.errors import SingularSystem
 from dielshape.geometry import Material, sphere
 
@@ -48,6 +48,20 @@ class TestSolve:
         ops = solver.SystemOperators(small_sphere, material, Z, Z, Z, Z, Z)
         with pytest.raises(SingularSystem):
             ops.solve(np.ones(4))
+
+    def test_one_kernel_pass_per_wavenumber(self, small_sphere, material, monkeypatch):
+        # (V, K', K's) of each of kappa_e and kappa_i come from one kernel
+        # pass, shared by the electric and magnetic blocks; C0 takes a third
+        kappas = []
+        inner = kernels._kernel_mats
+
+        def counting(S, kappa, *args, **kwargs):
+            kappas.append(kappa)
+            return inner(S, kappa, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "_kernel_mats", counting)
+        solver.build_system(small_sphere, material)
+        assert sorted(kappas) == sorted([0.0, material.kappa_e, material.kappa_i])
 
     def test_no_contrast_scatters_nothing(self, small_sphere, wave, unit_directions):
         mat = Material(eps_i=1.0, eps_e=1.0, mu_i=1.0, mu_e=1.0)
