@@ -34,9 +34,15 @@ agree with finite differences of the primal assembly to O(h^2).  They take
 an optional coefficient batch c of shape (2K, m) and return dBlock @ c
 without forming the matrix: every stage then runs on m columns instead of
 2K.  Without c the batch is the identity and the result is the matrix.
+``d_wave_blocks`` mirrors ``wave_blocks``: it builds the kernel pairs (V, dV),
+(K', dK'), (K's, dK's) of one wavenumber in a single pass and returns
+(dC @ c, dM @ c), the two recipes sharing V, dV and the products V j, dV j
+and V dj; route A makes one such pass per wavenumber and one static pass.
 
 Far-field operators and smooth off-surface potential evaluations are at the
-end of the module.
+end of the module.  The far-field operators are the moments of the basis
+densities; a coefficient batch takes the moments of its node values, one
+(ndir, N) x (N, 3m) product, without forming the operators.
 """
 
 from __future__ import annotations
@@ -319,40 +325,40 @@ def _d_density_basis(S: Surface, dg: dict):
     return djb, ddivb
 
 
-def _coef_batch(S: Surface, dg: dict, c):
-    """Node values of the densities with coefficient batch c, their
-    divergences, and the stage derivatives of both.
-
-    c has shape (2K, m); c = None stands for the identity, so the basis
-    densities themselves are returned and the caller assembles a matrix.
-    """
-    jb, divb = density_basis(S)
-    djb, ddivb = _d_density_basis(S, dg)
+def _times(B: np.ndarray, c) -> np.ndarray:
+    """B @ c for a real B of shape (..., 2K) and a coefficient batch c of
+    shape (2K, m); c = None stands for the identity and returns B."""
     if c is None:
-        return jb, divb, djb, ddivb
-
-    def times_c(B):  # B @ c for a real B of shape (..., 2K)
-        return _real_apply(B.reshape(-1, B.shape[-1]), c).reshape(B.shape[:-1] + (-1,))
-
-    return tuple(times_c(B) for B in (jb, divb, djb, ddivb))
+        return B
+    return _real_apply(B.reshape(-1, B.shape[-1]), c).reshape(B.shape[:-1] + (-1,))
 
 
-def _d_layer_block(S: Surface, kappa: float, xi, c, sa: float, sv: float):
+def _d_single_layer(S: Surface, xi: DeformationField, V, dV, c) -> tuple:
+    """(V, dV, batch, V j, dV j + V dj): the data the derivative recipes of
+    one wavenumber share.  batch holds the node values of the densities with
+    coefficient batch c, their divergences and the stage derivatives of both
+    (j, divj, dj, ddivj); dV j + V dj is the derivative of the transported
+    V j.
+
+    c has shape (2K, m); c = None stands for the identity, so the recipes
+    run on the basis densities themselves and assemble a matrix."""
+    dg = _dgeom(S, xi)
+    batch = tuple(_times(B, c) for B in (*density_basis(S), *_d_density_basis(S, dg)))
+    j, _, dj, _ = batch
+    return V, dV, batch, _vec_apply(V, j), _vec_apply(dV, j) + _vec_apply(V, dj)
+
+
+def _d_layer_block(S: Surface, xi, sl, sa: float, sv: float):
     """Derivative of the single-layer recipe shared by the electric and static
     blocks: p = -sa Delta^{-1} div a, q = sa Delta^{-1} scurl a + sv P(V div j)
-    with a = n ^ V j."""
-    g = S.grid
+    with a = n ^ V j, on the shared data sl of _d_single_layer."""
+    V, dV, (_, divj, _, ddivj), Vj, dVj = sl
     dg = _dgeom(S, xi)
-    j, divj, dj, ddivj = _coef_batch(S, dg, c)
     n, dN = S.normal, dg["dN"]
-    V, dV = kn.dvmat(S, kappa, xi)
-    ncL = g.ncoef(g.L)
+    ncL = S.grid.ncoef(S.grid.L)
 
-    Vj = _vec_apply(V, j)
     a = _cross_n_batch(n, Vj)
-    da = _cross_n_batch(dN, Vj) + _cross_n_batch(
-        n, _vec_apply(dV, j) + _vec_apply(V, dj)
-    )
+    da = _cross_n_batch(dN, Vj) + _cross_n_batch(n, dVj)
     div_a, scurl_a = sc._div_scurl(S, a)
     div_da, scurl_da = sc._div_scurl(S, da)
     div_da += sc.d_surface_operator("divergence", S, xi, a)
@@ -364,45 +370,26 @@ def _d_layer_block(S: Surface, kappa: float, xi, c, sa: float, sv: float):
     return np.concatenate([p_rows, q_rows], axis=0)
 
 
-def d_electric_block(
-    S: Surface, kappa: float, xi: DeformationField, c=None
-) -> np.ndarray:
-    """Derivative of the transported electric block at the base surface,
-    applied to the coefficient batch c (the matrix when c is None)."""
-    return _d_layer_block(S, kappa, xi, c, kappa, 1.0 / kappa)
-
-
-def d_magnetic_block(
-    S: Surface, kappa: float, xi: DeformationField, c=None
-) -> np.ndarray:
-    """Derivative of the transported magnetic block at the base surface,
-    applied to the coefficient batch c (the matrix when c is None).
+def _d_magnetic_block(S: Surface, kappa: float, xi, sl, KP, dKP, KS, dKS):
+    """Derivative of the magnetic recipe on the shared data sl of
+    _d_single_layer and the kernel pairs (K', dK'), (K's, dK's) of kappa.
 
     The Galerkin right-hand side W[b]^T y_b = Df[b]^T V^T y_b - TK_b^T KS^T y_b
     and its derivative are applied factor by factor to y_b = w J j_b, so no
-    (N, nc_full) matrix is formed.
-    """
+    (N, nc_full) matrix is formed."""
     g = S.grid
     bb = _basis_fields(S)
     TK, Df = bb["TK"], bb["Df"]
+    V, dV, (j, divj, dj, ddivj), Vj, dVj = sl
     dg = _dgeom(S, xi)
-    j, divj, dj, ddivj = _coef_batch(S, dg, c)
     n, dN = S.normal, dg["dN"]
     wJ = (g.weights * S.jacobian)[:, None, None]
     wdJ = (g.weights * dg["dJ"])[:, None, None]
     ncL = g.ncoef(g.L)
 
-    V, dV = kn.dvmat(S, kappa, xi)
-    KP, dKP = kn.dkprime_mat(S, kappa, xi)
-    KS, dKS = kn.dkprime_src_mat(S, kappa, xi)
-
     # gradient potential
-    Vj = _vec_apply(V, j)
-    nVj = np.einsum("ij,ijk->ik", n, Vj)
-    f = kappa**2 * nVj + KP @ divj
-    dnVj = np.einsum("ij,ijk->ik", dN, Vj) + np.einsum(
-        "ij,ijk->ik", n, _vec_apply(dV, j) + _vec_apply(V, dj)
-    )
+    f = kappa**2 * np.einsum("ij,ijk->ik", n, Vj) + KP @ divj
+    dnVj = np.einsum("ij,ijk->ik", dN, Vj) + np.einsum("ij,ijk->ik", n, dVj)
     df = kappa**2 * dnVj + dKP @ divj + KP @ ddivj
     p_rows = _d_weak_poisson(S, dg, f, df)[1:ncL]
 
@@ -421,10 +408,45 @@ def d_magnetic_block(
     return np.concatenate([p_rows, q_rows], axis=0)
 
 
+def _d_wave_mats(S: Surface, kappa: float, xi: DeformationField) -> tuple:
+    """(V, dV, K', dK', K's, dK's) of kappa from one kernel pass."""
+    groups = (kn._V, kn._DV, kn._KP, kn._DKP, kn._KS, kn._DKS)
+    return kn._kernel_mats(S, kappa, groups, xi)
+
+
+def d_wave_blocks(S: Surface, kappa: float, xi: DeformationField, c) -> tuple:
+    """(d_electric_block @ c, d_magnetic_block @ c) of one wavenumber from one
+    kernel pass; the two recipes share V, dV and the products V j, dV j and
+    V dj of the densities j of the batch c."""
+    V, dV, *K = _d_wave_mats(S, kappa, xi)
+    sl = _d_single_layer(S, xi, V, dV, c)
+    dC = _d_layer_block(S, xi, sl, kappa, 1.0 / kappa)
+    return dC, _d_magnetic_block(S, kappa, xi, sl, *K)
+
+
+def d_electric_block(
+    S: Surface, kappa: float, xi: DeformationField, c=None
+) -> np.ndarray:
+    """Derivative of the transported electric block at the base surface,
+    applied to the coefficient batch c (the matrix when c is None)."""
+    sl = _d_single_layer(S, xi, *kn.dvmat(S, kappa, xi), c)
+    return _d_layer_block(S, xi, sl, kappa, 1.0 / kappa)
+
+
+def d_magnetic_block(
+    S: Surface, kappa: float, xi: DeformationField, c=None
+) -> np.ndarray:
+    """Derivative of the transported magnetic block at the base surface,
+    applied to the coefficient batch c (the matrix when c is None)."""
+    V, dV, *K = _d_wave_mats(S, kappa, xi)
+    return _d_magnetic_block(S, kappa, xi, _d_single_layer(S, xi, V, dV, c), *K)
+
+
 def d_static_block(S: Surface, xi: DeformationField, c=None) -> np.ndarray:
     """Derivative of the transported static coupling block, applied to the
     coefficient batch c (the matrix when c is None)."""
-    return _d_layer_block(S, 0.0, xi, c, 1.0, -1.0)
+    sl = _d_single_layer(S, xi, *kn.dvmat(S, 0.0, xi), c)
+    return _d_layer_block(S, xi, sl, 1.0, -1.0)
 
 
 # -- far-field operators --------------------------------------------------
@@ -438,6 +460,28 @@ def _far_kind(kappa: float, d: np.ndarray, I: np.ndarray, kind: str) -> np.ndarr
     raise ValueError(f"unknown far-field kind {kind!r}")
 
 
+def _far_moments(S: Surface, kappa: float, d: np.ndarray, c=None, xi=None):
+    """Moments I(d) = int exp(-i kappa d.y) j(y) ds(y), shape (ndir, 3, m), of
+    the densities j with coefficient batch c of shape (2K, m); c = None is
+    the identity (m = 2K).  With a deformation xi, the derivative of the
+    transported moments at fixed coefficients.
+
+    The node values of the densities are formed once, so a batch of m
+    columns costs one (ndir, N) x (N, 3m) product."""
+    g = S.grid
+    wJ = g.weights * S.jacobian
+    phase = np.exp(-1j * kappa * (d @ S.points.T))
+    jc = _times(density_basis(S)[0], c)
+    if xi is None:
+        return _vec_apply(phase * wJ[None, :], jc)
+    dg = _dgeom(S, xi)
+    djc = _times(_d_density_basis(S, dg)[0], c)
+    dphase = phase * (-1j * kappa) * (d @ xi.values.T)
+    I = _vec_apply(phase * (g.weights * dg["dJ"])[None, :] + dphase * wJ[None, :], jc)
+    I += _vec_apply(phase * wJ[None, :], djc)
+    return I
+
+
 def far_field_block(
     S: Surface, kappa: float, directions: np.ndarray, kind: str
 ) -> np.ndarray:
@@ -446,30 +490,16 @@ def far_field_block(
     With I(d) = int exp(-i kappa d.y) j(y) ds(y):
     electric: kappa d ^ I ^ d = kappa (I - d (d.I)); magnetic: i kappa d ^ I.
     """
-    g = S.grid
-    jb, _ = density_basis(S)
     d = np.atleast_2d(np.asarray(directions, dtype=float))
-    wJ = g.weights * S.jacobian
-    phase = np.exp(-1j * kappa * (d @ S.points.T)) * wJ[None, :]  # (ndir, N)
-    return _far_kind(kappa, d, _vec_apply(phase, jb), kind)
+    return _far_kind(kappa, d, _far_moments(S, kappa, d), kind)
 
 
 def d_far_field_block(
     S: Surface, kappa: float, directions: np.ndarray, kind: str, xi: DeformationField
 ) -> np.ndarray:
     """Derivative of the transported far-field operator at the base surface."""
-    g = S.grid
-    jb, _ = density_basis(S)
-    dg = _dgeom(S, xi)
-    djb, _ = _d_density_basis(S, dg)
     d = np.atleast_2d(np.asarray(directions, dtype=float))
-    wJ = g.weights * S.jacobian
-    wdJ = g.weights * dg["dJ"]
-    phase = np.exp(-1j * kappa * (d @ S.points.T))
-    dphase = phase * (-1j * kappa) * (d @ xi.values.T)
-    I = _vec_apply(phase * wdJ[None, :] + dphase * wJ[None, :], jb)
-    I += _vec_apply(phase * wJ[None, :], djb)
-    return _far_kind(kappa, d, I, kind)
+    return _far_kind(kappa, d, _far_moments(S, kappa, d, xi=xi), kind)
 
 
 # -- off-surface potentials ----------------------------------------------

@@ -23,13 +23,21 @@ ring and the basis with its angular derivatives there are grid data
 the probes by a few matrix products with its coefficients, and the normal
 derivative there comes from the tangents of the surface and of xi.
 
+On the node pairs the numerators come from Gram products: each is U W^T
+for two N x k factors (k <= 8), e.g. T_ij = n_i.x_i - (n X^T)_ij, so no
+N x N x 3 difference array is formed.  The Gram form loses accuracy like
+eps |x|^2 / R^2, so the near pairs (R below NEAR times the body's radius)
+and the probe ring, whose probes lie at distance PROBE_T from the node,
+keep the difference form.
+
 All matrices include the surface measure (weights are applied by the
 caller via the ``B``/``w`` structure baked in here), i.e. ``mat @ u``
 approximates the boundary integral of the kernel against ``u ds``.  The
 derivative matrices are those of the transported integrals, so they include
 the measure variation dJ = J div_Gamma xi as the term K diag(div_Gamma xi).
-That term needs the primal matrix K, so each derivative kernel returns the
-pair (K, dK) from one assembly.
+That term needs the primal matrix K, so derivative kernels come in (K, dK)
+pairs from one assembly, and one pass can build several pairs of one
+wavenumber on shared distances, radial factors and numerators.
 """
 
 from __future__ import annotations
@@ -50,6 +58,10 @@ __all__ = [
     "dvmat",
     "dkprime_mat",
 ]
+
+# Node pairs closer than NEAR times the body's radius take their numerators
+# in difference form, the others from Gram products (see _pair_numerators).
+NEAR = 0.25
 
 # Kernel terms (order p, coefficient, numerator factors); see the docstring.
 _V = ((0, 1.0, ()),)
@@ -104,8 +116,9 @@ def _smooth_radial(p, kappa, R, z, c, s):
 
 # -- pairwise and probe geometry -----------------------------------------
 def pair_geometry(S: Surface) -> dict:
-    """Cached pairwise distances R and the ratio s = chord/R of the grid's
-    reference chord to R.
+    """Cached pairwise distances R, the ratio s = chord/R of the grid's
+    reference chord to R, and the indices (I, J) of the near pairs, those
+    closer than NEAR times the body's radius about its centroid.
 
     The diagonal of R is set to 1 (never used directly; diagonal kernel
     values come from the probe limits)."""
@@ -114,7 +127,9 @@ def pair_geometry(S: Surface) -> dict:
         dx = x[:, None, :] - x[None, :, :]
         R = np.sqrt(np.einsum("ijk,ijk->ij", dx, dx))
         np.fill_diagonal(R, 1.0)
-        S._cache["pairs"] = {"R": R, "s": S.grid.chord_matrix / R}
+        xc = x - x.mean(axis=0)
+        near = np.nonzero(R < NEAR * np.sqrt(_dot(xc, xc).max()))
+        S._cache["pairs"] = {"R": R, "s": S.grid.chord_matrix / R, "near": near}
     return S._cache["pairs"]
 
 
@@ -150,11 +165,11 @@ def _dot(a, b):
 
 
 def _numerators(tgt: dict, src: dict, names) -> dict:
-    """Kernel numerators between targets and sources.
+    """Kernel numerators between targets and sources, in difference form.
 
     tgt and src hold points x, normals n and, for derivatives, xi and the
-    normal derivative dn, broadcastable against each other: the node pairs
-    and the probe ring share this layout."""
+    normal derivative dn, broadcastable against each other: the nodes
+    against their probe rings, or the two ends of the near node pairs."""
     out = {}
     if not names:
         return out
@@ -172,6 +187,58 @@ def _numerators(tgt: dict, src: dict, names) -> dict:
         else:  # dTs
             out[nm] = -(_dot(src["dn"], dx) + _dot(src["n"], dxi))
     return out
+
+
+def _gram_factors(nd: dict, nm: str) -> tuple:
+    """Factors (U, W) of the node-pair numerator nm = U @ W.T.
+
+    Each numerator is a sum of inner products of node data, e.g.
+    T_ij = n_i.x_i - n_i.x_j and Phi_ij = x_i.xi_i + x_j.xi_j - x_i.xi_j -
+    xi_i.x_j; its row and column terms enter as a column against ones."""
+    x, n = nd["x"], nd["n"]
+    one = np.ones((len(x), 1))
+
+    def col(v):
+        return v[:, None]
+
+    if nm == "T":
+        UW = ([n, col(_dot(n, x))], [-x, one])
+    elif nm == "Ts":
+        UW = ([x, one], [-n, col(_dot(n, x))])
+    elif nm == "Phi":
+        xi = nd["xi"]
+        a = col(_dot(x, xi))
+        UW = ([x, xi, a, one], [-xi, -x, one, a])
+    else:
+        xi, dn = nd["xi"], nd["dn"]
+        c = col(_dot(dn, x) + _dot(n, xi))
+        if nm == "dT":
+            UW = ([dn, n, c], [-x, -xi, one])
+        else:  # dTs
+            UW = ([x, xi, one], [-dn, -n, c])
+    return tuple(np.hstack(F) for F in UW)
+
+
+def _pair_numerators(near, nodes: dict, names):
+    """A function nm -> numerator nm on all node pairs, from the node data x,
+    n and, for derivatives, xi and dn.
+
+    A Gram product on the centred data (the numerators do not change when
+    x or xi is shifted by a constant) gives every pair; the near pairs
+    (I, J) of pair_geometry, where the Gram form loses accuracy like
+    eps |x|^2 / R^2, then take the difference form, evaluated for all names
+    at once."""
+    I, J = near
+    near = _numerators(*({k: v[idx] for k, v in nodes.items()} for idx in (I, J)), names)
+    centred = {k: v - v.mean(axis=0) if k in ("x", "xi") else v for k, v in nodes.items()}
+
+    def numerator(nm):
+        U, W = _gram_factors(centred, nm)
+        out = U @ W.T
+        out[I, J] = near[nm]
+        return out
+
+    return numerator
 
 
 def _scale(s, R, p):
@@ -194,13 +261,15 @@ def _term_sum(terms, nums, radial):
 
 def _kernel_mats(S: Surface, kappa: float, groups, xi=None) -> tuple:
     """Matrices B F J + 1j sm w J, one per group of (order, coefficient,
-    numerator factors) terms; the groups share the radial factors and the
-    numerators.  This is the one place where diagonals are set: F from the
-    probe ring, sm from its R = 0 limit.
+    numerator factors) terms.  The groups share the radial factors and the
+    numerators; a numerator is formed when a group first needs it, and each
+    is dropped after the last group that uses it.  This is the one place
+    where diagonals are set: F from the probe ring, sm from its R = 0 limit.
 
-    With a deformation xi the groups are (terms, dterms), and the second
-    matrix becomes the derivative of the transported first one: dK +
-    K diag(div_Gamma xi), the measure term coming from dJ = J div_Gamma xi."""
+    With a deformation xi the groups come as consecutive (terms, dterms)
+    pairs, and the second matrix of each pair becomes the derivative of the
+    transported first one: dK + K diag(div_Gamma xi), the measure term
+    coming from dJ = J div_Gamma xi."""
     g = S.grid
     P = pair_geometry(S)
     pr = probe_geometry(S)
@@ -208,21 +277,23 @@ def _kernel_mats(S: Surface, kappa: float, groups, xi=None) -> tuple:
     x, n = S.points, S.normal
     names = {nm for terms in groups for _, _, nms in terms for nm in nms}
     orders = {p for terms in groups for p, _, _ in terms}
+    last = {}  # radial order or numerator name -> index of its last group
+    for i, terms in enumerate(groups):
+        for p, _, nms in terms:
+            last.update(dict.fromkeys((p, *nms), i))
 
-    tgt = {"x": x[:, None], "n": n[:, None]}
-    src = {"x": x[None], "n": n[None]}
+    nodes = {"x": x, "n": n}
     prb = {"x": pr["x"], "n": pr["n"]}
     if xi is not None:
-        xiv = xi.values
-        tgt["xi"], src["xi"] = xiv[:, None], xiv[None]
+        nodes["xi"] = xi.values
         prb["xi"] = (g.ring["Y"] @ xi.coef.T).reshape(pr["x"].shape)
         if names & {"dT", "dTs"}:
-            dn = d_normal(S, xi)
-            tgt["dn"], src["dn"] = dn[:, None], dn[None]
+            nodes["dn"] = d_normal(S, xi)
             if "dTs" in names:
                 prb["dn"] = _probe_dn(S, xi)
-    nums = _numerators(tgt, src, names)
-    nums_p = _numerators(tgt, prb, names)
+        divxi = surface_divergence(S, xi.values)
+    nums_p = _numerators({k: v[:, None] for k, v in nodes.items()}, prb, names)
+    pair_numerator = _pair_numerators(P["near"], nodes, names)
 
     dxp = x[:, None] - pr["x"]
     Rp = np.sqrt(_dot(dxp, dxp))
@@ -234,6 +305,7 @@ def _kernel_mats(S: Surface, kappa: float, groups, xi=None) -> tuple:
         p: (_singular_radial(p, *zcs_p) if p else 1.0) * _scale(sp, Rp, p)
         for p in orders
     }
+    smooth = {}
     if kappa != 0.0:
         smooth = {p: _smooth_radial(p, kappa, R, *zcs) for p in orders}
     del zcs  # three N x N arrays; a pass of several groups peaks below
@@ -241,8 +313,11 @@ def _kernel_mats(S: Surface, kappa: float, groups, xi=None) -> tuple:
     B = g.singular_weights
     J = S.jacobian
     wJ = g.weights * J
+    nums = {}
     out = []
-    for terms in groups:
+    for i, terms in enumerate(groups):
+        for nm in {nm for _, _, nms in terms for nm in nms} - nums.keys():
+            nums[nm] = pair_numerator(nm)
         M = np.empty(R.shape, dtype=complex)
         M.real = B * _term_sum(terms, nums, sing) * J[None, :]
         if kappa != 0.0:
@@ -254,9 +329,12 @@ def _kernel_mats(S: Surface, kappa: float, groups, xi=None) -> tuple:
         Fd = _term_sum(terms, nums_p, sing_p).mean(axis=1)
         smd = kappa / (4.0 * np.pi) if any(p == 0 for p, _, _ in terms) else 0.0
         np.fill_diagonal(M, B.diagonal() * Fd * J + 1j * (smd * wJ))
+        if xi is not None and i % 2:
+            M += out[-1] * divxi[None, :]
         out.append(M)
-    if xi is not None:
-        out[1] += out[0] * surface_divergence(S, xi.values)[None, :]
+        for key in [key for key, li in last.items() if li == i]:
+            for data in (sing, smooth, nums):
+                data.pop(key, None)
     return tuple(out)
 
 
@@ -300,6 +378,6 @@ def dkprime_mat(S: Surface, kappa: float, xi: DeformationField) -> tuple:
 
 
 def dkprime_src_mat(S: Surface, kappa: float, xi: DeformationField) -> tuple:
-    """(kprime_src_mat, its derivative) for the source-normal kernel, with
-    dTs = -(dn(y).(y-x) + n(y).(xi(y)-xi(x)))."""
+    """(kprime_src_mat, its derivative) for the source-normal kernel
+    Ts g(R), Ts = n(y).(y-x), with dTs = dn(y).(y-x) + n(y).(xi(y)-xi(x))."""
     return _kernel_mats(S, kappa, (_KS, _DKS), xi)

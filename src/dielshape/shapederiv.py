@@ -153,10 +153,11 @@ def d_solution_routeA(
     a = ops.C0 @ j
     half = lambda M, v: M @ v - 0.5 * v  # (-1/2 + M) v
 
-    # derivative blocks only ever act on these few vectors
+    # derivative blocks only ever act on these few vectors; one kernel pass
+    # per wavenumber gives the electric and magnetic ones
     ja = np.stack([j, a], axis=1)
-    dCe_j, dCe_a = bio.d_electric_block(S, ke, xi, ja).T
-    dMe_j, dMe_a = bio.d_magnetic_block(S, ke, xi, ja).T
+    dCe, dMe = bio.d_wave_blocks(S, ke, xi, ja)
+    (dCe_j, dCe_a), (dMe_j, dMe_a) = dCe.T, dMe.T
     dC0_j = bio.d_static_block(S, xi, j[:, None])[:, 0]
     # dL j and dN j, the derivatives of the exterior traces at fixed j
     dL_j = dCe_j + 1j * eta * (dMe_a + half(ops.Me, dC0_j))
@@ -166,18 +167,19 @@ def d_solution_routeA(
     # b - S j = C_i (g_N - N j) + rho (-1/2 + M_i)(g_D - L j), whose
     # factors are the interior Cauchy data: g_N - N j = rho tN, g_D - L j = tD
     dgD, dgN = incident_trace_derivative(S, mat, wave, xi)
-    dCi_t = bio.d_electric_block(S, ki, xi, sol.tN[:, None])[:, 0]
-    dMi_t = bio.d_magnetic_block(S, ki, xi, sol.tD[:, None])[:, 0]
-    rhs = rho * (dCi_t + dMi_t) + ops.Ci @ (dgN - dN_j) + rho * half(ops.Mi, dgD - dL_j)
+    dCi, dMi = bio.d_wave_blocks(S, ki, xi, np.stack([sol.tN, sol.tD], axis=1))
+    rhs = rho * (dCi[:, 0] + dMi[:, 1]) + ops.Ci @ (dgN - dN_j)
+    rhs += rho * half(ops.Mi, dgD - dL_j)
 
     dj = ops.solve(rhs)
 
-    FE = bio.far_field_block(S, ke, directions, "electric")
-    FM = bio.far_field_block(S, ke, directions, "magnetic")
-    dFE = bio.d_far_field_block(S, ke, directions, "electric", xi)
-    dFM = bio.d_far_field_block(S, ke, directions, "magnetic", xi)
+    # the far field is linear in (j, a): differentiate the transported
+    # moments at fixed (j, a) and add the moments of (dj, da)
     da = dC0_j + ops.C0 @ dj
-    dF = -(dFE @ j + FE @ dj) - 1j * eta * (dFM @ a + FM @ da)
+    d = np.atleast_2d(np.asarray(directions, dtype=float))
+    I = bio._far_moments(S, ke, d, ja, xi)
+    I += bio._far_moments(S, ke, d, np.stack([dj, da], axis=1))
+    dF = sv._ansatz_far_field(ke, eta, d, I)
 
     dE_near = None
     if exterior_probes is not None or interior_probes is not None:
@@ -201,7 +203,7 @@ def d_solution_routeA(
             dE_near["interior"] = out
     return DerivativeResult(
         route="A",
-        directions=np.atleast_2d(directions),
+        directions=d,
         dE_far=dF,
         dE_near=dE_near,
         diagnostics={"dj_norm": float(np.linalg.norm(dj))},
@@ -273,13 +275,12 @@ def d_solution_routeB(
     gN_eff = -(mat.mu_e / mat.kappa_e) * data.g_N_stack
     b = ops.rhs(gD_eff, gN_eff)
     jB = ops.solve(b)
-    FE = bio.far_field_block(S, mat.kappa_e, directions, "electric")
-    FM = bio.far_field_block(S, mat.kappa_e, directions, "magnetic")
-    dF = -(FE @ jB) - 1j * mat.eta * (FM @ (ops.C0 @ jB))
+    d = np.atleast_2d(np.asarray(directions, dtype=float))
+    I = bio._far_moments(S, mat.kappa_e, d, np.stack([jB, ops.C0 @ jB], axis=1))
     return DerivativeResult(
         route="B",
-        directions=np.atleast_2d(directions),
-        dE_far=dF,
+        directions=d,
+        dE_far=sv._ansatz_far_field(mat.kappa_e, mat.eta, d, I),
         diagnostics={"data_norm": float(np.abs(data.g_D).max() + np.abs(data.g_N).max())},
     )
 

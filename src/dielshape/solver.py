@@ -199,17 +199,27 @@ def solve(
 
 
 # -- evaluation -----------------------------------------------------------
+def _ansatz_far_field(kappa: float, eta: float, d: np.ndarray, I: np.ndarray):
+    """Far field of the ansatz -Psi_E j - i eta Psi_M a at the directions d
+    from the moments I of shape (ndir, 3, 2) of j (column 0) and a (column 1);
+    see bio.far_field_block for the two kinds."""
+    FE = bio._far_kind(kappa, d, I, "electric")[:, :, 0]
+    FM = bio._far_kind(kappa, d, I, "magnetic")[:, :, 1]
+    return -FE - 1j * eta * FM
+
+
 def far_field(sol: ScatteringSolution, directions: np.ndarray) -> np.ndarray:
     """Scattered far field E_inf at unit directions, shape (ndir, 3).
 
-    Normalized by E_s ~ exp(i k r) / (4 pi r) E_inf(xhat).
+    Normalized by E_s ~ exp(i k r) / (4 pi r) E_inf(xhat).  The moments of
+    j and a = C0 j come from their node values, without forming the
+    far-field operators.
     """
-    S = sol.surface
     ke = sol.material.kappa_e
-    eta = sol.material.eta
-    FE = bio.far_field_block(S, ke, directions, "electric")
-    FM = bio.far_field_block(S, ke, directions, "magnetic")
-    return -(FE @ sol.j) - 1j * eta * (FM @ (sol.ops.C0 @ sol.j))
+    d = np.atleast_2d(np.asarray(directions, dtype=float))
+    ja = np.stack([sol.j, sol.ops.C0 @ sol.j], axis=1)
+    I = bio._far_moments(sol.surface, ke, d, ja)
+    return _ansatz_far_field(ke, sol.material.eta, d, I)
 
 
 def scattered_field(sol: ScatteringSolution, targets: np.ndarray) -> np.ndarray:

@@ -184,6 +184,25 @@ class TestShapeDerivativeBlocks:
         assert out.shape == (K2, 2)
         assert_allclose(out, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
+    @pytest.mark.parametrize("kind", ["electric", "magnetic"])
+    def test_far_field_moments_equal_operator_product(
+        self, wobbly_surface, generic_xi, directions, kind
+    ):
+        # far fields taken from the node values of a coefficient batch are
+        # the far-field operators and their derivatives applied to it
+        S = wobbly_surface
+        rng = np.random.default_rng(7)
+        K2 = 2 * (S.grid.ncoef(S.grid.L) - 1)
+        c = rng.normal(size=(K2, 2)) + 1j * rng.normal(size=(K2, 2))
+        for xi, block in [
+            (None, bio.far_field_block(S, KAPPA, directions, kind)),
+            (generic_xi, bio.d_far_field_block(S, KAPPA, directions, kind, generic_xi)),
+        ]:
+            ref = block @ c
+            I = bio._far_moments(S, KAPPA, directions, c, xi)
+            out = bio._far_kind(KAPPA, directions, I, kind)
+            assert_allclose(out, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
     def test_d_potentials(self, wobbly_surface, generic_xi):
         S = wobbly_surface
         g = S.grid

@@ -9,7 +9,8 @@ from scipy.special import spherical_jn, spherical_yn
 from dielshape import kernels as kn
 from dielshape.bio import scalar_single_layer
 from dielshape.errors import TargetOnSurface
-from dielshape.geometry import DeformationField, deform, sphere
+from dielshape.geometry import DeformationField, build_surface, deform, sphere
+from dielshape.surfcalc import d_normal
 
 
 def _h1(n, z, derivative=False):
@@ -141,3 +142,37 @@ class TestKernelShapeDerivatives:
             for kap in (0.0, 1.3):
                 K, _ = getattr(kn, deriv)(wobbly_surface, kap, generic_xi)
                 assert np.array_equal(K, getattr(kn, primal)(wobbly_surface, kap)), deriv
+
+
+class TestPairNumerators:
+    def test_gram_numerators_match_difference_form(self):
+        # The node-pair numerators come from Gram products; against the
+        # difference form they must hold to the R^2 scale at which they
+        # enter the order-1 kernels (wobbly fixture at L = 12, generic_xi).
+        S = build_surface({"0,0": np.sqrt(4.0 * np.pi), "2,0": 0.25, "3,1": 0.15}, 12, 26)
+        g = S.grid
+        coef = np.zeros((3, g.ncoef(g.Lmax)))
+        coef[0, 6], coef[1, 10], coef[2, 2], coef[2, 0] = 0.3, 0.2, 0.25, 0.1
+        xi = DeformationField(g, coef)
+        x, n, xiv, dn = S.points, S.normal, xi.values, d_normal(S, xi)
+        nodes = {"x": x, "n": n, "xi": xiv, "dn": dn}
+
+        def diff(a):
+            return a[:, None, :] - a[None, :, :]
+
+        dx, dxi = diff(x), diff(xiv)
+        R2 = np.einsum("ijk,ijk->ij", dx, dx)
+        np.fill_diagonal(R2, 1.0)
+        ref = {
+            "T": np.einsum("ik,ijk->ij", n, dx),
+            "Ts": -np.einsum("jk,ijk->ij", n, dx),
+            "Phi": np.einsum("ijk,ijk->ij", dx, dxi),
+            "dT": np.einsum("ik,ijk->ij", dn, dx) + np.einsum("ik,ijk->ij", n, dxi),
+            "dTs": -np.einsum("jk,ijk->ij", dn, dx) - np.einsum("jk,ijk->ij", n, dxi),
+        }
+        del dx, dxi
+        off = ~np.eye(g.nnodes, dtype=bool)
+        numerator = kn._pair_numerators(kn.pair_geometry(S)["near"], nodes, ref)
+        for nm, want in ref.items():
+            err = np.abs(numerator(nm) - want)[off] / R2[off]
+            assert err.max() < 1e-11, nm

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dielshape import bio, oracle, shapederiv as sd, solver
+from dielshape import bio, kernels, oracle, shapederiv as sd, solver
 from dielshape import surfcalc as sc
 from dielshape.geometry import DeformationField, Material, sphere
 
@@ -168,6 +168,26 @@ class TestNearFieldDerivative:
         fd_int = (ip - im) / (2 * h)
         assert rel(a.dE_near["exterior"], fd_ext) < 1e-5
         assert rel(a.dE_near["interior"], fd_int) < 1e-5
+
+
+class TestKernelPasses:
+    def test_routeA_makes_one_kernel_pass_per_wavenumber(
+        self, small_sphere, material, wave, dirs, xi_profile, small_solution, monkeypatch
+    ):
+        # route A's derivative blocks of kappa_e, kappa_i and the static
+        # coupling each come from one kernel pass
+        kappas = []
+        inner = kernels._kernel_mats
+
+        def counting(S, kappa, *args, **kwargs):
+            kappas.append(kappa)
+            return inner(S, kappa, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "_kernel_mats", counting)
+        sd.d_solution_routeA(
+            small_sphere, material, wave, xi_profile, dirs, sol=small_solution
+        )
+        assert sorted(kappas) == sorted([0.0, material.kappa_e, material.kappa_i])
 
 
 class TestRouteAMatrixReference:

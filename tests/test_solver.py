@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dielshape import kernels, oracle, solver
+from dielshape import bio, kernels, oracle, solver
 from dielshape.errors import SingularSystem
 from dielshape.geometry import Material, sphere
 
@@ -62,6 +62,17 @@ class TestSolve:
         monkeypatch.setattr(kernels, "_kernel_mats", counting)
         solver.build_system(small_sphere, material)
         assert sorted(kappas) == sorted([0.0, material.kappa_e, material.kappa_i])
+
+    def test_far_field_equals_operator_form(self, small_solution, unit_directions):
+        # far_field takes the moments of j and C0 j from their node values;
+        # the far-field operators applied to them give the same pattern
+        sol = small_solution
+        S, ke = sol.surface, sol.material.kappa_e
+        FE = bio.far_field_block(S, ke, unit_directions, "electric")
+        FM = bio.far_field_block(S, ke, unit_directions, "magnetic")
+        ref = -(FE @ sol.j) - 1j * sol.material.eta * (FM @ (sol.ops.C0 @ sol.j))
+        F = solver.far_field(sol, unit_directions)
+        assert_allclose(F, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
 
     def test_no_contrast_scatters_nothing(self, small_sphere, wave, unit_directions):
         mat = Material(eps_i=1.0, eps_e=1.0, mu_i=1.0, mu_e=1.0)
