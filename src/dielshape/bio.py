@@ -12,32 +12,54 @@ boundary operator becomes a dense complex matrix acting on such stacks:
 * ``magnetic_block``  -- the principal value M_k j = (curl Psi_k j) ^ n,
   realized in a Galerkin form that only needs single-layer and
   normal-derivative kernels (the exterior/interior traces of curl Psi are
-  -1/2 j + M j and +1/2 j + M j).  Its rotational right-hand side
-  sum_b Df_b^T V^T y_b - TK_b^T KS^T y_b is applied factor by factor to
-  y_b = w J j_b; Df_b is memoised per surface, nothing per wavenumber.
+  -1/2 j + M j and +1/2 j + M j).
 * ``static_block``    -- the static coupling j -> -n ^ V_0 j - curl_Gamma
   V_0 (div_Gamma j) used to regularize the layer ansatz.  It and the
   electric block share one single-layer recipe with two scalar weights.
 
+Every block is a Galerkin projection.  The potentials of the image solve
+A u = r with the Laplace-Beltrami stiffness matrix A over the full grid
+degree, of which the solver keeps degrees 1..L; those rows of A^{-1}
+(surfcalc._lb_data "rows") are folded into per-surface test fields, so a
+block is one product of kernel data with wavenumber-independent test data:
+
+* electric and static blocks, in weak form.  On the closed surface
+  int Y div_Gamma a = -int grad_Gamma Y . a and int Y curl_Gamma a =
+  int (grad_Gamma Y ^ n) . a.  With a = n ^ V j and the pointwise identities
+  GY.(n ^ v) = TK.v, TK.(n ^ v) = -GY.v (GY = grad_Gamma Y, TK = GY ^ n),
+  and with T = w J [TK | GY]:
+      p = -sa A^{-1} sum_b T_TK,b^T (V j)_b,
+      q =  sa A^{-1} sum_b T_GY,b^T (V j)_b + sv P(V div_Gamma j).
+  No surface derivative of V j is taken.
+* magnetic block.  Its rotational right-hand side is
+  sum_b Df_b^T V^T y_b - TK_b^T K's^T y_b with y_b = w J j_b.  V is
+  core diag(w J) with a symmetric core (the singular weights are
+  Bs diag(w) with Bs symmetric, and the kernel values are symmetric), so
+  V^T (w J j) = w J (V j): the product V j of the electric block serves
+  here too, and the K's term is taken as (K's TK)^T y.
+
 The recipes take the kernel matrices as arguments.  ``wave_blocks`` builds
 (V, K', K's) of one wavenumber in a single kernel pass and returns both the
-electric and the magnetic block, which share V; a forward assembly thus
-makes three kernel passes (kappa_e, kappa_i, static) and keeps no matrix
+electric and the magnetic block, which share V and V j; a forward assembly
+thus makes three kernel passes (kappa_e, kappa_i, static) and keeps no matrix
 afterwards.  Kernel matrices meet the real basis batches through their real
-and imaginary parts, so no real operand is promoted to complex.
+and imaginary parts, so no real operand is promoted to complex; the static
+kernels are real.
 
 ``d_*_block`` variants return the first derivative, at the base surface, of
 the transported-operator family r -> block(Gamma + r xi) with the potential
 coefficients held fixed; they differentiate the exact discrete recipe
-(kernel matrices, surface operators, Galerkin solves) term by term, so they
-agree with finite differences of the primal assembly to O(h^2).  They take
-an optional coefficient batch c of shape (2K, m) and return dBlock @ c
-without forming the matrix: every stage then runs on m columns instead of
-2K.  Without c the batch is the identity and the result is the matrix.
-``d_wave_blocks`` mirrors ``wave_blocks``: it builds the kernel pairs (V, dV),
-(K', dK'), (K's, dK's) of one wavenumber in a single pass and returns
-(dC @ c, dM @ c), the two recipes sharing V, dV and the products V j, dV j
-and V dj; route A makes one such pass per wavenumber and one static pass.
+(kernel matrices, test fields, Galerkin solves) term by term, so they agree
+with finite differences of the primal assembly to O(h^2).  For the weak-form
+recipe, U = A^{-1} T^T V j gives dU = A^{-1}(dT^T V j + T^T d(V j) - dA U)
+with dT = w dJ [TK | GY] + w J [dTK | dGY].  They take an optional
+coefficient batch c of shape (2K, m) and return dBlock @ c without forming
+the matrix: every stage then runs on m columns instead of 2K.  Without c the
+batch is the identity and the result is the matrix.  ``d_wave_blocks``
+mirrors ``wave_blocks``: it builds the kernel pairs (V, dV), (K', dK'),
+(K's, dK's) of one wavenumber in a single pass and returns (dC @ c, dM @ c),
+the two recipes sharing V, dV and the products V j, dV j and V dj; route A
+makes one such pass per wavenumber and one static pass.
 
 Far-field operators and smooth off-surface potential evaluations are at the
 end of the module.  The far-field operators are the moments of the basis
@@ -79,27 +101,57 @@ _LEVI_CIVITA[0, 2, 1] = _LEVI_CIVITA[2, 1, 0] = _LEVI_CIVITA[1, 0, 2] = -1.0
 
 
 # -- basis densities and Galerkin plumbing --------------------------------
-def _basis_fields(S: Surface) -> dict:
-    """Cached node data of the potential basis over the full grid degree.
+def _fold(F: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """F[..., 1:] @ rows.T for node data F of shape (N, ..., nc) over the full
+    grid degree: test data whose products give the solver-degree rows of a
+    Galerkin solve, rows being those of A^{-1} (surfcalc._lb_data)."""
+    cols = F.reshape(-1, F.shape[-1])[:, 1:] @ rows.T
+    return cols.reshape(F.shape[:-1] + (rows.shape[0],))
 
-    GY[:, a, k] = (grad_Gamma Y_k)_a, TK = GY ^ n (the curl basis),
-    LBY[:, k] = Delta_Gamma Y_k, and the magnetic test divergences
-    Df[:, b, k] = div_Gamma F_b - 2 H n.F_b with F_b = e_b ^ grad_Gamma Y_k,
-    independent of the wavenumber.  With J_ac = (grad_Gamma GY_c)_a, LBY is
-    the trace of J and div_Gamma F_b = sum_ac eps_abc J_ac, so one tangential
-    Jacobian of GY, taken a component at a time, gives both; n.F_b = TK_b.
+
+def _basis_fields(S: Surface) -> dict:
+    """Cached node data of the potential basis and test fields of the blocks.
+
+    GY[:, a, k] = (grad_Gamma Y_k)_a and TK = GY ^ n (the curl basis) over
+    the full grid degree; jb and divb of density_basis, where divb holds
+    Delta_Gamma Y_k on the K gradient columns.  The test fields come with the
+    rows of A^{-1} folded in (_fold), so the rows of a block are one product
+    with them: "Zc" = w J [-TK | GY] for the electric and static blocks,
+    "Zp" = -w J Y for the gradient potential of the magnetic block, and
+    "Zq" = -w J Df and "TKf" = TK for its rotational potential, with the
+    magnetic test divergences Df[:, b, k] = div_Gamma F_b - 2 H n.F_b,
+    F_b = e_b ^ grad_Gamma Y_k (n.F_b = TK_b).  With J_ac = (grad_Gamma
+    G_c)_a the tangential Jacobian of a field G, Delta_Gamma Y is the trace
+    of J for G = GY and div_Gamma F_b = sum_ac eps_abc J_ac; both come from
+    one Jacobian, a component at a time, of [GY at degrees 1..L | folded GY].
     """
     if "bio_basis" not in S._cache:
-        GY = sc._lb_data(S)["gradbasis"]
-        TK = np.cross(GY, S.normal[:, :, None], axis=1)
-        LBY = 0.0
-        divF = np.zeros_like(GY)
+        g = S.grid
+        lb = sc._lb_data(S)
+        GY, rows = lb["gradbasis"], lb["rows"]
+        n = S.normal[:, :, None]
+        K = rows.shape[0]
+        TK = np.cross(GY, n, axis=1)
+        GYf = _fold(GY, rows)
+        TKf = np.cross(GYf, n, axis=1)
+        G2 = np.concatenate([GY[:, :, 1 : K + 1], GYf], axis=2)
+        LBY = divF = 0.0
         for c in range(3):
-            Jc = sc.surface_gradient(S, GY[:, c])
-            LBY = LBY + Jc[:, c]
-            divF += np.einsum("ab,iak->ibk", _LEVI_CIVITA[:, :, c], Jc)
-        Df = divF - 2.0 * sc.mean_curvature(S)[:, None, None] * TK
-        S._cache["bio_basis"] = {"GY": GY, "TK": TK, "LBY": LBY, "Df": Df}
+            Jc = sc.surface_gradient(S, G2[:, c])
+            LBY = LBY + Jc[:, c, :K]
+            divF = divF + np.einsum("ab,iak->ibk", _LEVI_CIVITA[:, :, c], Jc[:, :, K:])
+        Df = divF - 2.0 * sc.mean_curvature(S)[:, None, None] * TKf
+        wJ = g.weights * S.jacobian
+        S._cache["bio_basis"] = {
+            "GY": GY,
+            "TK": TK,
+            "jb": np.concatenate([GY[:, :, 1 : K + 1], TK[:, :, 1 : K + 1]], axis=2),
+            "divb": np.concatenate([LBY, np.zeros_like(LBY)], axis=1),
+            "Zc": wJ[:, None, None] * np.concatenate([-TKf, GYf], axis=2),
+            "Zp": -_fold(wJ[:, None] * g.Y, rows),
+            "Zq": -wJ[:, None, None] * Df,
+            "TKf": TKf,
+        }
     return S._cache["bio_basis"]
 
 
@@ -108,36 +160,24 @@ def density_basis(S: Surface):
 
     Returns (jb, divb): jb has shape (N, 3, 2K) with gradient-type columns
     first, divb holds div_Gamma of each column (zero for the curl family).
+    Both are cached per surface and must not be modified.
     """
     bb = _basis_fields(S)
-    ncL = S.grid.ncoef(S.grid.L)
-    K = ncL - 1
-    jb = np.concatenate([bb["GY"][:, :, 1:ncL], bb["TK"][:, :, 1:ncL]], axis=2)
-    divb = np.concatenate(
-        [bb["LBY"][:, 1:ncL], np.zeros((S.grid.nnodes, K))], axis=1
-    )
-    return jb, divb
-
-
-def _weak_poisson(S: Surface, f: np.ndarray) -> np.ndarray:
-    """Coefficients of the mean-zero weak solution of Delta u = f (batched)."""
-    return sc._lb_solve(S, -_real_apply(sc._lb_data(S)["mass"], f))
-
-
-def _cross_n_batch(n: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """n ^ U for a batch U of shape (N, 3, K)."""
-    return np.cross(n[:, :, None], U, axis=1)
+    return bb["jb"], bb["divb"]
 
 
 def _vec_apply(Kmat: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Kmat @ U for a complex (r, N) kernel matrix and node data U of shape
-    (N, ...).
+    """Kmat @ U for an (r, N) kernel matrix and node data U of shape (N, ...).
 
-    A real U meets the real and imaginary parts of Kmat separately: two real
-    products instead of a complex one on a complex copy of U.
+    A real operand meets the real and imaginary parts of the other
+    separately, so nothing real is promoted to complex: a complex Kmat takes
+    two real products with a real U, a real Kmat (kappa = 0) one real product
+    with the real view of U.
     """
     cols = U.reshape(U.shape[0], -1)
-    if np.iscomplexobj(cols):
+    if not np.iscomplexobj(Kmat):
+        out = _real_apply(Kmat, cols)
+    elif np.iscomplexobj(cols):
         out = Kmat @ cols
     else:
         out = np.empty((Kmat.shape[0], cols.shape[1]), dtype=complex)
@@ -170,37 +210,33 @@ def _single_layer(S: Surface, V: np.ndarray) -> tuple:
 
 
 def _layer_block(S: Surface, V, Vj, sa: float, sv: float) -> np.ndarray:
-    """Single-layer recipe shared by the electric and static blocks:
-    p = -sa Delta^{-1} div a, q = sa Delta^{-1} scurl a + sv P(V div j)
-    with a = n ^ V j."""
-    divb = density_basis(S)[1]
-    a = _cross_n_batch(S.normal, Vj)
-    div_a, scurl_a = sc._div_scurl(S, a)
-    ncL = S.grid.ncoef(S.grid.L)
-    K = ncL - 1
-    p_rows = -sa * _weak_poisson(S, div_a)[1:ncL]
-    q_rows = sa * _weak_poisson(S, scurl_a)[1:ncL]
-    q_rows[:, :K] += sv * _project(S, _vec_apply(V, divb[:, :K]))
-    return np.concatenate([p_rows, q_rows], axis=0)
+    """Weak-form single-layer recipe shared by the electric and static
+    blocks: p = -sa A^{-1} T_TK^T V j, q = sa A^{-1} T_GY^T V j + sv P(V div j)
+    with T = w J [TK | GY], the Galerkin form of p = -sa Delta^{-1} div a,
+    q = sa Delta^{-1} curl a for a = n ^ V j (see the module docstring).
+    The rows of A^{-1} come folded into the test fields Zc."""
+    bb = _basis_fields(S)
+    K = Vj.shape[2] // 2
+    C = sa * _bsum(bb["Zc"], Vj)
+    C[K:, :K] += sv * _project(S, _vec_apply(V, bb["divb"][:, :K]))
+    return C
 
 
 def _magnetic_block(S: Surface, kappa: float, V, Vj, KP, KS) -> np.ndarray:
-    """Magnetic recipe on the kernel matrices V, K' and K's of kappa."""
+    """Magnetic recipe on the kernel matrices V, K' and K's of kappa and the
+    product V jb.  The rotational right-hand side needs V^T y with
+    y = w J jb, which is w J (V jb) since V = core diag(w J) with a symmetric
+    core; its K's term sum_b TK_b^T K's^T y_b is taken as (K's TK)^T y."""
     g = S.grid
-    jb, divb = density_basis(S)
     bb = _basis_fields(S)
-    TK, Df = bb["TK"], bb["Df"]
+    jb, divb = bb["jb"], bb["divb"]
+    K = divb.shape[1] // 2
     wJ = (g.weights * S.jacobian)[:, None, None]
-    ncL = g.ncoef(g.L)
-    K = ncL - 1
 
     f = kappa**2 * np.einsum("ij,ijk->ik", S.normal, Vj)
     f[:, :K] += _vec_apply(KP, divb[:, :K])
-    p_rows = _weak_poisson(S, f)[1:ncL]
-
-    y = wJ * jb
-    rc = _bsum(Df, _vec_apply(V.T, y)) - _bsum(TK, _vec_apply(KS.T, y))
-    q_rows = -sc._lb_solve(S, rc)[1:ncL]
+    p_rows = _real_apply(bb["Zp"].T, f)
+    q_rows = _bsum(bb["Zq"], Vj) + _bsum(wJ * jb, _vec_apply(KS, bb["TKf"])).T
     return np.concatenate([p_rows, q_rows], axis=0)
 
 
@@ -221,8 +257,7 @@ def magnetic_block(S: Surface, kappa: float) -> np.ndarray:
     K'(div_Gamma j); the rotational potential from the weak form
     int curl_Gamma Y . M j ds = int grad Y . (grad G ^ j) ds integrated by
     parts so that only weakly singular kernels appear.  Its right-hand side
-    sum_b Df[b]^T V^T y_b - TK_b^T KS^T y_b is applied factor by factor to
-    y_b = w J j_b.
+    is sum_b Df[b]^T V^T y_b - TK_b^T KS^T y_b with y_b = w J j_b.
     """
     V, KP, KS = _wave_mats(S, kappa)
     return _magnetic_block(S, kappa, *_single_layer(S, V), KP, KS)
@@ -238,13 +273,16 @@ def wave_blocks(S: Surface, kappa: float) -> tuple:
 
 
 def static_block(S: Surface) -> np.ndarray:
-    """Matrix of the static coupling j -> -n^V_0 j - curl_Gamma V_0 div_Gamma j."""
+    """Matrix of the static coupling j -> -n^V_0 j - curl_Gamma V_0 div_Gamma j
+    (real: the static kernel is real)."""
     return _layer_block(S, *_single_layer(S, kn.vmat(S, 0.0)), 1.0, -1.0)
 
 
 # -- shape derivatives of the blocks --------------------------------------
 def _dgeom(S: Surface, xi: DeformationField) -> dict:
-    """Stage derivatives shared by all transported-block assemblies."""
+    """Stage derivatives shared by all transported-block assemblies, and the
+    full-degree magnetic test divergences Df that only the derivative of the
+    rotational Galerkin solve needs."""
     ent = S._cache.get("dgeom")
     if ent is not None and ent[0] is xi:
         return ent[1]
@@ -272,18 +310,18 @@ def _dgeom(S: Surface, xi: DeformationField) -> dict:
     W = np.einsum("bej,ie,ic->ibjc", mixes, n, An)
     W -= np.einsum("baj,iac->ibjc", mixes, A)
     ddiv = np.zeros((g.nnodes, 4, GY.shape[2]))
+    divF = np.zeros((g.nnodes, 3, GY.shape[2]))
     for j in range(3):
         Tj = sc.surface_gradient(S, GY[:, j])
         dTj = sc.surface_gradient(S, dGY[:, j])
         ddiv += np.einsum("ibc,ick->ibk", W[:, :, j], Tj)
         ddiv += np.einsum("bc,ick->ibk", mixes[:, :, j], dTj)
+        divF += np.einsum("bc,ick->ibk", mixes[:3, :, j], Tj)
     dLBY = ddiv[:, 3, : g.ncoef(g.L)].copy()  # a view would keep ddiv alive
-    # Df[b] = div_Gamma F_b - 2 H n.F_b
-    nF = np.einsum("cbj,ic,ijk->ibk", _LEVI_CIVITA, n, GY)
-    dnF = np.einsum("cbj,ic,ijk->ibk", _LEVI_CIVITA, dN, GY)
-    dnF += np.einsum("cbj,ic,ijk->ibk", _LEVI_CIVITA, n, dGY)
-    H = sc.mean_curvature(S)
-    dDf = ddiv[:, :3] - 2.0 * dH[:, None, None] * nF - 2.0 * H[:, None, None] * dnF
+    # Df[b] = div_Gamma F_b - 2 H n.F_b with n.F_b = TK_b
+    H = sc.mean_curvature(S)[:, None, None]
+    Df = divF - 2.0 * H * TK
+    dDf = ddiv[:, :3] - 2.0 * dH[:, None, None] * TK - 2.0 * H * dTK
     # Galerkin stage derivatives
     w = g.weights
     GYw = GY * (w * S.jacobian)[:, None, None]
@@ -298,6 +336,7 @@ def _dgeom(S: Surface, xi: DeformationField) -> dict:
         "dGY": dGY,
         "dTK": dTK,
         "dLBY": dLBY,
+        "Df": Df,
         "dDf": dDf,
         "dA": dA,
         "dmass": dmass,
@@ -306,12 +345,20 @@ def _dgeom(S: Surface, xi: DeformationField) -> dict:
     return out
 
 
+def _d_lb_solve(S: Surface, dg: dict, r: np.ndarray, dr: np.ndarray):
+    """Derivative of the transported Galerkin solve u = A^{-1} r:
+    du = A^{-1}(dr - dA u), over the full grid degree (batched)."""
+    u = sc._lb_solve(S, r)
+    return sc._lb_solve(S, dr - _real_apply(dg["dA"], u))
+
+
 def _d_weak_poisson(S: Surface, dg: dict, f: np.ndarray, df: np.ndarray):
-    """Derivative of the transported Galerkin solve u(r) = Delta_r^{-1} f(r)."""
-    u = _weak_poisson(S, f)
-    rhs = -_real_apply(dg["dmass"], f) - _real_apply(sc._lb_data(S)["mass"], df)
-    rhs -= _real_apply(dg["dA"], u)
-    return sc._lb_solve(S, rhs)
+    """Derivative of the transported mean-zero weak solution of Delta u = f,
+    the Galerkin solve with right-hand side -int f Y_k ds."""
+    mass = sc._lb_data(S)["mass"]
+    r = -_real_apply(mass, f)
+    dr = -_real_apply(dg["dmass"], f) - _real_apply(mass, df)
+    return _d_lb_solve(S, dg, r, dr)
 
 
 def _d_density_basis(S: Surface, dg: dict):
@@ -349,25 +396,31 @@ def _d_single_layer(S: Surface, xi: DeformationField, V, dV, c) -> tuple:
 
 
 def _d_layer_block(S: Surface, xi, sl, sa: float, sv: float):
-    """Derivative of the single-layer recipe shared by the electric and static
-    blocks: p = -sa Delta^{-1} div a, q = sa Delta^{-1} scurl a + sv P(V div j)
-    with a = n ^ V j, on the shared data sl of _d_single_layer."""
-    V, dV, (_, divj, _, ddivj), Vj, dVj = sl
-    dg = _dgeom(S, xi)
-    n, dN = S.normal, dg["dN"]
-    ncL = S.grid.ncoef(S.grid.L)
+    """Derivative of the weak-form single-layer recipe of _layer_block, on the
+    shared data sl of _d_single_layer.
 
-    a = _cross_n_batch(n, Vj)
-    da = _cross_n_batch(dN, Vj) + _cross_n_batch(n, dVj)
-    div_a, scurl_a = sc._div_scurl(S, a)
-    div_da, scurl_da = sc._div_scurl(S, da)
-    div_da += sc.d_surface_operator("divergence", S, xi, a)
-    scurl_da += sc.d_surface_operator("scalar_curl", S, xi, a)
-    d_div_a = _d_weak_poisson(S, dg, div_a, div_da)
-    d_scurl_a = _d_weak_poisson(S, dg, scurl_a, scurl_da)
-    p_rows = -sa * d_div_a[1:ncL]
-    q_rows = sa * d_scurl_a[1:ncL] + sv * _project(S, dV @ divj + V @ ddivj)
-    return np.concatenate([p_rows, q_rows], axis=0)
+    With U = A^{-1} T^T V j over the full grid degree, T = w J [-TK | GY]
+    (the sign of p folded in), dU = A^{-1}(dT^T V j + T^T d(V j) - dA U)
+    with dT = w dJ [-TK | GY] + w J [-dTK | dGY].  The weights w J and w dJ
+    scale the m columns of V j and d(V j) instead of the test fields, so no
+    (N, 3, 2 nc) array is formed per call."""
+    V, dV, (_, divj, _, ddivj), Vj, dVj = sl
+    g = S.grid
+    bb, dg = _basis_fields(S), _dgeom(S, xi)
+    K = g.ncoef(g.L) - 1
+    wJ = (g.weights * S.jacobian)[:, None, None]
+    wdJ = (g.weights * dg["dJ"])[:, None, None]
+
+    def rhs(TK, GY, u):  # the p and q right-hand sides side by side, (nc, 2, m)
+        return np.stack([-_bsum(TK, u), _bsum(GY, u)], axis=1)
+
+    y, dy = wJ * Vj, wJ * dVj + wdJ * Vj
+    r = rhs(bb["TK"], bb["GY"], y)
+    dr = rhs(bb["TK"], bb["GY"], dy) + rhs(dg["dTK"], dg["dGY"], y)
+    dU = _d_lb_solve(S, dg, r, dr)[1 : K + 1]
+    rows = sa * dU.swapaxes(0, 1).reshape(2 * K, -1)
+    rows[K:] += sv * _project(S, _vec_apply(dV, divj) + _vec_apply(V, ddivj))
+    return rows
 
 
 def _d_magnetic_block(S: Surface, kappa: float, xi, sl, KP, dKP, KS, dKS):
@@ -376,10 +429,11 @@ def _d_magnetic_block(S: Surface, kappa: float, xi, sl, KP, dKP, KS, dKS):
 
     The Galerkin right-hand side W[b]^T y_b = Df[b]^T V^T y_b - TK_b^T KS^T y_b
     and its derivative are applied factor by factor to y_b = w J j_b, so no
-    (N, nc_full) matrix is formed."""
+    (N, nc_full) matrix is formed.  V^T y = w J (V j) holds on every
+    transported surface (see _magnetic_block), so its derivative is
+    w J d(V j) + w dJ V j."""
     g = S.grid
-    bb = _basis_fields(S)
-    TK, Df = bb["TK"], bb["Df"]
+    TK = _basis_fields(S)["TK"]
     V, dV, (j, divj, dj, ddivj), Vj, dVj = sl
     dg = _dgeom(S, xi)
     n, dN = S.normal, dg["dN"]
@@ -388,23 +442,22 @@ def _d_magnetic_block(S: Surface, kappa: float, xi, sl, KP, dKP, KS, dKS):
     ncL = g.ncoef(g.L)
 
     # gradient potential
-    f = kappa**2 * np.einsum("ij,ijk->ik", n, Vj) + KP @ divj
+    f = kappa**2 * np.einsum("ij,ijk->ik", n, Vj) + _vec_apply(KP, divj)
     dnVj = np.einsum("ij,ijk->ik", dN, Vj) + np.einsum("ij,ijk->ik", n, dVj)
-    df = kappa**2 * dnVj + dKP @ divj + KP @ ddivj
+    df = kappa**2 * dnVj + _vec_apply(dKP, divj) + _vec_apply(KP, ddivj)
     p_rows = _d_weak_poisson(S, dg, f, df)[1:ncL]
 
     # rotational potential: Q = A^{-1} rc, dQ = A^{-1}(drc - dA Q)
     y = wJ * j
     dy = wdJ * j + wJ * dj
-    Vy = _vec_apply(V.T, y)
-    dVy = _vec_apply(dV.T, y) + _vec_apply(V.T, dy)
+    Vy = wJ * Vj
+    dVy = wJ * dVj + wdJ * Vj
     Ky = _vec_apply(KS.T, y)
     dKy = _vec_apply(KS.T, dy) + _vec_apply(dKS.T, y)
-    rc = _bsum(Df, Vy) - _bsum(TK, Ky)
-    drc = _bsum(Df, dVy) + _bsum(dg["dDf"], Vy)
+    rc = _bsum(dg["Df"], Vy) - _bsum(TK, Ky)
+    drc = _bsum(dg["Df"], dVy) + _bsum(dg["dDf"], Vy)
     drc -= _bsum(TK, dKy) + _bsum(dg["dTK"], Ky)
-    Q = sc._lb_solve(S, rc)
-    q_rows = -sc._lb_solve(S, drc - _real_apply(dg["dA"], Q))[1:ncL]
+    q_rows = -_d_lb_solve(S, dg, rc, drc)[1:ncL]
     return np.concatenate([p_rows, q_rows], axis=0)
 
 

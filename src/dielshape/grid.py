@@ -22,17 +22,17 @@ PROBE_T = 1.0e-3
 PROBE_NDIRS = 8
 
 
-def _real_apply(op, f: np.ndarray) -> np.ndarray:
-    """op applied along the first axis of f, in real arithmetic.
+def _real_apply(op: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The real matrix op applied along the first axis of f, in real
+    arithmetic.
 
-    op is a real matrix, or a function that applies a real linear map to the
-    columns of a real 2-D array.  Complex data enters through its real view,
-    which interleaves real and imaginary parts as columns; a real f is its
-    own view, so both kinds of data take the same path.
+    Complex data enters through its real view, which interleaves real and
+    imaginary parts as columns; a real f is its own view, so both kinds of
+    data take the same path.
     """
     f = np.ascontiguousarray(f, dtype=np.result_type(f, float))
     cols = f.reshape(f.shape[0], int(np.prod(f.shape[1:]))).view(np.float64)
-    out = np.ascontiguousarray(op(cols) if callable(op) else op @ cols)
+    out = np.ascontiguousarray(op @ cols)
     return out.view(f.dtype).reshape(out.shape[:1] + f.shape[1:])
 
 

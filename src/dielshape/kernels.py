@@ -261,10 +261,11 @@ def _term_sum(terms, nums, radial):
 
 def _kernel_mats(S: Surface, kappa: float, groups, xi=None) -> tuple:
     """Matrices B F J + 1j sm w J, one per group of (order, coefficient,
-    numerator factors) terms.  The groups share the radial factors and the
-    numerators; a numerator is formed when a group first needs it, and each
-    is dropped after the last group that uses it.  This is the one place
-    where diagonals are set: F from the probe ring, sm from its R = 0 limit.
+    numerator factors) terms; for kappa = 0, where sm vanishes, the real
+    matrices B F J.  The groups share the radial factors and the numerators;
+    a numerator is formed when a group first needs it, and each is dropped
+    after the last group that uses it.  This is the one place where
+    diagonals are set: F from the probe ring, sm from its R = 0 limit.
 
     With a deformation xi the groups come as consecutive (terms, dterms)
     pairs, and the second matrix of each pair becomes the derivative of the
@@ -318,17 +319,18 @@ def _kernel_mats(S: Surface, kappa: float, groups, xi=None) -> tuple:
     for i, terms in enumerate(groups):
         for nm in {nm for _, _, nms in terms for nm in nms} - nums.keys():
             nums[nm] = pair_numerator(nm)
-        M = np.empty(R.shape, dtype=complex)
-        M.real = B * _term_sum(terms, nums, sing) * J[None, :]
-        if kappa != 0.0:
-            M.imag = _term_sum(terms, nums, smooth) * wJ[None, :]
-        else:
-            M.imag = 0.0
         # diagonal: probe-ring limit of F; the smooth part is kappa/(4 pi)
         # for order 0 and vanishes for the higher orders
-        Fd = _term_sum(terms, nums_p, sing_p).mean(axis=1)
-        smd = kappa / (4.0 * np.pi) if any(p == 0 for p, _, _ in terms) else 0.0
-        np.fill_diagonal(M, B.diagonal() * Fd * J + 1j * (smd * wJ))
+        diag = B.diagonal() * _term_sum(terms, nums_p, sing_p).mean(axis=1) * J
+        if kappa != 0.0:
+            M = np.empty(R.shape, dtype=complex)
+            M.real = B * _term_sum(terms, nums, sing) * J[None, :]
+            M.imag = _term_sum(terms, nums, smooth) * wJ[None, :]
+            if any(p == 0 for p, _, _ in terms):
+                diag = diag + 1j * (kappa / (4.0 * np.pi) * wJ)
+        else:
+            M = B * _term_sum(terms, nums, sing) * J[None, :]
+        np.fill_diagonal(M, diag)
         if xi is not None and i % 2:
             M += out[-1] * divxi[None, :]
         out.append(M)
@@ -343,7 +345,7 @@ def vmat(S: Surface, kappa: float) -> np.ndarray:
     """Matrix of the on-surface single layer V_kappa including the measure.
 
     (vmat @ u)[i] ~ int_Gamma exp(i k R)/(4 pi R) u(y) ds(y) at x_i.
-    Supports kappa = 0 (static kernel of C0*).
+    Supports kappa = 0 (the static kernel of C0*, a real matrix).
     """
     return _kernel_mats(S, kappa, (_V,))[0]
 

@@ -11,10 +11,7 @@ vector fields (N, 3) or (N, 3, k).  Everything works for complex data.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import KindMismatch, NonZeroMean
 from .geometry import Surface
@@ -130,8 +127,18 @@ def mean_curvature(S: Surface) -> np.ndarray:
 def _lb_data(S: Surface) -> dict:
     """Cached Galerkin data of the Laplace-Beltrami operator in the full
     spherical-harmonic basis: surface gradients of the basis ("gradbasis",
-    (N, 3, nc)), the Cholesky factor of the stiffness matrix on degrees >= 1
-    ("factor") and the mass rows int . Y_k ds ("mass", (nc, N))."""
+    (N, 3, nc)), the inverse of the stiffness matrix on degrees >= 1
+    ("inverse"), its rows for the solver degrees 1..L ("rows", (K, nc - 1))
+    and the mass rows int . Y_k ds ("mass", (nc, N)).
+
+    The Galerkin solves run over the full grid degree, but the solver keeps
+    only degrees <= L; "rows" gives those coefficients directly.  A solve is
+    a product with the inverse, which the well conditioned stiffness matrix
+    (eigenvalues growing like l(l+1), l = 1..Lmax) allows.  The inverse
+    comes from numpy.linalg, whose LAPACK runs on numpy's BLAS threads:
+    scipy.linalg links its own OpenBLAS, whose threads compete with numpy's
+    when several are in use, and its Cholesky factor and triangular solves
+    of this small matrix then took tens of milliseconds each."""
     if "lb" not in S._cache:
         g = S.grid
         nc = g.ncoef(g.Lmax)
@@ -143,10 +150,11 @@ def _lb_data(S: Surface) -> dict:
         w = g.weights * S.jacobian
         GYw = GY * w[:, None, None]
         A = np.tensordot(GYw, GY, axes=([0, 1], [0, 1]))
-        A1 = A[1:, 1:]
+        inverse = np.linalg.inv(A[1:, 1:])
         S._cache["lb"] = {
             "gradbasis": GY,
-            "factor": cho_factor(A1),
+            "inverse": inverse,
+            "rows": inverse[: g.ncoef(g.L) - 1],
             "mass": (w[:, None] * g.Y).T,
         }
     return S._cache["lb"]
@@ -155,7 +163,7 @@ def _lb_data(S: Surface) -> dict:
 def _lb_solve(S: Surface, rhs: np.ndarray) -> np.ndarray:
     """Mean-zero Galerkin solve: u[0] = 0 and A u[1:] = rhs[1:] (batched)."""
     out = np.zeros(rhs.shape, dtype=np.result_type(rhs, float))
-    out[1:] = _real_apply(partial(cho_solve, _lb_data(S)["factor"]), rhs[1:])
+    out[1:] = _real_apply(_lb_data(S)["inverse"], rhs[1:])
     return out
 
 
@@ -233,13 +241,14 @@ class HelmholtzDensity:
 def helmholtz_decompose(S: Surface, j: np.ndarray) -> HelmholtzDensity:
     """Split a tangential field into gradient and rotational potentials.
 
-    p = Delta^{-1} div_Gamma j,  q = -Delta^{-1} curl_Gamma j.
+    p = Delta^{-1} div_Gamma j,  q = -Delta^{-1} curl_Gamma j, taken from the
+    Galerkin solves at the solver degrees.
     """
+    lb = _lb_data(S)
     div, rot = _div_scurl(S, j)
-    p = laplace_beltrami_inverse(S, div, check_mean=False)
-    q = -laplace_beltrami_inverse(S, rot, check_mean=False)
-    L = S.grid.L
-    return HelmholtzDensity(S, S.grid.analyze(p, L), S.grid.analyze(q, L))
+    rhs = _real_apply(lb["mass"], np.stack([-div, rot], axis=1))
+    pq = _real_apply(lb["rows"], rhs[1:])  # = _lb_solve(S, rhs)[1:ncL]
+    return HelmholtzDensity.from_stacked(S, pq.T.ravel())
 
 
 # -- shape derivatives of the surface operators ---------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dielshape import bio
+from dielshape import bio, kernels, solver
 from dielshape import surfcalc as sc
 from dielshape.errors import TargetOnSurface
 from dielshape.geometry import DeformationField, build_surface, deform, sphere
@@ -71,6 +71,65 @@ class TestBlockStructure:
     def test_unknown_far_kind_rejected(self, wobbly_surface, directions):
         with pytest.raises(ValueError):
             bio.far_field_block(wobbly_surface, KAPPA, directions, "scalar")
+
+
+def strong_layer_block(S, V, sa, sv):
+    """Strong-form reference of the electric/static recipe from public
+    primitives: p = -sa Delta^{-1} div a, q = sa Delta^{-1} curl a +
+    sv P(V div j) with a = n ^ V j, div and curl taken at the nodes."""
+    g = S.grid
+    jb, divb = bio.density_basis(S)
+    K = jb.shape[2] // 2
+    Vj = (V @ jb.reshape(g.nnodes, -1)).reshape(jb.shape)
+    a = np.cross(S.normal[:, :, None], Vj, axis=1)
+
+    def coeffs(f):
+        return g.analyze(f, g.L)[1:]
+
+    inv = lambda f: sc.laplace_beltrami_inverse(S, f, check_mean=False)
+    p = -sa * coeffs(inv(sc.surface_divergence(S, a)))
+    q = sa * coeffs(inv(sc.surface_scalar_curl(S, a)))
+    q[:, :K] += sv * coeffs(V @ divb[:, :K])
+    return np.concatenate([p, q], axis=0)
+
+
+def strong_blocks(S, kappa_e, kappa_i):
+    """(Ce, Ci, C0) of the strong-form reference."""
+    return (
+        strong_layer_block(S, kernels.vmat(S, kappa_e), kappa_e, 1.0 / kappa_e),
+        strong_layer_block(S, kernels.vmat(S, kappa_i), kappa_i, 1.0 / kappa_i),
+        strong_layer_block(S, kernels.vmat(S, 0.0), 1.0, -1.0),
+    )
+
+
+class TestWeakForm:
+    # The electric and static blocks are Galerkin projections of the weak
+    # form; the strong form differs from it by quadrature aliasing only.
+    def test_sphere_matches_strong_form(self, small_sphere, material):
+        S = small_sphere
+        ke, ki = material.kappa_e, material.kappa_i
+        ops = solver.build_system(S, material)
+        for weak, strong in zip((ops.Ce, ops.Ci, ops.C0), strong_blocks(S, ke, ki)):
+            assert_allclose(weak, strong, rtol=0, atol=1e-13 * np.abs(strong).max())
+
+    def test_wobbly_far_field_gap_falls_spectrally(self, material, directions):
+        wave = solver.PlaneWave()
+        coef = {"0,0": np.sqrt(4.0 * np.pi), "2,0": 0.25, "3,1": 0.15}
+        gaps = []
+        for L in (6, 8):
+            S = build_surface(coef, L, 2 * L + 2)
+            weak = solver.solve(S, material, wave)
+            Ce, Ci, C0 = strong_blocks(S, material.kappa_e, material.kappa_i)
+            ops = solver.SystemOperators(
+                S, material, Ce, weak.ops.Me, Ci, weak.ops.Mi, C0
+            )
+            F_weak = solver.far_field(weak, directions)
+            F_strong = solver.far_field(
+                solver.solve(S, material, wave, ops=ops), directions
+            )
+            gaps.append(np.abs(F_strong - F_weak).max() / np.abs(F_weak).max())
+        assert gaps[1] < 2e-9
+        assert gaps[1] < 0.1 * gaps[0]
 
 
 class TestPotentials:

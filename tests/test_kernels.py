@@ -144,6 +144,25 @@ class TestKernelShapeDerivatives:
                 assert np.array_equal(K, getattr(kn, primal)(wobbly_surface, kap)), deriv
 
 
+class TestSingleLayerSymmetry:
+    @pytest.mark.parametrize("kap", [0.0, 1.3])
+    def test_transpose_is_reweighting(self, wobbly_surface, kap):
+        # V = core diag(w J) with a symmetric core, so V^T diag(w J) =
+        # diag(w J) V, diagonal included: the magnetic block takes
+        # V^T (w J u) as w J (V u).
+        S = wobbly_surface
+        V = kn.vmat(S, kap)
+        wJ = S.grid.weights * S.jacobian
+        lhs, rhs = V.T * wJ[None, :], wJ[:, None] * V
+        assert_allclose(lhs, rhs, rtol=0, atol=1e-13 * np.abs(rhs).max())
+        u = np.random.default_rng(4).normal(size=(S.grid.nnodes, 3))
+        out = wJ[:, None] * (V @ u)
+        assert_allclose(V.T @ (wJ[:, None] * u), out, rtol=0, atol=1e-13 * np.abs(out).max())
+
+    def test_static_kernel_is_real(self, wobbly_surface):
+        assert not np.iscomplexobj(kn.vmat(wobbly_surface, 0.0))
+
+
 class TestPairNumerators:
     def test_gram_numerators_match_difference_form(self):
         # The node-pair numerators come from Gram products; against the

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from dielshape import bio, kernels, oracle, shapederiv as sd, solver
 from dielshape import surfcalc as sc
 from dielshape.geometry import DeformationField, Material, sphere
+from dielshape.grid import ReferenceGrid
 
 
 def rel(a, b):
@@ -188,6 +189,25 @@ class TestKernelPasses:
             small_sphere, material, wave, xi_profile, dirs, sol=small_solution
         )
         assert sorted(kappas) == sorted([0.0, material.kappa_e, material.kappa_i])
+
+    def test_warm_assembly_takes_no_surface_derivative(
+        self, wobbly_surface, material, monkeypatch
+    ):
+        # The blocks are Galerkin projections against cached test fields, so
+        # once a surface's caches are filled an assembly applies no dense
+        # d/dtheta or d/dphi.
+        solver.build_system(wobbly_surface, material)
+        calls = []
+        for name in ("dtheta", "dphi"):
+            inner = getattr(ReferenceGrid, name)
+
+            def counting(self, f, inner=inner, name=name):
+                calls.append(name)
+                return inner(self, f)
+
+            monkeypatch.setattr(ReferenceGrid, name, counting)
+        solver.build_system(wobbly_surface, material)
+        assert calls == []
 
 
 class TestRouteAMatrixReference:
