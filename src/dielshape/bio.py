@@ -36,7 +36,20 @@ block is one product of kernel data with wavenumber-independent test data:
   core diag(w J) with a symmetric core (the singular weights are
   Bs diag(w) with Bs symmetric, and the kernel values are symmetric), so
   V^T (w J j) = w J (V j): the product V j of the electric block serves
-  here too, and the K's term is taken as (K's TK)^T y.
+  here too, and the K's term is taken as (K's TK)^T y.  The test
+  divergences Df_b = div_Gamma(e_b ^ GY) - 2 H TK_b come in closed form
+  from the shape operator W = grad_Gamma n (surfcalc._curvature): the
+  tangential Hessian of Y is symmetric, so div_Gamma(e_b ^ grad_Gamma Y) =
+  -[n ^ (W grad_Gamma Y)]_b and
+      Df = n ^ ((2H - W) grad_Gamma Y) = (M t) Y_theta + (M p) Y_phi,
+  M = [n ^](2H I - W), t, p = grad_Gamma theta, grad_Gamma phi.
+
+Every basis field is thus a Y_theta + b Y_phi with per-node vectors a, b
+(its "frame"): GY has (t, p), TK has (t ^ n, p ^ n), Df has (M t, M p).
+Full-degree test fields enter only through their frames, as
+Y_theta^T (a . u) + Y_phi^T (b . u), and their shape derivatives are the
+frames (da, db).  Only Delta_Gamma Y, the divergence of the K solver-degree
+gradient densities, takes a dense d/dtheta, d/dphi transform.
 
 The recipes take the kernel matrices as arguments.  ``wave_blocks`` builds
 (V, K', K's) of one wavenumber in a single kernel pass and returns both the
@@ -52,10 +65,15 @@ coefficients held fixed; they differentiate the exact discrete recipe
 (kernel matrices, test fields, Galerkin solves) term by term, so they agree
 with finite differences of the primal assembly to O(h^2).  For the weak-form
 recipe, U = A^{-1} T^T V j gives dU = A^{-1}(dT^T V j + T^T d(V j) - dA U)
-with dT = w dJ [TK | GY] + w J [dTK | dGY].  They take an optional
-coefficient batch c of shape (2K, m) and return dBlock @ c without forming
-the matrix: every stage then runs on m columns instead of 2K.  Without c the
-batch is the identity and the result is the matrix.  ``d_wave_blocks``
+with dT = w dJ [TK | GY] + w J [dTK | dGY].  The stage derivatives
+(_dgeom) are per-node formulas on the frames: with A = [grad_Gamma xi],
+dN = -A n, dt = -A t + (t . A n) n (likewise dp), and dW, dH from the
+second derivatives of xi, dDf has the frame (dM t + M dt, dM p + M dp).
+
+They take an optional coefficient batch c of shape (2K, m) and return
+dBlock @ c without forming the matrix: every stage then runs on m columns
+instead of 2K.  Without c the batch is the identity and the result is the
+matrix.  ``d_wave_blocks``
 mirrors ``wave_blocks``: it builds the kernel pairs (V, dV), (K', dK'),
 (K's, dK's) of one wavenumber in a single pass and returns (dC @ c, dM @ c),
 the two recipes sharing V, dV and the products V j, dV j and V dj; route A
@@ -95,10 +113,6 @@ __all__ = [
     "d_magnetic_potential",
 ]
 
-_LEVI_CIVITA = np.zeros((3, 3, 3))
-_LEVI_CIVITA[0, 1, 2] = _LEVI_CIVITA[1, 2, 0] = _LEVI_CIVITA[2, 0, 1] = 1.0
-_LEVI_CIVITA[0, 2, 1] = _LEVI_CIVITA[2, 1, 0] = _LEVI_CIVITA[1, 0, 2] = -1.0
-
 
 # -- basis densities and Galerkin plumbing --------------------------------
 def _fold(F: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -109,47 +123,85 @@ def _fold(F: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return cols.reshape(F.shape[:-1] + (rows.shape[0],))
 
 
+def _frame_field(fr: tuple, Yt: np.ndarray, Yp: np.ndarray) -> np.ndarray:
+    """Node data a (x) Yt + b (x) Yp, shape (N, 3, k), of the basis field with
+    frame fr = (a, b) (see the module docstring) on the columns Yt, Yp (N, k)
+    of Y_theta, Y_phi."""
+    a, b = fr
+    return a[:, :, None] * Yt[:, None, :] + b[:, :, None] * Yp[:, None, :]
+
+
+def _frame_rows(g, fr: tuple, u: np.ndarray) -> np.ndarray:
+    """sum_b F_b^T u_b over the full grid degree, shape (nc, m), for the basis
+    field F with frame fr = (a, b) and node data u (N, 3, m):
+    Y_theta^T (a.u) + Y_phi^T (b.u).  No (N, 3, nc) array is formed."""
+    a, b = fr
+    out = _real_apply(g.Yth.T, np.einsum("ia,iam->im", a, u))
+    out += _real_apply(g.Yph.T, np.einsum("ia,iam->im", b, u))
+    return out
+
+
+def _div_frame(t, p, Ut, Up):
+    """t . U_theta + p . U_phi per node and column for the angular derivatives
+    Ut, Up (N, 3, k) of a field U: div_Gamma U (sc.surface_divergence)."""
+    return np.einsum("ia,iak->ik", t, Ut) + np.einsum("ia,iak->ik", p, Up)
+
+
+def _curl_curv(n, H, W, v):
+    """n ^ ((2 H - W) v) per node, for vectors v (N, 3); linear in n, in
+    (H, W) and in v.  M v = _curl_curv(n, H, W, v) is the frame vector of the
+    magnetic test divergences (see _basis_fields)."""
+    return np.cross(n, 2.0 * H[:, None] * v - np.einsum("iac,ic->ia", W, v))
+
+
 def _basis_fields(S: Surface) -> dict:
     """Cached node data of the potential basis and test fields of the blocks.
 
-    GY[:, a, k] = (grad_Gamma Y_k)_a and TK = GY ^ n (the curl basis) over
-    the full grid degree; jb and divb of density_basis, where divb holds
-    Delta_Gamma Y_k on the K gradient columns.  The test fields come with the
-    rows of A^{-1} folded in (_fold), so the rows of a block are one product
-    with them: "Zc" = w J [-TK | GY] for the electric and static blocks,
-    "Zp" = -w J Y for the gradient potential of the magnetic block, and
-    "Zq" = -w J Df and "TKf" = TK for its rotational potential, with the
-    magnetic test divergences Df[:, b, k] = div_Gamma F_b - 2 H n.F_b,
-    F_b = e_b ^ grad_Gamma Y_k (n.F_b = TK_b).  With J_ac = (grad_Gamma
-    G_c)_a the tangential Jacobian of a field G, Delta_Gamma Y is the trace
-    of J for G = GY and div_Gamma F_b = sum_ac eps_abc J_ac; both come from
-    one Jacobian, a component at a time, of [GY at degrees 1..L | folded GY].
+    "frames" holds the frames (_frame_field) of GY = grad_Gamma Y, TK = GY ^ n
+    (the curl basis) and the magnetic test divergences Df over the full grid
+    degree, which enter only through _frame_rows; jb and divb of
+    density_basis, where divb holds Delta_Gamma Y_k on the K gradient
+    columns, taken densely from the angular derivatives "GY_ang" of GY on
+    the solver degrees.  The test fields come with the rows of A^{-1} folded
+    in (_fold), so the rows of a block are one product with them:
+    "Zc" = w J [-TK | GY] for the electric and static blocks, "Zp" = -w J Y
+    for the gradient potential of the magnetic block, and "Zq" = -w J Df and
+    "TKf" = TK for its rotational potential.
+
+    Df[:, b, k] = div_Gamma F_b - 2 H n.F_b for F_b = e_b ^ grad_Gamma Y_k
+    (n.F_b = TK_b) is taken in closed form: the tangential Hessian of Y is
+    symmetric, so div_Gamma(e_b ^ grad_Gamma Y) = -[n ^ (W grad_Gamma Y)]_b
+    with the shape operator W = grad_Gamma n (sc._curvature), and
+        Df = n ^ ((2H - W) grad_Gamma Y) = (M t) (x) Y_theta + (M p) (x) Y_phi,
+    M = [n ^](2H I - W).  Folding acts on Y_theta and Y_phi alone, so only
+    Delta_Gamma Y takes a transform, on the K solver columns.
     """
     if "bio_basis" not in S._cache:
         g = S.grid
-        lb = sc._lb_data(S)
-        GY, rows = lb["gradbasis"], lb["rows"]
-        n = S.normal[:, :, None]
+        rows = sc._lb_data(S)["rows"]
+        n, t, p = S.normal, S.grad_t, S.grad_p
         K = rows.shape[0]
-        TK = np.cross(GY, n, axis=1)
-        GYf = _fold(GY, rows)
-        TKf = np.cross(GYf, n, axis=1)
-        G2 = np.concatenate([GY[:, :, 1 : K + 1], GYf], axis=2)
-        LBY = divF = 0.0
-        for c in range(3):
-            Jc = sc.surface_gradient(S, G2[:, c])
-            LBY = LBY + Jc[:, c, :K]
-            divF = divF + np.einsum("ab,iak->ibk", _LEVI_CIVITA[:, :, c], Jc[:, :, K:])
-        Df = divF - 2.0 * sc.mean_curvature(S)[:, None, None] * TKf
-        wJ = g.weights * S.jacobian
+        cv = sc._curvature(S)
+        fr = {
+            "GY": (t, p),
+            "TK": (np.cross(t, n), np.cross(p, n)),
+            "Df": tuple(_curl_curv(n, cv["H"], cv["W"], v) for v in (t, p)),
+        }
+        YL = (g.Yth[:, 1 : K + 1], g.Yph[:, 1 : K + 1])
+        Yf = (_fold(g.Yth, rows), _fold(g.Yph, rows))
+        GYL = _frame_field(fr["GY"], *YL)
+        TKf = _frame_field(fr["TK"], *Yf)
+        GY_ang = (g.dtheta(GYL), g.dphi(GYL))
+        LBY = _div_frame(t, p, *GY_ang)
+        wJ = (g.weights * S.jacobian)[:, None, None]
         S._cache["bio_basis"] = {
-            "GY": GY,
-            "TK": TK,
-            "jb": np.concatenate([GY[:, :, 1 : K + 1], TK[:, :, 1 : K + 1]], axis=2),
+            "frames": fr,
+            "GY_ang": GY_ang,
+            "jb": np.concatenate([GYL, _frame_field(fr["TK"], *YL)], axis=2),
             "divb": np.concatenate([LBY, np.zeros_like(LBY)], axis=1),
-            "Zc": wJ[:, None, None] * np.concatenate([-TKf, GYf], axis=2),
-            "Zp": -_fold(wJ[:, None] * g.Y, rows),
-            "Zq": -wJ[:, None, None] * Df,
+            "Zc": wJ * np.concatenate([-TKf, _frame_field(fr["GY"], *Yf)], axis=2),
+            "Zp": -_fold(wJ[:, :, 0] * g.Y, rows),
+            "Zq": -wJ * _frame_field(fr["Df"], *Yf),
             "TKf": TKf,
         }
     return S._cache["bio_basis"]
@@ -280,66 +332,72 @@ def static_block(S: Surface) -> np.ndarray:
 
 # -- shape derivatives of the blocks --------------------------------------
 def _dgeom(S: Surface, xi: DeformationField) -> dict:
-    """Stage derivatives shared by all transported-block assemblies, and the
-    full-degree magnetic test divergences Df that only the derivative of the
-    rotational Galerkin solve needs."""
+    """Stage derivatives shared by all transported-block assemblies.
+
+    The derivative of a basis field with frame (a, b) (_frame_field) has the
+    frame (da, db), so "frames" holds per-node vectors only and no transform
+    of a basis batch is taken.  The magnetic test divergences are
+    Df = n ^ ((2H - W) grad_Gamma Y), with the frame (M t, M p),
+    M = [n ^](2H I - W), since div_Gamma(e_b ^ grad_Gamma Y) =
+    -[n ^ (W grad_Gamma Y)]_b (see _basis_fields).  With A = [grad_Gamma xi]:
+        dN = -A n,  dt = -A t + (t.A n) n  (likewise dp),
+        dGY: (dt, dp),  dTK: (dt ^ n + t ^ dN, dp ^ n + p ^ dN),
+        dDf: (dM t + M dt, dM p + M dp),
+    with dW and dH = tr dW / 2 from sc._d_curvature.  "djb" and "ddivb" are
+    the derivatives of density_basis; Delta_Gamma Y keeps the dense
+    discretisation of _basis_fields, whose angular derivatives are fixed
+    matrices, so dLBY = dt.GY_theta + dp.GY_phi + div_Gamma dGY on the K
+    solver columns.  The stiffness derivative takes the metric form
+    sc._metric_gram with w d(J t.t, J t.p, J p.p)."""
     ent = S._cache.get("dgeom")
     if ent is not None and ent[0] is xi:
         return ent[1]
     g = S.grid
     bb = _basis_fields(S)
-    GY, TK = bb["GY"], bb["TK"]
-    n = S.normal
-    xiv = xi.values
-    dN = sc.d_normal(S, xi)
-    divxi = sc.surface_divergence(S, xiv)
-    dJ = S.jacobian * divxi
-    dGY = sc.d_surface_operator("gradient", S, xi, g.Y)
-    dTK = np.cross(dGY, n[:, :, None], axis=1) + np.cross(GY, dN[:, :, None], axis=1)
-    dH = 0.5 * (
-        sc.d_surface_operator("divergence", S, xi, n) + sc.surface_divergence(S, dN)
-    )
-    # d/dt div_Gamma U for the fields U = M GY with constant 3x3 mixes M:
-    # M = [e_b ^ .] gives F_b of the magnetic test divergences Df[b], M = I
-    # gives GY itself (dLBY).  This is the divergence formula of
-    # sc.d_surface_operator plus div_Gamma dU, written so that the surface
-    # gradients of the components of GY and dGY are computed once for all U.
-    mixes = np.concatenate([_LEVI_CIVITA.transpose(1, 0, 2), np.eye(3)[None]])
-    A = sc.tangential_jacobian(S, xiv)
+    K = g.ncoef(g.L) - 1
+    n, t, p, J = S.normal, S.grad_t, S.grad_p, S.jacobian
+    A = sc.tangential_jacobian(S, xi.values)
     An = np.einsum("iac,ic->ia", A, n)
-    W = np.einsum("bej,ie,ic->ibjc", mixes, n, An)
-    W -= np.einsum("baj,iac->ibjc", mixes, A)
-    ddiv = np.zeros((g.nnodes, 4, GY.shape[2]))
-    divF = np.zeros((g.nnodes, 3, GY.shape[2]))
-    for j in range(3):
-        Tj = sc.surface_gradient(S, GY[:, j])
-        dTj = sc.surface_gradient(S, dGY[:, j])
-        ddiv += np.einsum("ibc,ick->ibk", W[:, :, j], Tj)
-        ddiv += np.einsum("bc,ick->ibk", mixes[:, :, j], dTj)
-        divF += np.einsum("bc,ick->ibk", mixes[:3, :, j], Tj)
-    dLBY = ddiv[:, 3, : g.ncoef(g.L)].copy()  # a view would keep ddiv alive
-    # Df[b] = div_Gamma F_b - 2 H n.F_b with n.F_b = TK_b
-    H = sc.mean_curvature(S)[:, None, None]
-    Df = divF - 2.0 * H * TK
-    dDf = ddiv[:, :3] - 2.0 * dH[:, None, None] * TK - 2.0 * H * dTK
-    # Galerkin stage derivatives
+    dN = -An
+    dJ = J * np.einsum("iaa->i", A)
+    dt, dp = (
+        np.einsum("ia,ia->i", v, An)[:, None] * n - np.einsum("iac,ic->ia", A, v)
+        for v in (t, p)
+    )
+    cv = sc._curvature(S)
+    dW, dH = sc._d_curvature(S, xi, dN, dt, dp)
+    fr = {
+        "GY": (dt, dp),
+        "TK": (np.cross(dt, n) + np.cross(t, dN), np.cross(dp, n) + np.cross(p, dN)),
+        "Df": tuple(
+            _curl_curv(dN, cv["H"], cv["W"], v)
+            + _curl_curv(n, dH, dW, v)
+            + _curl_curv(n, cv["H"], cv["W"], dv)
+            for v, dv in ((t, dt), (p, dp))
+        ),
+    }
+    YL = (g.Yth[:, 1 : K + 1], g.Yph[:, 1 : K + 1])
+    dGYL = _frame_field(fr["GY"], *YL)
+    dLBY = _div_frame(dt, dp, *bb["GY_ang"])
+    dLBY += _div_frame(t, p, g.dtheta(dGYL), g.dphi(dGYL))
+    # Galerkin stage derivatives; the stiffness weights are w J (t.t, t.p, p.p)
     w = g.weights
-    GYw = GY * (w * S.jacobian)[:, None, None]
-    dA = np.tensordot(GYw, dGY, axes=([0, 1], [0, 1]))
-    dA = dA + dA.T
-    dA += np.tensordot(GY * (w * dJ)[:, None, None], GY, axes=([0, 1], [0, 1]))
-    dmass = ((w * dJ)[:, None] * g.Y).T
+
+    def dot(u, v):
+        return np.einsum("ia,ia->i", u, v)
+
+    dmetric = (
+        w * (dJ * dot(u, v) + J * (dot(du, v) + dot(u, dv)))
+        for u, du, v, dv in ((t, dt, t, dt), (t, dt, p, dp), (p, dp, p, dp))
+    )
     out = {
         "dN": dN,
         "dJ": dJ,
-        "divxi": divxi,
-        "dGY": dGY,
-        "dTK": dTK,
-        "dLBY": dLBY,
-        "Df": Df,
-        "dDf": dDf,
-        "dA": dA,
-        "dmass": dmass,
+        "frames": fr,
+        "djb": np.concatenate([dGYL, _frame_field(fr["TK"], *YL)], axis=2),
+        "ddivb": np.concatenate([dLBY, np.zeros_like(dLBY)], axis=1),
+        "dA": sc._metric_gram(g, *dmetric),
+        "dmass": ((w * dJ)[:, None] * g.Y).T,
     }
     S._cache["dgeom"] = (xi, out)
     return out
@@ -361,17 +419,6 @@ def _d_weak_poisson(S: Surface, dg: dict, f: np.ndarray, df: np.ndarray):
     return _d_lb_solve(S, dg, r, dr)
 
 
-def _d_density_basis(S: Surface, dg: dict):
-    """Derivatives of the transported basis densities and their divergences."""
-    ncL = S.grid.ncoef(S.grid.L)
-    K = ncL - 1
-    djb = np.concatenate([dg["dGY"][:, :, 1:ncL], dg["dTK"][:, :, 1:ncL]], axis=2)
-    ddivb = np.concatenate(
-        [dg["dLBY"][:, 1:ncL], np.zeros((S.grid.nnodes, K))], axis=1
-    )
-    return djb, ddivb
-
-
 def _times(B: np.ndarray, c) -> np.ndarray:
     """B @ c for a real B of shape (..., 2K) and a coefficient batch c of
     shape (2K, m); c = None stands for the identity and returns B."""
@@ -390,7 +437,7 @@ def _d_single_layer(S: Surface, xi: DeformationField, V, dV, c) -> tuple:
     c has shape (2K, m); c = None stands for the identity, so the recipes
     run on the basis densities themselves and assemble a matrix."""
     dg = _dgeom(S, xi)
-    batch = tuple(_times(B, c) for B in (*density_basis(S), *_d_density_basis(S, dg)))
+    batch = tuple(_times(B, c) for B in (*density_basis(S), dg["djb"], dg["ddivb"]))
     j, _, dj, _ = batch
     return V, dV, batch, _vec_apply(V, j), _vec_apply(dV, j) + _vec_apply(V, dj)
 
@@ -402,22 +449,23 @@ def _d_layer_block(S: Surface, xi, sl, sa: float, sv: float):
     With U = A^{-1} T^T V j over the full grid degree, T = w J [-TK | GY]
     (the sign of p folded in), dU = A^{-1}(dT^T V j + T^T d(V j) - dA U)
     with dT = w dJ [-TK | GY] + w J [-dTK | dGY].  The weights w J and w dJ
-    scale the m columns of V j and d(V j) instead of the test fields, so no
-    (N, 3, 2 nc) array is formed per call."""
+    scale the m columns of V j and d(V j), and the test fields enter through
+    their frames (_frame_rows), so no (N, 3, nc) array is formed per call."""
     V, dV, (_, divj, _, ddivj), Vj, dVj = sl
     g = S.grid
-    bb, dg = _basis_fields(S), _dgeom(S, xi)
+    dg = _dgeom(S, xi)
+    fr, dfr = _basis_fields(S)["frames"], dg["frames"]
     K = g.ncoef(g.L) - 1
     wJ = (g.weights * S.jacobian)[:, None, None]
     wdJ = (g.weights * dg["dJ"])[:, None, None]
 
-    def rhs(TK, GY, u):  # the p and q right-hand sides side by side, (nc, 2, m)
-        return np.stack([-_bsum(TK, u), _bsum(GY, u)], axis=1)
+    def rhs(fr, u):  # the p and q right-hand sides side by side, (nc, 2, m)
+        return np.stack(
+            [-_frame_rows(g, fr["TK"], u), _frame_rows(g, fr["GY"], u)], axis=1
+        )
 
     y, dy = wJ * Vj, wJ * dVj + wdJ * Vj
-    r = rhs(bb["TK"], bb["GY"], y)
-    dr = rhs(bb["TK"], bb["GY"], dy) + rhs(dg["dTK"], dg["dGY"], y)
-    dU = _d_lb_solve(S, dg, r, dr)[1 : K + 1]
+    dU = _d_lb_solve(S, dg, rhs(fr, y), rhs(fr, dy) + rhs(dfr, y))[1 : K + 1]
     rows = sa * dU.swapaxes(0, 1).reshape(2 * K, -1)
     rows[K:] += sv * _project(S, _vec_apply(dV, divj) + _vec_apply(V, ddivj))
     return rows
@@ -427,15 +475,15 @@ def _d_magnetic_block(S: Surface, kappa: float, xi, sl, KP, dKP, KS, dKS):
     """Derivative of the magnetic recipe on the shared data sl of
     _d_single_layer and the kernel pairs (K', dK'), (K's, dK's) of kappa.
 
-    The Galerkin right-hand side W[b]^T y_b = Df[b]^T V^T y_b - TK_b^T KS^T y_b
-    and its derivative are applied factor by factor to y_b = w J j_b, so no
-    (N, nc_full) matrix is formed.  V^T y = w J (V j) holds on every
-    transported surface (see _magnetic_block), so its derivative is
-    w J d(V j) + w dJ V j."""
+    The Galerkin right-hand side sum_b Df_b^T V^T y_b - TK_b^T KS^T y_b and
+    its derivative are applied factor by factor to y_b = w J j_b, the test
+    fields through their frames (_frame_rows), so no (N, nc_full) matrix is
+    formed.  V^T y = w J (V j) holds on every transported surface (see
+    _magnetic_block), so its derivative is w J d(V j) + w dJ V j."""
     g = S.grid
-    TK = _basis_fields(S)["TK"]
     V, dV, (j, divj, dj, ddivj), Vj, dVj = sl
     dg = _dgeom(S, xi)
+    fr, dfr = _basis_fields(S)["frames"], dg["frames"]
     n, dN = S.normal, dg["dN"]
     wJ = (g.weights * S.jacobian)[:, None, None]
     wdJ = (g.weights * dg["dJ"])[:, None, None]
@@ -454,9 +502,9 @@ def _d_magnetic_block(S: Surface, kappa: float, xi, sl, KP, dKP, KS, dKS):
     dVy = wJ * dVj + wdJ * Vj
     Ky = _vec_apply(KS.T, y)
     dKy = _vec_apply(KS.T, dy) + _vec_apply(dKS.T, y)
-    rc = _bsum(dg["Df"], Vy) - _bsum(TK, Ky)
-    drc = _bsum(dg["Df"], dVy) + _bsum(dg["dDf"], Vy)
-    drc -= _bsum(TK, dKy) + _bsum(dg["dTK"], Ky)
+    rc = _frame_rows(g, fr["Df"], Vy) - _frame_rows(g, fr["TK"], Ky)
+    drc = _frame_rows(g, fr["Df"], dVy) + _frame_rows(g, dfr["Df"], Vy)
+    drc -= _frame_rows(g, fr["TK"], dKy) + _frame_rows(g, dfr["TK"], Ky)
     q_rows = -_d_lb_solve(S, dg, rc, drc)[1:ncL]
     return np.concatenate([p_rows, q_rows], axis=0)
 
@@ -528,7 +576,7 @@ def _far_moments(S: Surface, kappa: float, d: np.ndarray, c=None, xi=None):
     if xi is None:
         return _vec_apply(phase * wJ[None, :], jc)
     dg = _dgeom(S, xi)
-    djc = _times(_d_density_basis(S, dg)[0], c)
+    djc = _times(dg["djb"], c)
     dphase = phase * (-1j * kappa) * (d @ xi.values.T)
     I = _vec_apply(phase * (g.weights * dg["dJ"])[None, :] + dphase * wJ[None, :], jc)
     I += _vec_apply(phase * wJ[None, :], djc)
@@ -613,11 +661,8 @@ def magnetic_potential(S: Surface, kappa: float, density, targets) -> np.ndarray
 def _d_density_values(S: Surface, density, xi):
     """Stage derivative of the transported density realization at the nodes."""
     dg = _dgeom(S, xi)
-    pc, qc = density.p_coeffs, density.q_coeffs  # degrees <= L
-    nc = pc.shape[0]
-    dj = dg["dGY"][:, :, :nc] @ pc + dg["dTK"][:, :, :nc] @ qc
-    ddivj = dg["dLBY"] @ pc
-    return dj, ddivj
+    c = density.stacked()
+    return dg["djb"] @ c, dg["ddivb"] @ c
 
 
 def _d_kernel_factors(S, kappa, targets, xiv):

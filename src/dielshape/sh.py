@@ -13,6 +13,8 @@ Coefficients are stored flat with index  k = n^2 + (n + m).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -20,6 +22,7 @@ __all__ = [
     "flat_index",
     "degree_order_arrays",
     "sh_basis",
+    "dphi_coeffs",
     "coeff_dict_to_vector",
 ]
 
@@ -114,6 +117,18 @@ def sh_basis(L: int, theta, phi, derivatives: bool = False):
     if derivatives:
         return Y, Yth, Yph
     return Y
+
+
+def dphi_coeffs(c: np.ndarray) -> np.ndarray:
+    """Coefficients of d/dphi of the expansion with coefficients c (nc, ...).
+
+    d/dphi maps Y_{n,m} to -m Y_{n,-m} and Y_{n,-m} to m Y_{n,m}: a signed
+    swap of the orders +-m, (D c)[n, m] = m c[n, -m] for either sign of m.
+    """
+    c = np.asarray(c)
+    _, ms = degree_order_arrays(math.isqrt(c.shape[0]) - 1)
+    k = np.arange(c.shape[0])
+    return ms.reshape((-1,) + (1,) * (c.ndim - 1)) * c[k - 2 * ms]
 
 
 def coeff_dict_to_vector(coeffs: dict, L: int) -> np.ndarray:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import sh
 from .errors import KindMismatch, NonZeroMean
 from .geometry import Surface
 from .grid import _real_apply
@@ -117,19 +118,100 @@ def mean_value(S: Surface, f: np.ndarray) -> np.ndarray:
 
 
 def mean_curvature(S: Surface) -> np.ndarray:
-    """H = (1/2) div_Gamma n; equals +1 on the unit sphere."""
-    if "mean_curvature" not in S._cache:
-        S._cache["mean_curvature"] = 0.5 * surface_divergence(S, S.normal)
-    return S._cache["mean_curvature"]
+    """H = (1/2) div_Gamma n = (1/2) tr W of the shape operator W = grad_Gamma n
+    (see _curvature); equals +1 on the unit sphere."""
+    return _curvature(S)["H"]
+
+
+# -- curvature in closed form ---------------------------------------------
+def _second_derivatives(grid, coef: np.ndarray) -> np.ndarray:
+    """(x_tt, x_tp, x_pp) stacked as (3, N, 3): the second angular
+    derivatives at the nodes of the map with coefficients coef (3, nc).
+
+    x_tp and x_pp come from d/dphi on coefficients (sh.dphi_coeffs); x_tt
+    from the Legendre equation Y_tt = -n(n+1) Y - cot(t) Y_t - Y_pp / sin^2(t),
+    so no basis of second derivatives is built."""
+    c = coef.T
+    n = grid.degrees[:, None]
+    st, ct = np.sin(grid.theta)[:, None], np.cos(grid.theta)[:, None]
+    x_tp = grid.synthesize(sh.dphi_coeffs(c), deriv="theta")
+    x_pp = grid.synthesize(sh.dphi_coeffs(sh.dphi_coeffs(c)))
+    x_t = grid.synthesize(c, deriv="theta")
+    x_tt = grid.synthesize(-n * (n + 1) * c) - (ct / st) * x_t - x_pp / st**2
+    return np.stack([x_tt, x_tp, x_pp])
+
+
+def _shape_form(h: np.ndarray, t1, p1, t2, p2) -> np.ndarray:
+    """h_tt t1 (x) t2 + h_tp (t1 (x) p2 + p1 (x) t2) + h_pp p1 (x) p2 per node,
+    shape (N, 3, 3), for coefficients h of shape (3, N)."""
+
+    def outer(a, b):
+        return a[:, :, None] * b[:, None, :]
+
+    return (
+        h[0, :, None, None] * outer(t1, t2)
+        + h[1, :, None, None] * (outer(t1, p2) + outer(p1, t2))
+        + h[2, :, None, None] * outer(p1, p2)
+    )
+
+
+def _curvature(S: Surface) -> dict:
+    """Cached closed-form curvature of S: the second derivatives "d2x" of the
+    parametrization (_second_derivatives), the second fundamental form
+    "h" = x_ij . n, the shape operator "W" = grad_Gamma n and "H" = tr W / 2.
+
+    With t, p = grad_Gamma theta, grad_Gamma phi (dual to x_t, x_p), n_t =
+    -h_tt t - h_tp p and n_p = -h_tp t - h_pp p, so
+    W = t (x) n_t + p (x) n_p = -(h_tt t t + h_tp (t p + p t) + h_pp p p):
+    symmetric, W n = 0, and W = P / a on a sphere of radius a.  It takes no
+    transform of node data, only syntheses of the surface coefficients."""
+    if "curvature" not in S._cache:
+        d2x = _second_derivatives(S.grid, S.coef)
+        h = np.einsum("jia,ia->ji", d2x, S.normal)
+        W = -_shape_form(h, S.grad_t, S.grad_p, S.grad_t, S.grad_p)
+        S._cache["curvature"] = {
+            "d2x": d2x,
+            "h": h,
+            "W": W,
+            "H": 0.5 * np.einsum("iaa->i", W),
+        }
+    return S._cache["curvature"]
+
+
+def _d_curvature(S: Surface, xi, dN, dt, dp) -> tuple:
+    """(dW, dH): derivatives of the transported shape operator and mean
+    curvature at the base surface, from the derivatives dN, dt, dp of the
+    normal and of grad_Gamma theta, grad_Gamma phi.  The second derivatives
+    of the transported map are x_ij + r xi_ij, so dh_ij = xi_ij . n + x_ij . dN."""
+    cv = _curvature(S)
+    d2xi = _second_derivatives(S.grid, xi.coef)
+    dh = np.einsum("jia,ia->ji", d2xi, S.normal)
+    dh += np.einsum("jia,ia->ji", cv["d2x"], dN)
+    X = _shape_form(cv["h"], dt, dp, S.grad_t, S.grad_p)
+    dW = -(_shape_form(dh, S.grad_t, S.grad_p, S.grad_t, S.grad_p) + X)
+    dW -= X.swapaxes(1, 2)
+    return dW, 0.5 * np.einsum("iaa->i", dW)
 
 
 # -- Laplace-Beltrami inverse (spectral Galerkin) -------------------------
+def _metric_gram(grid, a, b, c) -> np.ndarray:
+    """Y_t^T diag(a) Y_t + B + B^T + Y_p^T diag(c) Y_p with B = Y_t^T diag(b) Y_p,
+    over the full grid degree (Y_t, Y_p = Y_theta, Y_phi at the nodes).
+
+    With (a, b, c) = w J (t.t, t.p, p.p) this is the stiffness matrix
+    int grad_Gamma Y_k . grad_Gamma Y_l ds, since grad_Gamma Y = t Y_theta +
+    p Y_phi; with their derivatives, its derivative."""
+    Yt, Yp = grid.Yth, grid.Yph
+    B = Yt.T @ (b[:, None] * Yp)
+    return Yt.T @ (a[:, None] * Yt) + B + B.T + Yp.T @ (c[:, None] * Yp)
+
+
 def _lb_data(S: Surface) -> dict:
     """Cached Galerkin data of the Laplace-Beltrami operator in the full
-    spherical-harmonic basis: surface gradients of the basis ("gradbasis",
-    (N, 3, nc)), the inverse of the stiffness matrix on degrees >= 1
-    ("inverse"), its rows for the solver degrees 1..L ("rows", (K, nc - 1))
-    and the mass rows int . Y_k ds ("mass", (nc, N)).
+    spherical-harmonic basis: the inverse of the stiffness matrix
+    (_metric_gram) on degrees >= 1 ("inverse"), its rows for the solver
+    degrees 1..L ("rows", (K, nc - 1)) and the mass rows int . Y_k ds
+    ("mass", (nc, N)).
 
     The Galerkin solves run over the full grid degree, but the solver keeps
     only degrees <= L; "rows" gives those coefficients directly.  A solve is
@@ -141,18 +223,12 @@ def _lb_data(S: Surface) -> dict:
     of this small matrix then took tens of milliseconds each."""
     if "lb" not in S._cache:
         g = S.grid
-        nc = g.ncoef(g.Lmax)
-        GY = np.empty((g.nnodes, 3, nc))
-        for a in range(3):
-            GY[:, a, :] = (
-                S.grad_t[:, a, None] * g.Yth + S.grad_p[:, a, None] * g.Yph
-            )
         w = g.weights * S.jacobian
-        GYw = GY * w[:, None, None]
-        A = np.tensordot(GYw, GY, axes=([0, 1], [0, 1]))
+        t, p = S.grad_t, S.grad_p
+        metric = (np.einsum("ia,ia->i", u, v) for u, v in ((t, t), (t, p), (p, p)))
+        A = _metric_gram(g, *(w * m for m in metric))
         inverse = np.linalg.inv(A[1:, 1:])
         S._cache["lb"] = {
-            "gradbasis": GY,
             "inverse": inverse,
             "rows": inverse[: g.ncoef(g.L) - 1],
             "mass": (w[:, None] * g.Y).T,

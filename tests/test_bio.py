@@ -132,6 +132,63 @@ class TestWeakForm:
         assert gaps[1] < 0.1 * gaps[0]
 
 
+def dense_test_divergences(S):
+    """Reference for the magnetic test divergences over the full grid degree:
+    Df[:, b, k] = div_Gamma(e_b ^ grad_Gamma Y_k) - 2 H (grad_Gamma Y_k ^ n)_b,
+    with div_Gamma(e_b ^ g) = sum_ac eps_abc (grad_Gamma g_c)_a and
+    H = div_Gamma n / 2, every derivative a dense surface gradient."""
+    g = S.grid
+    GY = sc.surface_gradient(S, g.Y)
+    jac = np.stack([sc.surface_gradient(S, GY[:, c]) for c in range(3)], axis=2)
+    eps = np.zeros((3, 3, 3))
+    eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1.0
+    eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1.0
+    H = 0.5 * sc.surface_divergence(S, S.normal)
+    TK = np.cross(GY, S.normal[:, :, None], axis=1)
+    return np.einsum("abc,iack->ibk", eps, jac) - 2.0 * H[:, None, None] * TK
+
+
+class TestClosedFormTestDivergences:
+    # The magnetic blocks take Df = n ^ ((2H - W) grad_Gamma Y) from the shape
+    # operator; the dense form differs from it by the aliasing of the
+    # surface derivatives of grad_Gamma Y, which falls spectrally.
+    def test_sphere_matches_dense_form(self, small_sphere):
+        S = small_sphere
+        g = S.grid
+        ncL = g.ncoef(g.L)
+        Df = bio._frame_field(bio._basis_fields(S)["frames"]["Df"], g.Yth, g.Yph)
+        ref = dense_test_divergences(S)
+        gap = np.abs(Df[..., :ncL] - ref[..., :ncL]).max()
+        assert gap < 1e-11 * np.abs(ref[..., :ncL]).max()
+
+    def test_wobbly_far_field_gap_falls_spectrally(self, material, directions):
+        wave = solver.PlaneWave()
+        coef = {"0,0": np.sqrt(4.0 * np.pi), "2,0": 0.25, "3,1": 0.15}
+        gaps = []
+        for L in (6, 8):
+            closed = solver.solve(build_surface(coef, L, 2 * L + 2), material, wave)
+            S = build_surface(coef, L, 2 * L + 2)
+            bb = bio._basis_fields(S)
+            wJ = (S.grid.weights * S.jacobian)[:, None, None]
+            rows = sc._lb_data(S)["rows"]
+            bb["Zq"] = -wJ * bio._fold(dense_test_divergences(S), rows)
+            ops = solver.SystemOperators(
+                S,
+                material,
+                closed.ops.Ce,
+                bio.magnetic_block(S, material.kappa_e),
+                closed.ops.Ci,
+                bio.magnetic_block(S, material.kappa_i),
+                closed.ops.C0,
+            )
+            F = solver.far_field(closed, directions)
+            dense = solver.solve(S, material, wave, ops=ops)
+            F_dense = solver.far_field(dense, directions)
+            gaps.append(np.abs(F_dense - F).max() / np.abs(F).max())
+        assert gaps[1] < 1e-8
+        assert gaps[1] <= 0.1 * gaps[0]
+
+
 class TestPotentials:
     def _density(self, S, seed=3):
         g = S.grid

@@ -209,6 +209,30 @@ class TestKernelPasses:
         solver.build_system(wobbly_surface, material)
         assert calls == []
 
+    def test_stage_derivatives_transform_solver_degree_columns_only(
+        self, wobbly_surface, material, xi_profile, monkeypatch
+    ):
+        # On a warm surface the stage derivatives of route A transform the
+        # Jacobian of xi and the derivatives of the K solver-degree gradient
+        # fields, never a batch over the full grid degree.
+        S = wobbly_surface
+        g = S.grid
+        solver.build_system(S, material)
+        xi = DeformationField(g, xi_profile.coef.copy())
+        cols = []
+        for name in ("dtheta", "dphi"):
+            inner = getattr(ReferenceGrid, name)
+
+            def counting(self, f, inner=inner):
+                cols.append(int(np.prod(f.shape[1:])))
+                return inner(self, f)
+
+            monkeypatch.setattr(ReferenceGrid, name, counting)
+        bio._dgeom(S, xi)
+        assert cols
+        assert sum(cols) <= 12 * g.ncoef(g.L) + 24
+        assert max(cols) < g.ncoef(g.Lmax)
+
 
 class TestRouteAMatrixReference:
     def test_matrix_free_route_matches_matrix_algebra(

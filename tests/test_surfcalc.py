@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from dielshape import surfcalc as sc
 from dielshape.errors import NonZeroMean
-from dielshape.geometry import DeformationField, deform, sphere
+from dielshape.geometry import DeformationField, build_surface, deform, sphere
 
 
 def random_scalar(S, seed=0, decay=0.5, maxdeg=None):
@@ -123,6 +123,47 @@ class TestLaplaceBeltrami:
         S = sphere(1.0, 8, 18)
         assert_allclose(sc.mean_curvature(S), 1.0, atol=1e-10)
         assert_allclose(sc.mean_curvature(sphere(2.0, 8, 18)), 0.5, atol=1e-10)
+
+
+def _gauss_curvature_integral(S):
+    W = sc._curvature(S)["W"]
+    K = 0.5 * (np.einsum("iaa->i", W) ** 2 - np.einsum("iab,iba->i", W, W))
+    return np.sum(sph_weight(S) * K)
+
+
+class TestShapeOperator:
+    # W = grad_Gamma n in closed form from second derivatives of the surface
+    # coefficients; mean_curvature is half its trace.
+    def test_symmetric_and_tangential(self, wobbly_surface):
+        S = wobbly_surface
+        W = sc._curvature(S)["W"]
+        assert np.abs(W - W.swapaxes(1, 2)).max() < 1e-14
+        assert np.abs(np.einsum("iab,ib->ia", W, S.normal)).max() < 1e-14
+
+    @pytest.mark.parametrize("a", [1.0, 2.0])
+    def test_sphere(self, a):
+        # At L = 6 the sphere's coefficients are exact to ~3e-15; at L = 8 the
+        # transform leaves ~2e-14 at degree 17, which second derivatives
+        # amplify to ~3e-12 (the divergence of n shows the same ~2e-12).
+        S = sphere(a, 6, 14)
+        cv = sc._curvature(S)
+        P = np.eye(3) - S.normal[:, :, None] * S.normal[:, None, :]
+        assert np.abs(cv["W"] - P / a).max() < 1e-12
+        assert np.abs(cv["H"] - 1.0 / a).max() < 1e-12
+
+    @pytest.mark.parametrize("a", [1.0, 2.0])
+    def test_gauss_bonnet_sphere(self, a):
+        S = sphere(a, 8, 18)
+        assert abs(_gauss_curvature_integral(S) - 4.0 * np.pi) <= 1e-13
+
+    def test_gauss_bonnet_wobbly_converges_spectrally(self):
+        coef = {"0,0": np.sqrt(4.0 * np.pi), "2,0": 0.25, "3,1": 0.15}
+        err = {}
+        for L in (6, 8, 10):
+            S = build_surface(coef, L, 2 * L + 2)
+            err[L] = abs(_gauss_curvature_integral(S) - 4.0 * np.pi)
+        assert err[10] < 1e-8
+        assert err[8] <= 0.1 * err[6]
 
 
 class TestHelmholtzDecomposition:
