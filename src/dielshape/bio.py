@@ -17,19 +17,15 @@ boundary operator becomes a dense complex matrix acting on such stacks:
   V_0 (div_Gamma j) used to regularize the layer ansatz.  It and the
   electric block share one single-layer recipe with two scalar weights.
 
-Every block is a Galerkin projection.  The potentials of the image solve
-A u = r with the Laplace-Beltrami stiffness matrix A over the full grid
-degree, of which the solver keeps degrees 1..L; those rows of A^{-1}
-(surfcalc._lb_data "rows") are folded into per-surface test fields, so a
+Every block is a Galerkin projection against the test fields of the
+potential basis (surfcalc, whose module docstring describes the basis, its
+frames and the weak projection), with the rows of A^{-1} folded in, so a
 block is one product of kernel data with wavenumber-independent test data:
 
-* electric and static blocks, in weak form.  On the closed surface
-  int Y div_Gamma a = -int grad_Gamma Y . a and int Y curl_Gamma a =
-  int (grad_Gamma Y ^ n) . a.  With a = n ^ V j and the pointwise identities
-  GY.(n ^ v) = TK.v, TK.(n ^ v) = -GY.v (GY = grad_Gamma Y, TK = GY ^ n),
-  and with T = w J [TK | GY]:
-      p = -sa A^{-1} sum_b T_TK,b^T (V j)_b,
-      q =  sa A^{-1} sum_b T_GY,b^T (V j)_b + sv P(V div_Gamma j).
+* electric and static blocks, in weak form.  The pointwise identities
+  GY.(n ^ v) = TK.v and TK.(n ^ v) = -GY.v turn the weak projection of
+  a = n ^ V j into one of V j: _bsum(Zc, V j) = -(p_a; q_a), so
+      (p; q) = sa _bsum(Zc, V j) + (0; sv P(V div_Gamma j)).
   No surface derivative of V j is taken.
 * magnetic block.  Its rotational right-hand side is
   sum_b Df_b^T V^T y_b - TK_b^T K's^T y_b with y_b = w J j_b.  V is
@@ -38,18 +34,7 @@ block is one product of kernel data with wavenumber-independent test data:
   V^T (w J j) = w J (V j): the product V j of the electric block serves
   here too, and the K's term is taken as (K's TK)^T y.  The test
   divergences Df_b = div_Gamma(e_b ^ GY) - 2 H TK_b come in closed form
-  from the shape operator W = grad_Gamma n (surfcalc._curvature): the
-  tangential Hessian of Y is symmetric, so div_Gamma(e_b ^ grad_Gamma Y) =
-  -[n ^ (W grad_Gamma Y)]_b and
-      Df = n ^ ((2H - W) grad_Gamma Y) = (M t) Y_theta + (M p) Y_phi,
-  M = [n ^](2H I - W), t, p = grad_Gamma theta, grad_Gamma phi.
-
-Every basis field is thus a Y_theta + b Y_phi with per-node vectors a, b
-(its "frame"): GY has (t, p), TK has (t ^ n, p ^ n), Df has (M t, M p).
-Full-degree test fields enter only through their frames, as
-Y_theta^T (a . u) + Y_phi^T (b . u), and their shape derivatives are the
-frames (da, db).  Only Delta_Gamma Y, the divergence of the K solver-degree
-gradient densities, takes a dense d/dtheta, d/dphi transform.
+  from the shape operator (surfcalc._basis_fields).
 
 The recipes take the kernel matrices as arguments.  ``wave_blocks`` builds
 (V, K', K's) of one wavenumber in a single kernel pass and returns both the
@@ -63,12 +48,9 @@ kernels are real.
 the transported-operator family r -> block(Gamma + r xi) with the potential
 coefficients held fixed; they differentiate the exact discrete recipe
 (kernel matrices, test fields, Galerkin solves) term by term, so they agree
-with finite differences of the primal assembly to O(h^2).  For the weak-form
-recipe, U = A^{-1} T^T V j gives dU = A^{-1}(dT^T V j + T^T d(V j) - dA U)
-with dT = w dJ [TK | GY] + w J [dTK | dGY].  The stage derivatives
-(_dgeom) are per-node formulas on the frames: with A = [grad_Gamma xi],
-dN = -A n, dt = -A t + (t . A n) n (likewise dp), and dW, dH from the
-second derivatives of xi, dDf has the frame (dM t + M dt, dM p + M dp).
+with finite differences of the primal assembly to O(h^2).  The weak-form
+recipe differentiates through surfcalc._d_weak_project and the stage
+derivatives of the basis (surfcalc._dgeom).
 
 They take an optional coefficient batch c of shape (2K, m) and return
 dBlock @ c without forming the matrix: every stage then runs on m columns
@@ -96,7 +78,6 @@ from . import kernels as kn
 from . import surfcalc as sc
 
 __all__ = [
-    "density_basis",
     "electric_block",
     "magnetic_block",
     "static_block",
@@ -114,110 +95,7 @@ __all__ = [
 ]
 
 
-# -- basis densities and Galerkin plumbing --------------------------------
-def _fold(F: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """F[..., 1:] @ rows.T for node data F of shape (N, ..., nc) over the full
-    grid degree: test data whose products give the solver-degree rows of a
-    Galerkin solve, rows being those of A^{-1} (surfcalc._lb_data)."""
-    cols = F.reshape(-1, F.shape[-1])[:, 1:] @ rows.T
-    return cols.reshape(F.shape[:-1] + (rows.shape[0],))
-
-
-def _frame_field(fr: tuple, Yt: np.ndarray, Yp: np.ndarray) -> np.ndarray:
-    """Node data a (x) Yt + b (x) Yp, shape (N, 3, k), of the basis field with
-    frame fr = (a, b) (see the module docstring) on the columns Yt, Yp (N, k)
-    of Y_theta, Y_phi."""
-    a, b = fr
-    return a[:, :, None] * Yt[:, None, :] + b[:, :, None] * Yp[:, None, :]
-
-
-def _frame_rows(g, fr: tuple, u: np.ndarray) -> np.ndarray:
-    """sum_b F_b^T u_b over the full grid degree, shape (nc, m), for the basis
-    field F with frame fr = (a, b) and node data u (N, 3, m):
-    Y_theta^T (a.u) + Y_phi^T (b.u).  No (N, 3, nc) array is formed."""
-    a, b = fr
-    out = _real_apply(g.Yth.T, np.einsum("ia,iam->im", a, u))
-    out += _real_apply(g.Yph.T, np.einsum("ia,iam->im", b, u))
-    return out
-
-
-def _div_frame(t, p, Ut, Up):
-    """t . U_theta + p . U_phi per node and column for the angular derivatives
-    Ut, Up (N, 3, k) of a field U: div_Gamma U (sc.surface_divergence)."""
-    return np.einsum("ia,iak->ik", t, Ut) + np.einsum("ia,iak->ik", p, Up)
-
-
-def _curl_curv(n, H, W, v):
-    """n ^ ((2 H - W) v) per node, for vectors v (N, 3); linear in n, in
-    (H, W) and in v.  M v = _curl_curv(n, H, W, v) is the frame vector of the
-    magnetic test divergences (see _basis_fields)."""
-    return np.cross(n, 2.0 * H[:, None] * v - np.einsum("iac,ic->ia", W, v))
-
-
-def _basis_fields(S: Surface) -> dict:
-    """Cached node data of the potential basis and test fields of the blocks.
-
-    "frames" holds the frames (_frame_field) of GY = grad_Gamma Y, TK = GY ^ n
-    (the curl basis) and the magnetic test divergences Df over the full grid
-    degree, which enter only through _frame_rows; jb and divb of
-    density_basis, where divb holds Delta_Gamma Y_k on the K gradient
-    columns, taken densely from the angular derivatives "GY_ang" of GY on
-    the solver degrees.  The test fields come with the rows of A^{-1} folded
-    in (_fold), so the rows of a block are one product with them:
-    "Zc" = w J [-TK | GY] for the electric and static blocks, "Zp" = -w J Y
-    for the gradient potential of the magnetic block, and "Zq" = -w J Df and
-    "TKf" = TK for its rotational potential.
-
-    Df[:, b, k] = div_Gamma F_b - 2 H n.F_b for F_b = e_b ^ grad_Gamma Y_k
-    (n.F_b = TK_b) is taken in closed form: the tangential Hessian of Y is
-    symmetric, so div_Gamma(e_b ^ grad_Gamma Y) = -[n ^ (W grad_Gamma Y)]_b
-    with the shape operator W = grad_Gamma n (sc._curvature), and
-        Df = n ^ ((2H - W) grad_Gamma Y) = (M t) (x) Y_theta + (M p) (x) Y_phi,
-    M = [n ^](2H I - W).  Folding acts on Y_theta and Y_phi alone, so only
-    Delta_Gamma Y takes a transform, on the K solver columns.
-    """
-    if "bio_basis" not in S._cache:
-        g = S.grid
-        rows = sc._lb_data(S)["rows"]
-        n, t, p = S.normal, S.grad_t, S.grad_p
-        K = rows.shape[0]
-        cv = sc._curvature(S)
-        fr = {
-            "GY": (t, p),
-            "TK": (np.cross(t, n), np.cross(p, n)),
-            "Df": tuple(_curl_curv(n, cv["H"], cv["W"], v) for v in (t, p)),
-        }
-        YL = (g.Yth[:, 1 : K + 1], g.Yph[:, 1 : K + 1])
-        Yf = (_fold(g.Yth, rows), _fold(g.Yph, rows))
-        GYL = _frame_field(fr["GY"], *YL)
-        TKf = _frame_field(fr["TK"], *Yf)
-        GY_ang = (g.dtheta(GYL), g.dphi(GYL))
-        LBY = _div_frame(t, p, *GY_ang)
-        wJ = (g.weights * S.jacobian)[:, None, None]
-        S._cache["bio_basis"] = {
-            "frames": fr,
-            "GY_ang": GY_ang,
-            "jb": np.concatenate([GYL, _frame_field(fr["TK"], *YL)], axis=2),
-            "divb": np.concatenate([LBY, np.zeros_like(LBY)], axis=1),
-            "Zc": wJ * np.concatenate([-TKf, _frame_field(fr["GY"], *Yf)], axis=2),
-            "Zp": -_fold(wJ[:, :, 0] * g.Y, rows),
-            "Zq": -wJ * _frame_field(fr["Df"], *Yf),
-            "TKf": TKf,
-        }
-    return S._cache["bio_basis"]
-
-
-def density_basis(S: Surface):
-    """Node values of the 2K basis densities of the solver space.
-
-    Returns (jb, divb): jb has shape (N, 3, 2K) with gradient-type columns
-    first, divb holds div_Gamma of each column (zero for the curl family).
-    Both are cached per surface and must not be modified.
-    """
-    bb = _basis_fields(S)
-    return bb["jb"], bb["divb"]
-
-
+# -- kernel x basis plumbing ---------------------------------------------
 def _vec_apply(Kmat: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Kmat @ U for an (r, N) kernel matrix and node data U of shape (N, ...).
 
@@ -238,12 +116,6 @@ def _vec_apply(Kmat: np.ndarray, U: np.ndarray) -> np.ndarray:
     return out.reshape(Kmat.shape[:1] + U.shape[1:])
 
 
-def _bsum(T: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """sum_b T[:, b]^T U[:, b] for a real T of shape (N, 3, k) and U of shape
-    (N, 3, m)."""
-    return _real_apply(T.reshape(-1, T.shape[2]).T, U.reshape(-1, U.shape[2]))
-
-
 def _project(S: Surface, f: np.ndarray) -> np.ndarray:
     """Mean-zero reference-sphere coefficients of node values, solver degrees."""
     ncL = S.grid.ncoef(S.grid.L)
@@ -258,7 +130,7 @@ def _project(S: Surface, f: np.ndarray) -> np.ndarray:
 def _single_layer(S: Surface, V: np.ndarray) -> tuple:
     """(V, V jb): the single-layer matrix and its product with the basis
     densities jb, the data the blocks of one wavenumber share."""
-    return V, _vec_apply(V, density_basis(S)[0])
+    return V, _vec_apply(V, sc.density_basis(S)[0])
 
 
 def _layer_block(S: Surface, V, Vj, sa: float, sv: float) -> np.ndarray:
@@ -267,9 +139,9 @@ def _layer_block(S: Surface, V, Vj, sa: float, sv: float) -> np.ndarray:
     with T = w J [TK | GY], the Galerkin form of p = -sa Delta^{-1} div a,
     q = sa Delta^{-1} curl a for a = n ^ V j (see the module docstring).
     The rows of A^{-1} come folded into the test fields Zc."""
-    bb = _basis_fields(S)
+    bb = sc._basis_fields(S)
     K = Vj.shape[2] // 2
-    C = sa * _bsum(bb["Zc"], Vj)
+    C = sa * sc._bsum(bb["Zc"], Vj)
     C[K:, :K] += sv * _project(S, _vec_apply(V, bb["divb"][:, :K]))
     return C
 
@@ -280,7 +152,7 @@ def _magnetic_block(S: Surface, kappa: float, V, Vj, KP, KS) -> np.ndarray:
     y = w J jb, which is w J (V jb) since V = core diag(w J) with a symmetric
     core; its K's term sum_b TK_b^T K's^T y_b is taken as (K's TK)^T y."""
     g = S.grid
-    bb = _basis_fields(S)
+    bb = sc._basis_fields(S)
     jb, divb = bb["jb"], bb["divb"]
     K = divb.shape[1] // 2
     wJ = (g.weights * S.jacobian)[:, None, None]
@@ -288,7 +160,7 @@ def _magnetic_block(S: Surface, kappa: float, V, Vj, KP, KS) -> np.ndarray:
     f = kappa**2 * np.einsum("ij,ijk->ik", S.normal, Vj)
     f[:, :K] += _vec_apply(KP, divb[:, :K])
     p_rows = _real_apply(bb["Zp"].T, f)
-    q_rows = _bsum(bb["Zq"], Vj) + _bsum(wJ * jb, _vec_apply(KS, bb["TKf"])).T
+    q_rows = sc._bsum(bb["Zq"], Vj) + sc._bsum(wJ * jb, _vec_apply(KS, bb["TKf"])).T
     return np.concatenate([p_rows, q_rows], axis=0)
 
 
@@ -331,102 +203,6 @@ def static_block(S: Surface) -> np.ndarray:
 
 
 # -- shape derivatives of the blocks --------------------------------------
-def _dgeom(S: Surface, xi: DeformationField) -> dict:
-    """Stage derivatives shared by all transported-block assemblies.
-
-    The derivative of a basis field with frame (a, b) (_frame_field) has the
-    frame (da, db), so "frames" holds per-node vectors only and no transform
-    of a basis batch is taken.  The magnetic test divergences are
-    Df = n ^ ((2H - W) grad_Gamma Y), with the frame (M t, M p),
-    M = [n ^](2H I - W), since div_Gamma(e_b ^ grad_Gamma Y) =
-    -[n ^ (W grad_Gamma Y)]_b (see _basis_fields).  With A = [grad_Gamma xi]:
-        dN = -A n,  dt = -A t + (t.A n) n  (likewise dp),
-        dGY: (dt, dp),  dTK: (dt ^ n + t ^ dN, dp ^ n + p ^ dN),
-        dDf: (dM t + M dt, dM p + M dp),
-    with dW and dH = tr dW / 2 from sc._d_curvature.  "djb" and "ddivb" are
-    the derivatives of density_basis; Delta_Gamma Y keeps the dense
-    discretisation of _basis_fields, whose angular derivatives are fixed
-    matrices, so dLBY = dt.GY_theta + dp.GY_phi + div_Gamma dGY on the K
-    solver columns.  The stiffness derivative takes the metric form
-    sc._metric_gram with w d(J t.t, J t.p, J p.p)."""
-    ent = S._cache.get("dgeom")
-    if ent is not None and ent[0] is xi:
-        return ent[1]
-    g = S.grid
-    bb = _basis_fields(S)
-    K = g.ncoef(g.L) - 1
-    n, t, p, J = S.normal, S.grad_t, S.grad_p, S.jacobian
-    A = sc.tangential_jacobian(S, xi.values)
-    An = np.einsum("iac,ic->ia", A, n)
-    dN = -An
-    dJ = J * np.einsum("iaa->i", A)
-    dt, dp = (
-        np.einsum("ia,ia->i", v, An)[:, None] * n - np.einsum("iac,ic->ia", A, v)
-        for v in (t, p)
-    )
-    cv = sc._curvature(S)
-    dW, dH = sc._d_curvature(S, xi, dN, dt, dp)
-    fr = {
-        "GY": (dt, dp),
-        "TK": (np.cross(dt, n) + np.cross(t, dN), np.cross(dp, n) + np.cross(p, dN)),
-        "Df": tuple(
-            _curl_curv(dN, cv["H"], cv["W"], v)
-            + _curl_curv(n, dH, dW, v)
-            + _curl_curv(n, cv["H"], cv["W"], dv)
-            for v, dv in ((t, dt), (p, dp))
-        ),
-    }
-    YL = (g.Yth[:, 1 : K + 1], g.Yph[:, 1 : K + 1])
-    dGYL = _frame_field(fr["GY"], *YL)
-    dLBY = _div_frame(dt, dp, *bb["GY_ang"])
-    dLBY += _div_frame(t, p, g.dtheta(dGYL), g.dphi(dGYL))
-    # Galerkin stage derivatives; the stiffness weights are w J (t.t, t.p, p.p)
-    w = g.weights
-
-    def dot(u, v):
-        return np.einsum("ia,ia->i", u, v)
-
-    dmetric = (
-        w * (dJ * dot(u, v) + J * (dot(du, v) + dot(u, dv)))
-        for u, du, v, dv in ((t, dt, t, dt), (t, dt, p, dp), (p, dp, p, dp))
-    )
-    out = {
-        "dN": dN,
-        "dJ": dJ,
-        "frames": fr,
-        "djb": np.concatenate([dGYL, _frame_field(fr["TK"], *YL)], axis=2),
-        "ddivb": np.concatenate([dLBY, np.zeros_like(dLBY)], axis=1),
-        "dA": sc._metric_gram(g, *dmetric),
-        "dmass": ((w * dJ)[:, None] * g.Y).T,
-    }
-    S._cache["dgeom"] = (xi, out)
-    return out
-
-
-def _d_lb_solve(S: Surface, dg: dict, r: np.ndarray, dr: np.ndarray):
-    """Derivative of the transported Galerkin solve u = A^{-1} r:
-    du = A^{-1}(dr - dA u), over the full grid degree (batched)."""
-    u = sc._lb_solve(S, r)
-    return sc._lb_solve(S, dr - _real_apply(dg["dA"], u))
-
-
-def _d_weak_poisson(S: Surface, dg: dict, f: np.ndarray, df: np.ndarray):
-    """Derivative of the transported mean-zero weak solution of Delta u = f,
-    the Galerkin solve with right-hand side -int f Y_k ds."""
-    mass = sc._lb_data(S)["mass"]
-    r = -_real_apply(mass, f)
-    dr = -_real_apply(dg["dmass"], f) - _real_apply(mass, df)
-    return _d_lb_solve(S, dg, r, dr)
-
-
-def _times(B: np.ndarray, c) -> np.ndarray:
-    """B @ c for a real B of shape (..., 2K) and a coefficient batch c of
-    shape (2K, m); c = None stands for the identity and returns B."""
-    if c is None:
-        return B
-    return _real_apply(B.reshape(-1, B.shape[-1]), c).reshape(B.shape[:-1] + (-1,))
-
-
 def _d_single_layer(S: Surface, xi: DeformationField, V, dV, c) -> tuple:
     """(V, dV, batch, V j, dV j + V dj): the data the derivative recipes of
     one wavenumber share.  batch holds the node values of the densities with
@@ -436,37 +212,20 @@ def _d_single_layer(S: Surface, xi: DeformationField, V, dV, c) -> tuple:
 
     c has shape (2K, m); c = None stands for the identity, so the recipes
     run on the basis densities themselves and assemble a matrix."""
-    dg = _dgeom(S, xi)
-    batch = tuple(_times(B, c) for B in (*density_basis(S), dg["djb"], dg["ddivb"]))
+    dg = sc._dgeom(S, xi)
+    basis = (*sc.density_basis(S), dg["djb"], dg["ddivb"])
+    batch = tuple(sc._times(B, c) for B in basis)
     j, _, dj, _ = batch
     return V, dV, batch, _vec_apply(V, j), _vec_apply(dV, j) + _vec_apply(V, dj)
 
 
 def _d_layer_block(S: Surface, xi, sl, sa: float, sv: float):
     """Derivative of the weak-form single-layer recipe of _layer_block, on the
-    shared data sl of _d_single_layer.
-
-    With U = A^{-1} T^T V j over the full grid degree, T = w J [-TK | GY]
-    (the sign of p folded in), dU = A^{-1}(dT^T V j + T^T d(V j) - dA U)
-    with dT = w dJ [-TK | GY] + w J [-dTK | dGY].  The weights w J and w dJ
-    scale the m columns of V j and d(V j), and the test fields enter through
-    their frames (_frame_rows), so no (N, 3, nc) array is formed per call."""
+    shared data sl of _d_single_layer: the derivative of the weak projection
+    of V j (sc._d_weak_project) with d(V j) = dV j + V dj."""
     V, dV, (_, divj, _, ddivj), Vj, dVj = sl
-    g = S.grid
-    dg = _dgeom(S, xi)
-    fr, dfr = _basis_fields(S)["frames"], dg["frames"]
-    K = g.ncoef(g.L) - 1
-    wJ = (g.weights * S.jacobian)[:, None, None]
-    wdJ = (g.weights * dg["dJ"])[:, None, None]
-
-    def rhs(fr, u):  # the p and q right-hand sides side by side, (nc, 2, m)
-        return np.stack(
-            [-_frame_rows(g, fr["TK"], u), _frame_rows(g, fr["GY"], u)], axis=1
-        )
-
-    y, dy = wJ * Vj, wJ * dVj + wdJ * Vj
-    dU = _d_lb_solve(S, dg, rhs(fr, y), rhs(fr, dy) + rhs(dfr, y))[1 : K + 1]
-    rows = sa * dU.swapaxes(0, 1).reshape(2 * K, -1)
+    K = S.grid.ncoef(S.grid.L) - 1
+    rows = sa * sc._d_weak_project(S, xi, Vj, dVj)
     rows[K:] += sv * _project(S, _vec_apply(dV, divj) + _vec_apply(V, ddivj))
     return rows
 
@@ -482,8 +241,8 @@ def _d_magnetic_block(S: Surface, kappa: float, xi, sl, KP, dKP, KS, dKS):
     _magnetic_block), so its derivative is w J d(V j) + w dJ V j."""
     g = S.grid
     V, dV, (j, divj, dj, ddivj), Vj, dVj = sl
-    dg = _dgeom(S, xi)
-    fr, dfr = _basis_fields(S)["frames"], dg["frames"]
+    dg = sc._dgeom(S, xi)
+    fr, dfr = sc._basis_fields(S)["frames"], dg["frames"]
     n, dN = S.normal, dg["dN"]
     wJ = (g.weights * S.jacobian)[:, None, None]
     wdJ = (g.weights * dg["dJ"])[:, None, None]
@@ -493,7 +252,7 @@ def _d_magnetic_block(S: Surface, kappa: float, xi, sl, KP, dKP, KS, dKS):
     f = kappa**2 * np.einsum("ij,ijk->ik", n, Vj) + _vec_apply(KP, divj)
     dnVj = np.einsum("ij,ijk->ik", dN, Vj) + np.einsum("ij,ijk->ik", n, dVj)
     df = kappa**2 * dnVj + _vec_apply(dKP, divj) + _vec_apply(KP, ddivj)
-    p_rows = _d_weak_poisson(S, dg, f, df)[1:ncL]
+    p_rows = sc._d_weak_poisson(S, dg, f, df)[1:ncL]
 
     # rotational potential: Q = A^{-1} rc, dQ = A^{-1}(drc - dA Q)
     y = wJ * j
@@ -502,10 +261,10 @@ def _d_magnetic_block(S: Surface, kappa: float, xi, sl, KP, dKP, KS, dKS):
     dVy = wJ * dVj + wdJ * Vj
     Ky = _vec_apply(KS.T, y)
     dKy = _vec_apply(KS.T, dy) + _vec_apply(dKS.T, y)
-    rc = _frame_rows(g, fr["Df"], Vy) - _frame_rows(g, fr["TK"], Ky)
-    drc = _frame_rows(g, fr["Df"], dVy) + _frame_rows(g, dfr["Df"], Vy)
-    drc -= _frame_rows(g, fr["TK"], dKy) + _frame_rows(g, dfr["TK"], Ky)
-    q_rows = -_d_lb_solve(S, dg, rc, drc)[1:ncL]
+    rc = sc._frame_rows(g, fr["Df"], Vy) - sc._frame_rows(g, fr["TK"], Ky)
+    drc = sc._frame_rows(g, fr["Df"], dVy) + sc._frame_rows(g, dfr["Df"], Vy)
+    drc -= sc._frame_rows(g, fr["TK"], dKy) + sc._frame_rows(g, dfr["TK"], Ky)
+    q_rows = -sc._d_lb_solve(S, dg, rc, drc)[1:ncL]
     return np.concatenate([p_rows, q_rows], axis=0)
 
 
@@ -572,11 +331,11 @@ def _far_moments(S: Surface, kappa: float, d: np.ndarray, c=None, xi=None):
     g = S.grid
     wJ = g.weights * S.jacobian
     phase = np.exp(-1j * kappa * (d @ S.points.T))
-    jc = _times(density_basis(S)[0], c)
+    jc = sc._times(sc.density_basis(S)[0], c)
     if xi is None:
         return _vec_apply(phase * wJ[None, :], jc)
-    dg = _dgeom(S, xi)
-    djc = _times(dg["djb"], c)
+    dg = sc._dgeom(S, xi)
+    djc = sc._times(dg["djb"], c)
     dphase = phase * (-1j * kappa) * (d @ xi.values.T)
     I = _vec_apply(phase * (g.weights * dg["dJ"])[None, :] + dphase * wJ[None, :], jc)
     I += _vec_apply(phase * wJ[None, :], djc)
@@ -623,20 +382,21 @@ def scalar_single_layer(S: Surface, kappa: float, f: np.ndarray, targets):
     return (G * wJ[None, :]) @ f
 
 
-def _density_values(S: Surface, density):
-    if hasattr(density, "node_values"):
-        j = density.node_values()
-        p = S.grid.synthesize(density.p_coeffs)
-        divj = sc.laplace_beltrami(S, p)
-        return j, divj
-    raise TypeError("density must be a HelmholtzDensity")
+def _density_values(density, basis) -> tuple:
+    """B @ c for each B in basis and the stacked coefficients c of a
+    HelmholtzDensity: with basis = sc.density_basis(S) the node values
+    (j, div_Gamma j), with (djb, ddivb) of sc._dgeom their stage derivatives."""
+    if not isinstance(density, sc.HelmholtzDensity):
+        raise TypeError("density must be a HelmholtzDensity")
+    c = density.stacked()
+    return tuple(sc._times(B, c) for B in basis)
 
 
 def electric_potential(S: Surface, kappa: float, density, targets) -> np.ndarray:
     """Psi_E j = kappa V j + (1/kappa) grad V (div_Gamma j) off the surface."""
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     R = _check_targets(S, targets)
-    j, divj = _density_values(S, density)
+    j, divj = _density_values(density, sc.density_basis(S))
     wJ = S.grid.weights * S.jacobian
     G = np.exp(1j * kappa * R) / (4.0 * np.pi * R)
     out = kappa * np.tensordot(G * wJ[None, :], j, axes=(1, 0))
@@ -650,19 +410,12 @@ def magnetic_potential(S: Surface, kappa: float, density, targets) -> np.ndarray
     """Psi_M j = curl V j off the surface."""
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     R = _check_targets(S, targets)
-    j, _ = _density_values(S, density)
+    j, _ = _density_values(density, sc.density_basis(S))
     wJ = S.grid.weights * S.jacobian
     diff = targets[:, None, :] - S.points[None, :, :]
     gp = np.exp(1j * kappa * R) * (1j * kappa * R - 1.0) / (4.0 * np.pi * R**3)
     ker = (gp * wJ[None, :])[:, :, None] * diff
     return np.cross(ker, j[None, :, :], axis=2).sum(axis=1)
-
-
-def _d_density_values(S: Surface, density, xi):
-    """Stage derivative of the transported density realization at the nodes."""
-    dg = _dgeom(S, xi)
-    c = density.stacked()
-    return dg["djb"] @ c, dg["ddivb"] @ c
 
 
 def _d_kernel_factors(S, kappa, targets, xiv):
@@ -684,9 +437,9 @@ def d_electric_potential(S: Surface, kappa: float, density, targets, xi) -> np.n
     """Derivative of the transported electric potential at fixed targets."""
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     _check_targets(S, targets)
-    j, divj = _density_values(S, density)
-    dj, ddivj = _d_density_values(S, density, xi)
-    dg = _dgeom(S, xi)
+    dg = sc._dgeom(S, xi)
+    j, divj = _density_values(density, sc.density_basis(S))
+    dj, ddivj = _density_values(density, (dg["djb"], dg["ddivb"]))
     w = S.grid.weights
     wJ = w * S.jacobian
     wdJ = w * dg["dJ"]
@@ -707,9 +460,8 @@ def d_magnetic_potential(S: Surface, kappa: float, density, targets, xi) -> np.n
     """Derivative of the transported magnetic potential at fixed targets."""
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     _check_targets(S, targets)
-    j, _ = _density_values(S, density)
-    dj, _ = _d_density_values(S, density, xi)
-    dg = _dgeom(S, xi)
+    dg = sc._dgeom(S, xi)
+    j, dj = _density_values(density, (sc.density_basis(S)[0], dg["djb"]))
     w = S.grid.weights
     wJ = w * S.jacobian
     wdJ = w * dg["dJ"]

@@ -99,34 +99,26 @@ def incident_trace_derivative(S: Surface, mat: Material, wave: sv.PlaneWave, xi)
     """Derivatives of the transported incident trace coefficients.
 
     Returns stacked coefficient vectors (dgD, dgN) of d/dt at t=0 of the
-    Helmholtz decomposition, on Gamma_{t xi}, of the incident traces.
+    Helmholtz decomposition, on Gamma_{t xi}, of the incident traces: the
+    derivative of the weak projection of sc.helmholtz_decompose
+    (sc._d_weak_project) on the node traces and their stage derivatives.
     """
     ke = mat.kappa_e
     n = S.normal
-    dg = bio._dgeom(S, xi)
-    dN = dg["dN"]
-    xiv = xi.values
+    dN = sc._dgeom(S, xi)["dN"]
     E = wave.field(ke, S.points)
-    dE = 1j * ke * (xiv @ wave.d)[:, None] * E  # (xi . grad) E_inc
+    dE = 1j * ke * (xi.values @ wave.d)[:, None] * E  # (xi . grad) E_inc
     dxE = 1j * np.cross(wave.d, E)  # (1/k) curl E_inc
     ddxE = 1j * np.cross(wave.d, dE)
-
-    ncL = S.grid.ncoef(S.grid.L)
-
-    def d_stack(v, dv):
-        divv, rotv = sc._div_scurl(S, v)
-        ddivv, drotv = sc._div_scurl(S, dv)
-        ddivv += sc.d_surface_operator("divergence", S, xi, v)
-        drotv += sc.d_surface_operator("scalar_curl", S, xi, v)
-        dp = bio._d_weak_poisson(S, dg, divv, ddivv)[1:ncL]
-        dq = -bio._d_weak_poisson(S, dg, rotv, drotv)[1:ncL]
-        return np.concatenate([dp, dq])
-
-    vD = np.cross(E, n)
-    dvD = np.cross(dE, n) + np.cross(E, dN)
-    vN = np.cross(dxE, n)
-    dvN = np.cross(ddxE, n) + np.cross(dxE, dN)
-    return d_stack(vD, dvD), d_stack(vN, dvN)
+    v = np.stack([np.cross(E, n), np.cross(dxE, n)], axis=2)
+    dv = np.stack(
+        [np.cross(dE, n) + np.cross(E, dN), np.cross(ddxE, n) + np.cross(dxE, dN)],
+        axis=2,
+    )
+    mdq_dp = sc._d_weak_project(S, xi, v, dv)  # rows [-dq; dp], as in Zc
+    K = mdq_dp.shape[0] // 2
+    dgD, dgN = np.concatenate([mdq_dp[K:], -mdq_dp[:K]]).T
+    return dgD, dgN
 
 
 def d_solution_routeA(
@@ -230,10 +222,11 @@ def transmission_rhs(sol: sv.ScatteringSolution, xi: DeformationField) -> Transm
     mi, me = mat.mu_i, mat.mu_e
 
     theta = np.einsum("ij,ij->i", xi.values, n)
-    tDv = sc.HelmholtzDensity.from_stacked(S, sol.tD).node_values()
-    tNv = sc.HelmholtzDensity.from_stacked(S, sol.tN).node_values()
-    div_tD = sc.surface_divergence(S, tDv)
-    div_tN = sc.surface_divergence(S, tNv)
+    # node values and divergences of the interior Cauchy data, from the basis
+    jb, divb = sc.density_basis(S)
+    tDN = np.stack([sol.tD, sol.tN], axis=1)
+    tDv, tNv = sc._times(jb, tDN).transpose(2, 0, 1)
+    div_tD, div_tN = sc._times(divb, tDN).T
 
     # jump of n ^ curl E across the interface, in units of tN
     cM = ke * rho - ki

@@ -171,9 +171,6 @@ class ScatteringSolution:
         """Interior Neumann data gamma_N^(k_i) E_i (stacked coefficients)."""
         return (self.gN - self.ops.N @ self.j) / self.material.rho
 
-    def density(self) -> sc.HelmholtzDensity:
-        return sc.HelmholtzDensity.from_stacked(self.surface, self.j)
-
 
 def solve(
     S: Surface,

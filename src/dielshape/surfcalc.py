@@ -7,6 +7,30 @@ tau_r o op_{Gamma_r} o tau_r^{-1} at the base surface.
 
 Scalar fields are arrays of shape (N,) or (N, k) (k = batch of columns);
 vector fields (N, 3) or (N, 3, k).  Everything works for complex data.
+
+The potential basis.  A tangential density j = grad_Gamma p + curl_Gamma q
+is stored as the mean-zero real-spherical-harmonic coefficients
+c = [p_1.., q_1..] of length 2K, K = (L+1)^2 - 1.  Its node values are
+jb c and div_Gamma j = divb c (density_basis), jb = [GY | TK] on the solver
+degrees, GY = grad_Gamma Y, TK = GY ^ n: the only map from coefficients to
+node values.  Every basis and test field is a Y_theta + b Y_phi with
+per-node vectors (a, b), its "frame" (_basis_fields); full-degree test
+fields enter only through their frames (_frame_rows), and their shape
+derivatives are frames too (_dgeom).  Only Delta_Gamma Y of the K gradient
+densities takes a dense d/dtheta, d/dphi transform.
+
+The weak projection is the only map from node data to (p, q).  The
+potentials solve A u = r with the Laplace-Beltrami stiffness matrix A over
+the full grid degree, and the rows of A^{-1} for the solver degrees are
+folded into the test fields Zc = w J [-TK | GY], so that
+    _bsum(Zc, j) = [-q; p],  p = A^{-1} int GY . j,  q = A^{-1} int TK . j
+(helmholtz_decompose; bio projects n ^ V j the same way).  No surface
+derivative of j is taken.  Per node w J grad_Gamma Y . (grad_Gamma q ^ n) =
+w (Y_theta q_phi - Y_phi q_theta) / sin(theta) does not depend on the
+geometry, so the rule integrates it exactly for band-limited data and the
+projection is an exact left inverse of jb on every surface.  Its
+derivative on the transported surfaces (_d_weak_project) serves route A's
+layer blocks and incident traces alike.
 """
 
 from __future__ import annotations
@@ -15,16 +39,16 @@ import numpy as np
 
 from . import sh
 from .errors import KindMismatch, NonZeroMean
-from .geometry import Surface
+from .geometry import DeformationField, Surface
 from .grid import _real_apply
 
 __all__ = [
     "HelmholtzDensity",
+    "density_basis",
     "surface_gradient",
     "surface_divergence",
     "surface_scalar_curl",
     "tangential_vector_curl",
-    "tangential_jacobian",
     "laplace_beltrami",
     "laplace_beltrami_inverse",
     "helmholtz_decompose",
@@ -62,7 +86,12 @@ def _tangents(S: Surface, ndim: int):
 
 def surface_gradient(S: Surface, u: np.ndarray) -> np.ndarray:
     """grad_Gamma u via the contravariant tangent basis; out[:, a, ...] is the
-    a-th Cartesian component for u of shape (N, ...)."""
+    a-th Cartesian component for u of shape (N, ...).
+
+    For a vector field U of shape (N, 3) this is the tangential Jacobian
+    [grad_Gamma U], out[:, a, c] = (grad_Gamma U_c)_a, the matrix written
+    [G(r)u] in the derivative formulas; the three components share one
+    d/dtheta and one d/dphi transform."""
     gt, gp = _tangents(S, u.ndim - 1)
     return gt * S.grid.dtheta(u)[:, None] + gp * S.grid.dphi(u)[:, None]
 
@@ -70,16 +99,6 @@ def surface_gradient(S: Surface, u: np.ndarray) -> np.ndarray:
 def tangential_vector_curl(S: Surface, u: np.ndarray) -> np.ndarray:
     """curl_Gamma u = grad_Gamma u x n (scalar -> tangential vector)."""
     return _cross_n(surface_gradient(S, u), S.normal)
-
-
-def tangential_jacobian(S: Surface, U: np.ndarray) -> np.ndarray:
-    """Matrix [grad_Gamma U] with entries out[:, a, c] = (grad_Gamma U_c)_a.
-
-    The c-th column is the surface gradient of the c-th Cartesian component;
-    this is the matrix written [G(r)u] in the derivative formulas.  The three
-    components share one d/dtheta and one d/dphi transform.
-    """
-    return surface_gradient(S, U)
 
 
 def _div_scurl(S: Surface, U: np.ndarray):
@@ -264,6 +283,125 @@ def laplace_beltrami_inverse(
     return u - mean_value(S, u)
 
 
+# -- potential basis and test fields --------------------------------------
+def _fold(F: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """F[..., 1:] @ rows.T for node data F of shape (N, ..., nc) over the full
+    grid degree: test data whose products give the solver-degree rows of a
+    Galerkin solve, rows being those of A^{-1} (_lb_data)."""
+    cols = F.reshape(-1, F.shape[-1])[:, 1:] @ rows.T
+    return cols.reshape(F.shape[:-1] + (rows.shape[0],))
+
+
+def _frame_field(fr: tuple, Yt: np.ndarray, Yp: np.ndarray) -> np.ndarray:
+    """Node data a (x) Yt + b (x) Yp, shape (N, 3, k), of the basis field with
+    frame fr = (a, b) (see the module docstring) on the columns Yt, Yp (N, k)
+    of Y_theta, Y_phi."""
+    a, b = fr
+    return a[:, :, None] * Yt[:, None, :] + b[:, :, None] * Yp[:, None, :]
+
+
+def _frame_rows(g, fr: tuple, u: np.ndarray) -> np.ndarray:
+    """sum_b F_b^T u_b over the full grid degree, shape (nc, m), for the basis
+    field F with frame fr = (a, b) and node data u (N, 3, m):
+    Y_theta^T (a.u) + Y_phi^T (b.u).  No (N, 3, nc) array is formed."""
+    a, b = fr
+    out = _real_apply(g.Yth.T, np.einsum("ia,iam->im", a, u))
+    out += _real_apply(g.Yph.T, np.einsum("ia,iam->im", b, u))
+    return out
+
+
+def _div_frame(t, p, Ut, Up):
+    """t . U_theta + p . U_phi per node and column for the angular derivatives
+    Ut, Up (N, 3, k) of a field U: div_Gamma U (surface_divergence)."""
+    return np.einsum("ia,iak->ik", t, Ut) + np.einsum("ia,iak->ik", p, Up)
+
+
+def _curl_curv(n, H, W, v):
+    """n ^ ((2 H - W) v) per node, for vectors v (N, 3); linear in n, in
+    (H, W) and in v.  M v = _curl_curv(n, H, W, v) is the frame vector of the
+    magnetic test divergences (see _basis_fields)."""
+    return np.cross(n, 2.0 * H[:, None] * v - np.einsum("iac,ic->ia", W, v))
+
+
+def _basis_fields(S: Surface) -> dict:
+    """Cached node data of the potential basis and of the test fields.
+
+    "frames" holds the frames (_frame_field) of GY = grad_Gamma Y, TK = GY ^ n
+    (the curl basis) and the magnetic test divergences Df over the full grid
+    degree, which enter only through _frame_rows; jb and divb of
+    density_basis, where divb holds Delta_Gamma Y_k on the K gradient
+    columns, taken densely from the angular derivatives "GY_ang" of GY on
+    the solver degrees.  The test fields come with the rows of A^{-1} folded
+    in (_fold), so a projection is one product with them: "Zc" = w J
+    [-TK | GY] for helmholtz_decompose and the electric and static blocks,
+    "Zp" = -w J Y for the gradient potential of the magnetic block, and
+    "Zq" = -w J Df and "TKf" = TK for its rotational potential.
+
+    Df[:, b, k] = div_Gamma F_b - 2 H n.F_b for F_b = e_b ^ grad_Gamma Y_k
+    (n.F_b = TK_b) is taken in closed form: the tangential Hessian of Y is
+    symmetric, so div_Gamma(e_b ^ grad_Gamma Y) = -[n ^ (W grad_Gamma Y)]_b
+    with the shape operator W = grad_Gamma n (_curvature), and
+        Df = n ^ ((2H - W) grad_Gamma Y) = (M t) (x) Y_theta + (M p) (x) Y_phi,
+    M = [n ^](2H I - W).  Folding acts on Y_theta and Y_phi alone, so only
+    Delta_Gamma Y takes a transform, on the K solver columns.
+    """
+    if "basis" not in S._cache:
+        g = S.grid
+        rows = _lb_data(S)["rows"]
+        n, t, p = S.normal, S.grad_t, S.grad_p
+        K = rows.shape[0]
+        cv = _curvature(S)
+        fr = {
+            "GY": (t, p),
+            "TK": (np.cross(t, n), np.cross(p, n)),
+            "Df": tuple(_curl_curv(n, cv["H"], cv["W"], v) for v in (t, p)),
+        }
+        YL = (g.Yth[:, 1 : K + 1], g.Yph[:, 1 : K + 1])
+        Yf = (_fold(g.Yth, rows), _fold(g.Yph, rows))
+        GYL = _frame_field(fr["GY"], *YL)
+        TKf = _frame_field(fr["TK"], *Yf)
+        GY_ang = (g.dtheta(GYL), g.dphi(GYL))
+        LBY = _div_frame(t, p, *GY_ang)
+        wJ = (g.weights * S.jacobian)[:, None, None]
+        S._cache["basis"] = {
+            "frames": fr,
+            "GY_ang": GY_ang,
+            "jb": np.concatenate([GYL, _frame_field(fr["TK"], *YL)], axis=2),
+            "divb": np.concatenate([LBY, np.zeros_like(LBY)], axis=1),
+            "Zc": wJ * np.concatenate([-TKf, _frame_field(fr["GY"], *Yf)], axis=2),
+            "Zp": -_fold(wJ[:, :, 0] * g.Y, rows),
+            "Zq": -wJ * _frame_field(fr["Df"], *Yf),
+            "TKf": TKf,
+        }
+    return S._cache["basis"]
+
+
+def density_basis(S: Surface):
+    """Node values of the 2K basis densities of the solver space.
+
+    Returns (jb, divb): jb has shape (N, 3, 2K) with gradient-type columns
+    first, divb holds div_Gamma of each column (zero for the curl family).
+    Both are cached per surface and must not be modified.
+    """
+    bb = _basis_fields(S)
+    return bb["jb"], bb["divb"]
+
+
+def _bsum(T: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """sum_b T[:, b]^T U[:, b] for a real T of shape (N, 3, k) and U of shape
+    (N, 3, m)."""
+    return _real_apply(T.reshape(-1, T.shape[2]).T, U.reshape(-1, U.shape[2]))
+
+
+def _times(B: np.ndarray, c) -> np.ndarray:
+    """B @ c for a real B of shape (..., 2K) and coefficients c of shape (2K,)
+    or a batch (2K, m); c = None stands for the identity and returns B."""
+    if c is None:
+        return B
+    out = _real_apply(B.reshape(-1, B.shape[-1]), c)
+    return out.reshape(B.shape[:-1] + c.shape[1:])
+
+
 # -- Helmholtz decomposition ----------------------------------------------
 class HelmholtzDensity:
     """Tangential field j = grad_Gamma p + curl_Gamma q, stored via (p, q).
@@ -283,19 +421,9 @@ class HelmholtzDensity:
         self.p_coeffs[0] = 0.0
         self.q_coeffs[0] = 0.0
 
-    @property
-    def grid(self):
-        return self.surface.grid
-
-    def potentials(self):
-        """Node values of (p, q)."""
-        return self.grid.synthesize(self.p_coeffs), self.grid.synthesize(self.q_coeffs)
-
     def node_values(self) -> np.ndarray:
-        p, q = self.potentials()
-        return surface_gradient(self.surface, p) + tangential_vector_curl(
-            self.surface, q
-        )
+        """j at the nodes, shape (N, 3): the basis densities times stacked()."""
+        return _times(density_basis(self.surface)[0], self.stacked())
 
     def stacked(self) -> np.ndarray:
         """Concatenated (p, q) coefficient vector without the degree-0 slots."""
@@ -308,23 +436,17 @@ class HelmholtzDensity:
         q = np.concatenate([[0.0], vec[n:]])
         return cls(surface, p, q)
 
-    def norm(self) -> float:
-        j = self.node_values()
-        w = self.grid.weights * self.surface.jacobian
-        return float(np.sqrt(np.sum(w * np.einsum("ij,ij->i", j, j.conj()).real)))
-
 
 def helmholtz_decompose(S: Surface, j: np.ndarray) -> HelmholtzDensity:
     """Split a tangential field into gradient and rotational potentials.
 
-    p = Delta^{-1} div_Gamma j,  q = -Delta^{-1} curl_Gamma j, taken from the
-    Galerkin solves at the solver degrees.
+    p = A^{-1} int grad_Gamma Y . j ds and q = A^{-1} int curl_Gamma Y . j ds
+    at the solver degrees, the weak projection _bsum(Zc, j) = [-q; p] (see
+    the module docstring); it recovers the coefficients of jb c exactly.
     """
-    lb = _lb_data(S)
-    div, rot = _div_scurl(S, j)
-    rhs = _real_apply(lb["mass"], np.stack([-div, rot], axis=1))
-    pq = _real_apply(lb["rows"], rhs[1:])  # = _lb_solve(S, rhs)[1:ncL]
-    return HelmholtzDensity.from_stacked(S, pq.T.ravel())
+    mq_p = _bsum(_basis_fields(S)["Zc"], j[:, :, None])[:, 0]
+    K = mq_p.shape[0] // 2
+    return HelmholtzDensity.from_stacked(S, np.concatenate([mq_p[K:], -mq_p[:K]]))
 
 
 # -- shape derivatives of the surface operators ---------------------------
@@ -336,7 +458,7 @@ def _xi_values(S: Surface, xi):
 
 def d_normal(S: Surface, xi) -> np.ndarray:
     """First derivative of the transported unit normal: -[grad_Gamma xi] n."""
-    A = tangential_jacobian(S, _xi_values(S, xi))
+    A = surface_gradient(S, _xi_values(S, xi))
     return -np.einsum("iac,ic->ia", A, S.normal)
 
 
@@ -351,7 +473,7 @@ def d_surface_operator(which: str, S: Surface, xi, u: np.ndarray) -> np.ndarray:
     which in {"gradient", "divergence", "vector_curl", "scalar_curl"}.
     """
     xiv = _xi_values(S, xi)
-    A = tangential_jacobian(S, xiv)  # [G xi]
+    A = surface_gradient(S, xiv)  # [G xi]
     n = S.normal
     if which == "gradient":
         if u.ndim not in (1, 2) or (u.ndim == 2 and u.shape[1] == 3):
@@ -362,7 +484,7 @@ def d_surface_operator(which: str, S: Surface, xi, u: np.ndarray) -> np.ndarray:
         nb = n if gu.ndim == 2 else n[:, :, None]
         return -Agu + np.einsum("ia...,ia->i...", gu, An)[:, None] * nb
     if which == "divergence":
-        Au = tangential_jacobian(S, u)
+        Au = surface_gradient(S, u)
         An = np.einsum("iac,ic->ia", A, n)
         tr = np.einsum("iac,ica...->i...", A, Au)
         Aun = np.einsum("iac...,ic->ia...", Au, n)
@@ -377,6 +499,119 @@ def d_surface_operator(which: str, S: Surface, xi, u: np.ndarray) -> np.ndarray:
         ru = surface_scalar_curl(S, u)
         return _d_rstar(S, A, u) - (dxi if u.ndim == 2 else dxi[:, None]) * ru
     raise KindMismatch(f"unknown surface operator {which!r}")
+
+
+# -- shape derivatives of the basis and of the weak projection ------------
+def _dgeom(S: Surface, xi: DeformationField) -> dict:
+    """Stage derivatives of the basis, shared by every transported assembly.
+
+    The derivative of a basis field with frame (a, b) (_frame_field) has the
+    frame (da, db), so "frames" holds per-node vectors only and no transform
+    of a basis batch is taken.  With A = [grad_Gamma xi]:
+        dN = -A n,  dt = -A t + (t.A n) n  (likewise dp),
+        dGY: (dt, dp),  dTK: (dt ^ n + t ^ dN, dp ^ n + p ^ dN),
+        dDf: (dM t + M dt, dM p + M dp),
+    with dW and dH = tr dW / 2 from _d_curvature.  "djb" and "ddivb" are
+    the derivatives of density_basis; Delta_Gamma Y keeps the dense
+    discretisation of _basis_fields, whose angular derivatives are fixed
+    matrices, so dLBY = dt.GY_theta + dp.GY_phi + div_Gamma dGY on the K
+    solver columns.  The stiffness derivative "dA" takes the metric form
+    _metric_gram with w d(J t.t, J t.p, J p.p)."""
+    ent = S._cache.get("dgeom")
+    if ent is not None and ent[0] is xi:
+        return ent[1]
+    g = S.grid
+    bb = _basis_fields(S)
+    K = g.ncoef(g.L) - 1
+    n, t, p, J = S.normal, S.grad_t, S.grad_p, S.jacobian
+    A = surface_gradient(S, xi.values)
+    An = np.einsum("iac,ic->ia", A, n)
+    dN = -An
+    dJ = J * np.einsum("iaa->i", A)
+    dt, dp = (
+        np.einsum("ia,ia->i", v, An)[:, None] * n - np.einsum("iac,ic->ia", A, v)
+        for v in (t, p)
+    )
+    cv = _curvature(S)
+    dW, dH = _d_curvature(S, xi, dN, dt, dp)
+    fr = {
+        "GY": (dt, dp),
+        "TK": (np.cross(dt, n) + np.cross(t, dN), np.cross(dp, n) + np.cross(p, dN)),
+        "Df": tuple(
+            _curl_curv(dN, cv["H"], cv["W"], v)
+            + _curl_curv(n, dH, dW, v)
+            + _curl_curv(n, cv["H"], cv["W"], dv)
+            for v, dv in ((t, dt), (p, dp))
+        ),
+    }
+    YL = (g.Yth[:, 1 : K + 1], g.Yph[:, 1 : K + 1])
+    dGYL = _frame_field(fr["GY"], *YL)
+    dLBY = _div_frame(dt, dp, *bb["GY_ang"])
+    dLBY += _div_frame(t, p, g.dtheta(dGYL), g.dphi(dGYL))
+    # Galerkin stage derivatives; the stiffness weights are w J (t.t, t.p, p.p)
+    w = g.weights
+
+    def dot(u, v):
+        return np.einsum("ia,ia->i", u, v)
+
+    dmetric = (
+        w * (dJ * dot(u, v) + J * (dot(du, v) + dot(u, dv)))
+        for u, du, v, dv in ((t, dt, t, dt), (t, dt, p, dp), (p, dp, p, dp))
+    )
+    out = {
+        "dN": dN,
+        "dJ": dJ,
+        "frames": fr,
+        "djb": np.concatenate([dGYL, _frame_field(fr["TK"], *YL)], axis=2),
+        "ddivb": np.concatenate([dLBY, np.zeros_like(dLBY)], axis=1),
+        "dA": _metric_gram(g, *dmetric),
+        "dmass": ((w * dJ)[:, None] * g.Y).T,
+    }
+    S._cache["dgeom"] = (xi, out)
+    return out
+
+
+def _d_lb_solve(S: Surface, dg: dict, r: np.ndarray, dr: np.ndarray):
+    """Derivative of the transported Galerkin solve u = A^{-1} r:
+    du = A^{-1}(dr - dA u), over the full grid degree (batched)."""
+    u = _lb_solve(S, r)
+    return _lb_solve(S, dr - _real_apply(dg["dA"], u))
+
+
+def _d_weak_poisson(S: Surface, dg: dict, f: np.ndarray, df: np.ndarray):
+    """Derivative of the transported mean-zero weak solution of Delta u = f,
+    the Galerkin solve with right-hand side -int f Y_k ds."""
+    mass = _lb_data(S)["mass"]
+    r = -_real_apply(mass, f)
+    dr = -_real_apply(dg["dmass"], f) - _real_apply(mass, df)
+    return _d_lb_solve(S, dg, r, dr)
+
+
+def _d_weak_project(S: Surface, xi: DeformationField, u: np.ndarray, du: np.ndarray):
+    """Derivative of the transported weak projection _bsum(Zc, u) of node data
+    u (N, 3, m) whose own derivative is du, shape (2K, m) in the row order of
+    Zc, [-TK | GY].
+
+    With U = A^{-1} T^T u over the full grid degree, T = w J [-TK | GY],
+    dU = A^{-1}(dT^T u + T^T du - dA U), dT = w dJ [-TK | GY] +
+    w J [-dTK | dGY].  The weights w J and w dJ scale the m columns of u and
+    du, and the test fields enter through their frames (_frame_rows), so no
+    (N, 3, nc) array is formed per call."""
+    g = S.grid
+    dg = _dgeom(S, xi)
+    fr, dfr = _basis_fields(S)["frames"], dg["frames"]
+    K = g.ncoef(g.L) - 1
+    wJ = (g.weights * S.jacobian)[:, None, None]
+    wdJ = (g.weights * dg["dJ"])[:, None, None]
+
+    def rhs(fr, y):  # the -TK and GY right-hand sides side by side, (nc, 2, m)
+        return np.stack(
+            [-_frame_rows(g, fr["TK"], y), _frame_rows(g, fr["GY"], y)], axis=1
+        )
+
+    y, dy = wJ * u, wJ * du + wdJ * u
+    dU = _d_lb_solve(S, dg, rhs(fr, y), rhs(fr, dy) + rhs(dfr, y))[1 : K + 1]
+    return dU.swapaxes(0, 1).reshape(2 * K, -1)
 
 
 # -- transported weighted operators R*, L* --------------------------------
@@ -399,7 +634,7 @@ def _d_rstar(S: Surface, A: np.ndarray, u: np.ndarray) -> np.ndarray:
 def d_rstar(S: Surface, xi, u: np.ndarray) -> np.ndarray:
     """dR*[0,xi] u = -sum_c grad_Gamma xi_c . curl_Gamma u_c ; all higher
     derivatives of r -> R*(r) vanish identically."""
-    return _d_rstar(S, tangential_jacobian(S, _xi_values(S, xi)), u)
+    return _d_rstar(S, surface_gradient(S, _xi_values(S, xi)), u)
 
 
 def d_lstar(S: Surface, xi, u: np.ndarray) -> np.ndarray:

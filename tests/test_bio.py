@@ -78,7 +78,7 @@ def strong_layer_block(S, V, sa, sv):
     primitives: p = -sa Delta^{-1} div a, q = sa Delta^{-1} curl a +
     sv P(V div j) with a = n ^ V j, div and curl taken at the nodes."""
     g = S.grid
-    jb, divb = bio.density_basis(S)
+    jb, divb = sc.density_basis(S)
     K = jb.shape[2] // 2
     Vj = (V @ jb.reshape(g.nnodes, -1)).reshape(jb.shape)
     a = np.cross(S.normal[:, :, None], Vj, axis=1)
@@ -156,7 +156,7 @@ class TestClosedFormTestDivergences:
         S = small_sphere
         g = S.grid
         ncL = g.ncoef(g.L)
-        Df = bio._frame_field(bio._basis_fields(S)["frames"]["Df"], g.Yth, g.Yph)
+        Df = sc._frame_field(sc._basis_fields(S)["frames"]["Df"], g.Yth, g.Yph)
         ref = dense_test_divergences(S)
         gap = np.abs(Df[..., :ncL] - ref[..., :ncL]).max()
         assert gap < 1e-11 * np.abs(ref[..., :ncL]).max()
@@ -168,10 +168,10 @@ class TestClosedFormTestDivergences:
         for L in (6, 8):
             closed = solver.solve(build_surface(coef, L, 2 * L + 2), material, wave)
             S = build_surface(coef, L, 2 * L + 2)
-            bb = bio._basis_fields(S)
+            bb = sc._basis_fields(S)
             wJ = (S.grid.weights * S.jacobian)[:, None, None]
             rows = sc._lb_data(S)["rows"]
-            bb["Zq"] = -wJ * bio._fold(dense_test_divergences(S), rows)
+            bb["Zq"] = -wJ * sc._fold(dense_test_divergences(S), rows)
             ops = solver.SystemOperators(
                 S,
                 material,

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from dielshape import bio, kernels, oracle, shapederiv as sd, solver
 from dielshape import surfcalc as sc
-from dielshape.geometry import DeformationField, Material, sphere
+from dielshape.geometry import DeformationField, Material, deform, sphere
 from dielshape.grid import ReferenceGrid
 
 
@@ -209,6 +209,41 @@ class TestKernelPasses:
         solver.build_system(wobbly_surface, material)
         assert calls == []
 
+    def test_warm_traces_take_no_surface_derivative(
+        self, wobbly_surface, material, wave, xi_profile, monkeypatch
+    ):
+        # The incident traces and their derivatives are weak projections
+        # against the cached test fields and their frames, so once the
+        # surface and the stage derivatives of xi are cached neither applies
+        # a dense d/dtheta or d/dphi.
+        S = wobbly_surface
+        xi = DeformationField(S.grid, xi_profile.coef.copy())
+        solver.incident_traces(S, material, wave)
+        sd.incident_trace_derivative(S, material, wave, xi)
+        calls = []
+        for name in ("dtheta", "dphi"):
+            inner = getattr(ReferenceGrid, name)
+
+            def counting(self, f, inner=inner, name=name):
+                calls.append(name)
+                return inner(self, f)
+
+            monkeypatch.setattr(ReferenceGrid, name, counting)
+        solver.incident_traces(S, material, wave)
+        sd.incident_trace_derivative(S, material, wave, xi)
+        assert calls == []
+
+    def test_routes_take_no_strong_surface_derivative(
+        self, small_sphere, material, wave, dirs, xi_profile, small_solution,
+        monkeypatch,
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sc.d_surface_operator called")
+
+        monkeypatch.setattr(sc, "d_surface_operator", refuse)
+        for route in (sd.d_solution_routeA, sd.d_solution_routeB):
+            route(small_sphere, material, wave, xi_profile, dirs, sol=small_solution)
+
     def test_stage_derivatives_transform_solver_degree_columns_only(
         self, wobbly_surface, material, xi_profile, monkeypatch
     ):
@@ -228,10 +263,28 @@ class TestKernelPasses:
                 return inner(self, f)
 
             monkeypatch.setattr(ReferenceGrid, name, counting)
-        bio._dgeom(S, xi)
+        sc._dgeom(S, xi)
         assert cols
         assert sum(cols) <= 12 * g.ncoef(g.L) + 24
         assert max(cols) < g.ncoef(g.Lmax)
+
+
+class TestIncidentTraceDerivative:
+    def test_matches_central_differences(
+        self, wobbly_surface, material, wave, generic_xi
+    ):
+        # route A differentiates the discrete map of incident_traces exactly,
+        # so central differences agree to O(h^2)
+        S, h = wobbly_surface, 1e-4
+
+        def traces(t):
+            dD, dN = solver.incident_traces(deform(S, generic_xi, t), material, wave)
+            return np.stack([dD.stacked(), dN.stacked()])
+
+        fd = (traces(h) - traces(-h)) / (2.0 * h)
+        out = np.stack(sd.incident_trace_derivative(S, material, wave, generic_xi))
+        for k in range(2):
+            assert np.abs(out[k] - fd[k]).max() <= 1e-9 * np.abs(fd[k]).max()
 
 
 class TestRouteAMatrixReference:

@@ -7,8 +7,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dielshape import bio, kernels, oracle, solver
+from dielshape import surfcalc as sc
 from dielshape.errors import SingularSystem
-from dielshape.geometry import Material, sphere
+from dielshape.geometry import Material, build_surface, sphere
 
 
 def rel_l2(a, b):
@@ -148,3 +149,46 @@ class TestSolve:
                 acc += solver.interior_field(small_solution, xs)
         resid = acc / h**2 + ki**2 * E0
         assert np.abs(resid).max() < 1e-4 * np.abs(E0).max()
+
+
+def strong_traces(S, mat, wave):
+    """Strong-form reference of solver.incident_traces: p = Delta^{-1} div g,
+    q = -Delta^{-1} curl g with div and curl taken at the nodes, each a
+    Galerkin solve with the mass rows at the solver degrees."""
+    lb = sc._lb_data(S)
+    ke = mat.kappa_e
+    out = []
+    for g in (wave.field(ke, S.points), wave.curl(ke, S.points) / ke):
+        g = np.cross(g, S.normal)
+        f = np.stack([-sc.surface_divergence(S, g), sc.surface_scalar_curl(S, g)], 1)
+        out.append((lb["rows"] @ (lb["mass"] @ f)[1:]).T.ravel())
+    return out
+
+
+class TestWeakTraces:
+    # The incident traces are split by the weak projection; the strong form
+    # differs from it by quadrature aliasing only.
+    def test_sphere_matches_strong_form(self, small_sphere, material, wave):
+        dD, dN = solver.incident_traces(small_sphere, material, wave)
+        for weak, strong in zip((dD, dN), strong_traces(small_sphere, material, wave)):
+            weak = weak.stacked()
+            assert np.abs(weak - strong).max() <= 1e-13 * np.abs(strong).max()
+
+    def test_wobbly_far_field_gap_falls_spectrally(
+        self, material, wave, unit_directions
+    ):
+        coef = {"0,0": np.sqrt(4.0 * np.pi), "2,0": 0.25, "3,1": 0.15}
+        gaps = []
+        for L in (6, 8):
+            S = build_surface(coef, L, 2 * L + 2)
+            weak = solver.solve(S, material, wave)
+            gD, gN = strong_traces(S, material, wave)
+            j = weak.ops.solve(weak.ops.rhs(gD, gN))
+            strong = solver.ScatteringSolution(
+                S, material, wave, weak.ops, j, gD, gN, residual=0.0
+            )
+            F_weak = solver.far_field(weak, unit_directions)
+            F_strong = solver.far_field(strong, unit_directions)
+            gaps.append(np.abs(F_strong - F_weak).max() / np.abs(F_weak).max())
+        assert gaps[1] < 5e-9
+        assert gaps[1] <= 0.1 * gaps[0]

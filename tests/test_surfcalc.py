@@ -191,6 +191,19 @@ class TestHelmholtzDecomposition:
         assert_allclose(d2.p_coeffs, d.p_coeffs, atol=1e-14)
         assert_allclose(d2.q_coeffs, d.q_coeffs, atol=1e-14)
 
+    @pytest.mark.parametrize("L", [6, 8])
+    def test_weak_projection_inverts_basis(self, L):
+        # w J grad Y . (grad q ^ n) does not depend on the geometry, so the
+        # weak projection recovers the coefficients of jb c on any surface
+        coef = {"0,0": np.sqrt(4.0 * np.pi), "2,0": 0.25, "3,1": 0.15}
+        S = build_surface(coef, L, 2 * L + 2)
+        rng = np.random.default_rng(L)
+        K2 = 2 * (S.grid.ncoef(L) - 1)
+        c = rng.normal(size=K2) + 1j * rng.normal(size=K2)
+        j = sc.HelmholtzDensity.from_stacked(S, c).node_values()
+        out = sc.helmholtz_decompose(S, j).stacked()
+        assert np.abs(out - c).max() < 1e-13 * np.abs(c).max()
+
 
 def transported(op, S, xi, t, u):
     """tau_t o op_{Gamma_t} o tau_t^{-1} applied to fixed node values."""
