@@ -3,8 +3,9 @@ coordinates.
 
 Tangential densities are represented by the scalar potentials (p, q) of
 j = grad_Gamma p + curl_Gamma q, stored as mean-zero real-spherical-harmonic
-coefficient stacks s = [p_1.., q_1..] of length 2((L+1)^2 - 1).  Every
-boundary operator becomes a dense complex matrix acting on such stacks:
+coefficient stacks c = [p_1.., q_1..] of length 2((L+1)^2 - 1), the only
+density format (surfcalc).  Every boundary operator becomes a dense complex
+matrix acting on such stacks:
 
 * ``electric_block``  -- the tangential trace of the electric potential,
   C_k j = -k n ^ V_k j + (1/k) curl_Gamma V_k (div_Gamma j), taken with the
@@ -64,7 +65,10 @@ makes one such pass per wavenumber and one static pass.
 Far-field operators and smooth off-surface potential evaluations are at the
 end of the module.  The far-field operators are the moments of the basis
 densities; a coefficient batch takes the moments of its node values, one
-(ndir, N) x (N, 3m) product, without forming the operators.
+(ndir, N) x (N, 3m) product, without forming the operators.  The potentials
+take the coefficient stack c of their density and form its node values
+from the basis; they and ``scalar_single_layer`` share one target-kernel
+helper for G, grad G and, under a deformation, their derivatives.
 """
 
 from __future__ import annotations
@@ -212,9 +216,7 @@ def _d_single_layer(S: Surface, xi: DeformationField, V, dV, c) -> tuple:
 
     c has shape (2K, m); c = None stands for the identity, so the recipes
     run on the basis densities themselves and assemble a matrix."""
-    dg = sc._dgeom(S, xi)
-    basis = (*sc.density_basis(S), dg["djb"], dg["ddivb"])
-    batch = tuple(sc._times(B, c) for B in basis)
+    batch = _densities(S, c, xi)
     j, _, dj, _ = batch
     return V, dV, batch, _vec_apply(V, j), _vec_apply(dV, j) + _vec_apply(V, dj)
 
@@ -363,87 +365,79 @@ def d_far_field_block(
 
 
 # -- off-surface potentials ----------------------------------------------
-def _check_targets(S: Surface, targets: np.ndarray):
-    d = np.linalg.norm(targets[:, None, :] - S.points[None, :, :], axis=2)
-    hmin = np.pi / S.grid.nquad
-    if d.min() < 0.5 * hmin:
+def _target_kernels(S: Surface, kappa: float, targets, xi=None) -> tuple:
+    """(diff, G, grad G) between the targets x and the nodes y: diff = x - y,
+    G = exp(i kappa R) / (4 pi R) and grad_x G = gp diff, returned as gp.
+    With a deformation xi also (dG, d grad_x G), their derivatives under
+    y -> y + t xi at fixed targets.  Targets closer to the surface than half
+    a polar spacing raise TargetOnSurface: the smooth rule is unreliable
+    there."""
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    diff = targets[:, None, :] - S.points[None, :, :]
+    R = np.linalg.norm(diff, axis=2)
+    if R.min() < 0.5 * np.pi / S.grid.nquad:
         raise TargetOnSurface(
-            f"target within {d.min():.3e} of the surface; quadrature unreliable"
+            f"target within {R.min():.3e} of the surface; quadrature unreliable"
         )
-    return d
+    ekr = np.exp(1j * kappa * R)
+    G = ekr / (4.0 * np.pi * R)
+    gp = ekr * (1j * kappa * R - 1.0) / (4.0 * np.pi * R**3)
+    if xi is None:
+        return diff, G, gp
+    dxi = np.einsum("tna,na->tn", diff, xi.values)
+    g2 = ekr * (3.0 - 3j * kappa * R - kappa**2 * R * R) / (4.0 * np.pi * R**5)
+    # d of (gp * diff) = -g2 (diff.xi) diff - gp xi
+    dgrad = -(g2 * dxi)[:, :, None] * diff - gp[:, :, None] * xi.values[None, :, :]
+    return diff, G, gp, -gp * dxi, dgrad
+
+
+def _densities(S: Surface, c, xi=None) -> tuple:
+    """Node values (j, div_Gamma j) of the densities with coefficient stack c,
+    shape (2K,) or a batch (2K, m); c = None stands for the identity and
+    gives the basis.  With a deformation xi also their stage derivatives
+    (dj, d div_Gamma j), from (djb, ddivb) of sc._dgeom."""
+    basis = sc.density_basis(S)
+    if xi is not None:
+        dg = sc._dgeom(S, xi)
+        basis += (dg["djb"], dg["ddivb"])
+    return tuple(sc._times(B, c) for B in basis)
 
 
 def scalar_single_layer(S: Surface, kappa: float, f: np.ndarray, targets):
     """V_kappa f evaluated at off-surface points by the smooth rule."""
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    R = _check_targets(S, targets)
-    G = np.exp(1j * kappa * R) / (4.0 * np.pi * R)
+    _, G, _ = _target_kernels(S, kappa, targets)
     wJ = S.grid.weights * S.jacobian
     return (G * wJ[None, :]) @ f
 
 
-def _density_values(density, basis) -> tuple:
-    """B @ c for each B in basis and the stacked coefficients c of a
-    HelmholtzDensity: with basis = sc.density_basis(S) the node values
-    (j, div_Gamma j), with (djb, ddivb) of sc._dgeom their stage derivatives."""
-    if not isinstance(density, sc.HelmholtzDensity):
-        raise TypeError("density must be a HelmholtzDensity")
-    c = density.stacked()
-    return tuple(sc._times(B, c) for B in basis)
-
-
-def electric_potential(S: Surface, kappa: float, density, targets) -> np.ndarray:
-    """Psi_E j = kappa V j + (1/kappa) grad V (div_Gamma j) off the surface."""
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    R = _check_targets(S, targets)
-    j, divj = _density_values(density, sc.density_basis(S))
+def electric_potential(S: Surface, kappa: float, c, targets) -> np.ndarray:
+    """Psi_E j = kappa V j + (1/kappa) grad V (div_Gamma j) off the surface,
+    for the density j with coefficient stack c."""
+    diff, G, gp = _target_kernels(S, kappa, targets)
+    j, divj = _densities(S, c)
     wJ = S.grid.weights * S.jacobian
-    G = np.exp(1j * kappa * R) / (4.0 * np.pi * R)
     out = kappa * np.tensordot(G * wJ[None, :], j, axes=(1, 0))
-    diff = targets[:, None, :] - S.points[None, :, :]
-    gp = np.exp(1j * kappa * R) * (1j * kappa * R - 1.0) / (4.0 * np.pi * R**3)
     out += (1.0 / kappa) * np.einsum("tn,tna,n->ta", gp, diff, wJ * divj)
     return out
 
 
-def magnetic_potential(S: Surface, kappa: float, density, targets) -> np.ndarray:
-    """Psi_M j = curl V j off the surface."""
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    R = _check_targets(S, targets)
-    j, _ = _density_values(density, sc.density_basis(S))
-    wJ = S.grid.weights * S.jacobian
-    diff = targets[:, None, :] - S.points[None, :, :]
-    gp = np.exp(1j * kappa * R) * (1j * kappa * R - 1.0) / (4.0 * np.pi * R**3)
-    ker = (gp * wJ[None, :])[:, :, None] * diff
+def magnetic_potential(S: Surface, kappa: float, c, targets) -> np.ndarray:
+    """Psi_M j = curl V j off the surface, for the density j with coefficient
+    stack c."""
+    diff, _, gp = _target_kernels(S, kappa, targets)
+    j, _ = _densities(S, c)
+    ker = (gp * (S.grid.weights * S.jacobian)[None, :])[:, :, None] * diff
     return np.cross(ker, j[None, :, :], axis=2).sum(axis=1)
 
 
-def _d_kernel_factors(S, kappa, targets, xiv):
-    """Derivatives of G and grad_x G under y -> y + t xi at fixed targets."""
-    diff = targets[:, None, :] - S.points[None, :, :]
-    R = np.linalg.norm(diff, axis=2)
-    dxi = np.einsum("tna,na->tn", diff, xiv)
-    ekr = np.exp(1j * kappa * R)
-    G = ekr / (4.0 * np.pi * R)
-    gp = ekr * (1j * kappa * R - 1.0) / (4.0 * np.pi * R**3)
-    g2 = ekr * (3.0 - 3j * kappa * R - kappa**2 * R * R) / (4.0 * np.pi * R**5)
-    dG = -gp * dxi
-    # d of (gp * diff) = -g2 (diff.xi) diff - gp xi
-    dgrad = -(g2 * dxi)[:, :, None] * diff - gp[:, :, None] * xiv[None, :, :]
-    return diff, G, gp, dG, dgrad
-
-
-def d_electric_potential(S: Surface, kappa: float, density, targets, xi) -> np.ndarray:
-    """Derivative of the transported electric potential at fixed targets."""
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    _check_targets(S, targets)
-    dg = sc._dgeom(S, xi)
-    j, divj = _density_values(density, sc.density_basis(S))
-    dj, ddivj = _density_values(density, (dg["djb"], dg["ddivb"]))
+def d_electric_potential(S: Surface, kappa: float, c, targets, xi) -> np.ndarray:
+    """Derivative of the transported electric potential at fixed targets and
+    fixed coefficients c."""
+    diff, G, gp, dG, dgrad = _target_kernels(S, kappa, targets, xi)
+    j, divj, dj, ddivj = _densities(S, c, xi)
     w = S.grid.weights
     wJ = w * S.jacobian
-    wdJ = w * dg["dJ"]
-    diff, G, gp, dG, dgrad = _d_kernel_factors(S, kappa, targets, xi.values)
+    wdJ = w * sc._dgeom(S, xi)["dJ"]
     out = kappa * (
         np.tensordot(dG * wJ[None, :], j, axes=(1, 0))
         + np.tensordot(G * wJ[None, :], dj, axes=(1, 0))
@@ -456,16 +450,14 @@ def d_electric_potential(S: Surface, kappa: float, density, targets, xi) -> np.n
     return out
 
 
-def d_magnetic_potential(S: Surface, kappa: float, density, targets, xi) -> np.ndarray:
-    """Derivative of the transported magnetic potential at fixed targets."""
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    _check_targets(S, targets)
-    dg = sc._dgeom(S, xi)
-    j, dj = _density_values(density, (sc.density_basis(S)[0], dg["djb"]))
+def d_magnetic_potential(S: Surface, kappa: float, c, targets, xi) -> np.ndarray:
+    """Derivative of the transported magnetic potential at fixed targets and
+    fixed coefficients c."""
+    diff, _, gp, _, dgrad = _target_kernels(S, kappa, targets, xi)
+    j, _, dj, _ = _densities(S, c, xi)
     w = S.grid.weights
     wJ = w * S.jacobian
-    wdJ = w * dg["dJ"]
-    diff, G, gp, dG, dgrad = _d_kernel_factors(S, kappa, targets, xi.values)
+    wdJ = w * sc._dgeom(S, xi)["dJ"]
     ker = dgrad * wJ[None, :, None] + (gp * wdJ[None, :])[:, :, None] * diff
     out = np.cross(ker, j[None, :, :], axis=2).sum(axis=1)
     ker2 = (gp * wJ[None, :])[:, :, None] * diff

@@ -9,6 +9,8 @@ product quadrature need.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from . import sh
@@ -83,18 +85,10 @@ class ReferenceGrid:
         self.e_theta = np.stack([ct * cp, ct * sp, -st], axis=1)
         self.e_phi = np.stack([-sp, cp, np.zeros_like(sp)], axis=1)
 
-        Y, Yth, Yph = sh.sh_basis(self.Lmax, self.theta, self.phi, derivatives=True)
-        self.Y = Y
-        self.Yth = Yth
-        self.Yph = Yph
+        self.Y, self.Yth, self.Yph = sh.sh_basis(self.Lmax, self.theta, self.phi)
         # analysis: c_k = sum_i w_i Y_k(x_i) f(x_i)
-        self.analysis_full = (self.weights[:, None] * Y).T
+        self.analysis_full = (self.weights[:, None] * self.Y).T
         self.degrees, self.orders = sh.degree_order_arrays(self.Lmax)
-        self._dtheta = None
-        self._dphi = None
-        self._singular = None
-        self._chord = None
-        self._ring = None
 
     # -- construction ----------------------------------------------------
     @classmethod
@@ -120,18 +114,14 @@ class ReferenceGrid:
         basis = {None: self.Y, "theta": self.Yth, "phi": self.Yph}[deriv]
         return _real_apply(basis[:, :nc], c)
 
-    @property
+    @cached_property
     def dtheta_matrix(self) -> np.ndarray:
         """Dense spectral d/dtheta matrix on node values."""
-        if self._dtheta is None:
-            self._dtheta = self.Yth @ self.analysis_full
-        return self._dtheta
+        return self.Yth @ self.analysis_full
 
-    @property
+    @cached_property
     def dphi_matrix(self) -> np.ndarray:
-        if self._dphi is None:
-            self._dphi = self.Yph @ self.analysis_full
-        return self._dphi
+        return self.Yph @ self.analysis_full
 
     def dtheta(self, f: np.ndarray) -> np.ndarray:
         return _real_apply(self.dtheta_matrix, f)
@@ -140,7 +130,7 @@ class ReferenceGrid:
         return _real_apply(self.dphi_matrix, f)
 
     # -- singular product quadrature -------------------------------------
-    @property
+    @cached_property
     def singular_weights(self) -> np.ndarray:
         """Matrix B with  sum_j B[i,j] f(y_j)  ~  int f(y)/(4 pi |x_i - y|) ds(y).
 
@@ -148,23 +138,19 @@ class ReferenceGrid:
         Legendre expansion 1/|x-y| = sum_n P_n(x.y) on the unit sphere and the
         addition theorem; equivalently B = Y diag(1/(2n+1)) Y^T W.
         """
-        if self._singular is None:
-            scale = 1.0 / (2.0 * self.degrees + 1.0)
-            self._singular = (self.Y * scale) @ self.analysis_full
-        return self._singular
+        scale = 1.0 / (2.0 * self.degrees + 1.0)
+        return (self.Y * scale) @ self.analysis_full
 
-    @property
+    @cached_property
     def chord_matrix(self) -> np.ndarray:
         """Chords |xhat_i - xhat_j| between the nodes, 1 on the diagonal."""
-        if self._chord is None:
-            dot = np.clip(self.nodes @ self.nodes.T, -1.0, 1.0)
-            chord = np.sqrt(np.maximum(2.0 - 2.0 * dot, 0.0))
-            np.fill_diagonal(chord, 1.0)
-            self._chord = chord
-        return self._chord
+        dot = np.clip(self.nodes @ self.nodes.T, -1.0, 1.0)
+        chord = np.sqrt(np.maximum(2.0 - 2.0 * dot, 0.0))
+        np.fill_diagonal(chord, 1.0)
+        return chord
 
     # -- probe ring --------------------------------------------------------
-    @property
+    @cached_property
     def ring(self) -> dict:
         """Basis Y, Y_theta, Y_phi on the probe ring and the probes' chord.
 
@@ -172,23 +158,16 @@ class ReferenceGrid:
         around each node, in evenly spread tangent directions; basis rows
         are node-major, (N * PROBE_NDIRS, ncoef).  Built on first use.
         """
-        if self._ring is None:
-            alphas = 2.0 * np.pi * np.arange(PROBE_NDIRS) / PROBE_NDIRS
-            dirs = (
-                np.cos(alphas)[None, :, None] * self.e_theta[:, None, :]
-                + np.sin(alphas)[None, :, None] * self.e_phi[:, None, :]
-            )
-            y = np.cos(PROBE_T) * self.nodes[:, None, :] + np.sin(PROBE_T) * dirs
-            theta = np.arccos(np.clip(y[..., 2], -1.0, 1.0)).ravel()
-            phi = np.mod(np.arctan2(y[..., 1], y[..., 0]), 2.0 * np.pi).ravel()
-            Y, Yth, Yph = sh.sh_basis(self.Lmax, theta, phi, derivatives=True)
-            self._ring = {
-                "Y": Y,
-                "Yth": Yth,
-                "Yph": Yph,
-                "chord": 2.0 * np.sin(PROBE_T / 2.0),
-            }
-        return self._ring
+        alphas = 2.0 * np.pi * np.arange(PROBE_NDIRS) / PROBE_NDIRS
+        dirs = (
+            np.cos(alphas)[None, :, None] * self.e_theta[:, None, :]
+            + np.sin(alphas)[None, :, None] * self.e_phi[:, None, :]
+        )
+        y = np.cos(PROBE_T) * self.nodes[:, None, :] + np.sin(PROBE_T) * dirs
+        theta = np.arccos(np.clip(y[..., 2], -1.0, 1.0)).ravel()
+        phi = np.mod(np.arctan2(y[..., 1], y[..., 0]), 2.0 * np.pi).ravel()
+        Y, Yth, Yph = sh.sh_basis(self.Lmax, theta, phi)
+        return {"Y": Y, "Yth": Yth, "Yph": Yph, "chord": 2.0 * np.sin(PROBE_T / 2.0)}
 
     def __repr__(self):
         return f"ReferenceGrid(L={self.L}, nquad={self.nquad})"

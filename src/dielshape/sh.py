@@ -76,47 +76,39 @@ def _legendre_normalized(L, x, sint):
     return P, dP
 
 
-def sh_basis(L: int, theta, phi, derivatives: bool = False):
-    """Evaluate real spherical harmonics (and optionally angular derivatives).
+def sh_basis(L: int, theta, phi):
+    """Real spherical harmonics and their angular derivatives.
 
     Parameters
     ----------
     L : maximum degree.
     theta, phi : arrays of equal length, 0 < theta < pi.
-    derivatives : if True also return dY/dtheta and dY/dphi.
 
     Returns
     -------
-    Y : (npts, (L+1)^2)  or a tuple (Y, Yth, Yph) of such arrays.
+    (Y, Yth, Yph) : Y, dY/dtheta and dY/dphi, each of shape (npts, (L+1)^2).
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     sint = np.sin(theta)
     P, dP = _legendre_normalized(L, np.cos(theta), sint)
-    npts = theta.shape[0]
-    nc = num_coeffs(L)
-    Y = np.zeros((npts, nc))
-    Yth = np.zeros((npts, nc)) if derivatives else None
-    Yph = np.zeros((npts, nc)) if derivatives else None
+    shape = (theta.shape[0], num_coeffs(L))
+    Y, Yth, Yph = np.zeros(shape), np.zeros(shape), np.zeros(shape)
     inv_sqrt_2pi = 1.0 / np.sqrt(2.0 * np.pi)
     inv_sqrt_pi = 1.0 / np.sqrt(np.pi)
     for n in range(L + 1):
         Y[:, flat_index(n, 0)] = P[n, 0] * inv_sqrt_2pi
-        if derivatives:
-            Yth[:, flat_index(n, 0)] = dP[n, 0] * inv_sqrt_2pi
+        Yth[:, flat_index(n, 0)] = dP[n, 0] * inv_sqrt_2pi
         for m in range(1, n + 1):
             c, s = np.cos(m * phi), np.sin(m * phi)
             kp, km = flat_index(n, m), flat_index(n, -m)
             Y[:, kp] = P[n, m] * c * inv_sqrt_pi
             Y[:, km] = P[n, m] * s * inv_sqrt_pi
-            if derivatives:
-                Yth[:, kp] = dP[n, m] * c * inv_sqrt_pi
-                Yth[:, km] = dP[n, m] * s * inv_sqrt_pi
-                Yph[:, kp] = -m * P[n, m] * s * inv_sqrt_pi
-                Yph[:, km] = m * P[n, m] * c * inv_sqrt_pi
-    if derivatives:
-        return Y, Yth, Yph
-    return Y
+            Yth[:, kp] = dP[n, m] * c * inv_sqrt_pi
+            Yth[:, km] = dP[n, m] * s * inv_sqrt_pi
+            Yph[:, kp] = -m * P[n, m] * s * inv_sqrt_pi
+            Yph[:, km] = m * P[n, m] * c * inv_sqrt_pi
+    return Y, Yth, Yph
 
 
 def dphi_coeffs(c: np.ndarray) -> np.ndarray:

@@ -31,7 +31,6 @@ from . import surfcalc as sc
 __all__ = [
     "TransmissionData",
     "DerivativeResult",
-    "d_operator",
     "incident_trace_derivative",
     "d_solution_routeA",
     "transmission_rhs",
@@ -60,8 +59,8 @@ class TransmissionData:
         scale = max(np.abs(self.g_D).max(initial=0.0), np.abs(self.g_N).max(initial=0.0))
         if defect > 1e-10 * max(scale, 1.0):
             raise ValueError(f"transmission data not tangential: defect {defect:.3e}")
-        self.g_D_stack = sc.helmholtz_decompose(S, self.g_D).stacked()
-        self.g_N_stack = sc.helmholtz_decompose(S, self.g_N).stacked()
+        g = np.stack([self.g_D, self.g_N], axis=2)
+        self.g_D_stack, self.g_N_stack = sc.helmholtz_decompose(S, g).T
 
 
 @dataclass
@@ -73,26 +72,6 @@ class DerivativeResult:
     dE_far: np.ndarray
     dE_near: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
-
-
-def d_operator(which, S: Surface, kappa: float, xi, directions=None):
-    """Derivative block of a boundary/far-field operator at the base surface.
-
-    which in {"C", "M", "C0star", "FarE", "FarM"} returns a matrix; for the
-    far blocks ``directions`` is required.
-    """
-    if which == "C":
-        return bio.d_electric_block(S, kappa, xi)
-    if which == "M":
-        return bio.d_magnetic_block(S, kappa, xi)
-    if which == "C0star":
-        return bio.d_static_block(S, xi)
-    if which in ("FarE", "FarM"):
-        if directions is None:
-            raise ValueError("far-field derivative blocks require directions")
-        kind = "electric" if which == "FarE" else "magnetic"
-        return bio.d_far_field_block(S, kappa, directions, kind, xi)
-    raise ValueError(f"unknown operator tag {which!r}")
 
 
 def incident_trace_derivative(S: Surface, mat: Material, wave: sv.PlaneWave, xi):
@@ -115,9 +94,7 @@ def incident_trace_derivative(S: Surface, mat: Material, wave: sv.PlaneWave, xi)
         [np.cross(dE, n) + np.cross(E, dN), np.cross(ddxE, n) + np.cross(dxE, dN)],
         axis=2,
     )
-    mdq_dp = sc._d_weak_project(S, xi, v, dv)  # rows [-dq; dp], as in Zc
-    K = mdq_dp.shape[0] // 2
-    dgD, dgN = np.concatenate([mdq_dp[K:], -mdq_dp[:K]]).T
+    dgD, dgN = sc._stack_pq(sc._d_weak_project(S, xi, v, dv)).T
     return dgD, dgN
 
 
@@ -176,22 +153,21 @@ def d_solution_routeA(
     dE_near = None
     if exterior_probes is not None or interior_probes is not None:
         dE_near = {}
-        hd = lambda v: sc.HelmholtzDensity.from_stacked(S, v)
         if exterior_probes is not None:
-            pts = np.atleast_2d(exterior_probes)
-            out = -bio.d_electric_potential(S, ke, hd(j), pts, xi)
-            out -= bio.electric_potential(S, ke, hd(dj), pts)
-            out -= 1j * eta * bio.d_magnetic_potential(S, ke, hd(a), pts, xi)
-            out -= 1j * eta * bio.magnetic_potential(S, ke, hd(da), pts)
+            pts = exterior_probes
+            out = -bio.d_electric_potential(S, ke, j, pts, xi)
+            out -= bio.electric_potential(S, ke, dj, pts)
+            out -= 1j * eta * bio.d_magnetic_potential(S, ke, a, pts, xi)
+            out -= 1j * eta * bio.magnetic_potential(S, ke, da, pts)
             dE_near["exterior"] = out
         if interior_probes is not None:
-            pts = np.atleast_2d(interior_probes)
+            pts = interior_probes
             dtD = dgD - dL_j - ops.L @ dj
             dtN = (dgN - dN_j - ops.N @ dj) / rho
-            out = bio.d_electric_potential(S, ki, hd(sol.tN), pts, xi)
-            out += bio.electric_potential(S, ki, hd(dtN), pts)
-            out += bio.d_magnetic_potential(S, ki, hd(sol.tD), pts, xi)
-            out += bio.magnetic_potential(S, ki, hd(dtD), pts)
+            out = bio.d_electric_potential(S, ki, sol.tN, pts, xi)
+            out += bio.electric_potential(S, ki, dtN, pts)
+            out += bio.d_magnetic_potential(S, ki, sol.tD, pts, xi)
+            out += bio.magnetic_potential(S, ki, dtD, pts)
             dE_near["interior"] = out
     return DerivativeResult(
         route="A",
@@ -224,23 +200,25 @@ def transmission_rhs(sol: sv.ScatteringSolution, xi: DeformationField) -> Transm
     theta = np.einsum("ij,ij->i", xi.values, n)
     # node values and divergences of the interior Cauchy data, from the basis
     jb, divb = sc.density_basis(S)
+    K = jb.shape[2] // 2
     tDN = np.stack([sol.tD, sol.tN], axis=1)
     tDv, tNv = sc._times(jb, tDN).transpose(2, 0, 1)
     div_tD, div_tN = sc._times(divb, tDN).T
 
+    # theta times the scalar jumps of n . E (normal components are
+    # discontinuous) and of curl_G E; curl_G of each is the curl columns of
+    # the basis on its degree 1..L coefficients, whose weak projection is
+    # that of the curl of the node data (see surfcalc), without a transform
+    nE_jump = (1.0 / ki - rho / ke) * div_tN
+    rot_jump = (1.0 / mi - 1.0 / me) * div_tD
+    coef = S.grid.analyze(theta[:, None] * np.stack([nE_jump, rot_jump], 1), S.grid.L)
+    curl_nE, curl_rot = sc._times(jb[:, :, K:], coef[1:]).transpose(2, 0, 1)
+
     # jump of n ^ curl E across the interface, in units of tN
     cM = ke * rho - ki
-    # jump of n . E (normal components are discontinuous)
-    nE_jump = (1.0 / ki - rho / ke) * div_tN
-    g_D = -theta[:, None] * np.cross(cM * tNv, n) + sc.tangential_vector_curl(
-        S, theta * nE_jump
-    )
-
+    g_D = -theta[:, None] * np.cross(cM * tNv, n) + curl_nE
     cD = ki**2 / mi - ke**2 / me
-    rot_jump = (1.0 / mi - 1.0 / me) * div_tD
-    g_N = theta[:, None] * cD * np.cross(tDv, n) + sc.tangential_vector_curl(
-        S, theta * rot_jump
-    )
+    g_N = theta[:, None] * cD * np.cross(tDv, n) + curl_rot
     return TransmissionData(surface=S, g_D=g_D, g_N=g_N)
 
 

@@ -50,6 +50,9 @@ __all__ = [
     "interior_field",
 ]
 
+# relative residual of the solved system above which solve raises
+RESIDUAL_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class PlaneWave:
@@ -84,13 +87,12 @@ class PlaneWave:
 
 
 def incident_traces(S: Surface, mat: Material, wave: PlaneWave):
-    """Helmholtz-decomposed traces (g_D, g_N) of the incident field."""
+    """Coefficient stacks (g_D, g_N) of the incident traces E ^ n and
+    (1/k_e) curl E ^ n, from one batched weak projection."""
     ke = mat.kappa_e
-    E = wave.field(ke, S.points)
-    n = S.normal
-    gD = np.cross(E, n)
-    gN = (1.0 / ke) * np.cross(wave.curl(ke, S.points), n)
-    return sc.helmholtz_decompose(S, gD), sc.helmholtz_decompose(S, gN)
+    E = np.stack([wave.field(ke, S.points), wave.curl(ke, S.points) / ke], axis=2)
+    gD, gN = sc.helmholtz_decompose(S, sc._cross_n(E, S.normal)).T
+    return gD, gN
 
 
 @dataclass
@@ -177,19 +179,17 @@ def solve(
     mat: Material,
     wave: PlaneWave,
     ops: SystemOperators | None = None,
-    residual_tol: float = 1e-8,
 ) -> ScatteringSolution:
-    """Solve the single-source system for one incident plane wave."""
+    """Solve the single-source system for one incident plane wave; a relative
+    residual above RESIDUAL_TOL raises NoConvergence."""
     if ops is None:
         ops = build_system(S, mat)
-    dD, dN = incident_traces(S, mat, wave)
-    gD = dD.stacked()
-    gN = dN.stacked()
+    gD, gN = incident_traces(S, mat, wave)
     b = ops.rhs(gD, gN)
     j = ops.solve(b)
     res = np.linalg.norm(ops.S @ j - b) / max(np.linalg.norm(b), 1e-300)
-    if res > residual_tol:
-        raise NoConvergence(f"relative residual {res:.3e} exceeds {residual_tol:.1e}")
+    if res > RESIDUAL_TOL:
+        raise NoConvergence(f"relative residual {res:.3e} exceeds {RESIDUAL_TOL:.1e}")
     return ScatteringSolution(
         surface=S, material=mat, wave=wave, ops=ops, j=j, gD=gD, gN=gN, residual=res
     )
@@ -223,11 +223,9 @@ def scattered_field(sol: ScatteringSolution, targets: np.ndarray) -> np.ndarray:
     """E_s at exterior points (smooth-rule evaluation)."""
     S = sol.surface
     ke = sol.material.kappa_e
-    eta = sol.material.eta
-    jden = sc.HelmholtzDensity.from_stacked(S, sol.j)
-    aden = sc.HelmholtzDensity.from_stacked(S, sol.ops.C0 @ sol.j)
-    out = -bio.electric_potential(S, ke, jden, targets)
-    out -= 1j * eta * bio.magnetic_potential(S, ke, aden, targets)
+    out = -bio.electric_potential(S, ke, sol.j, targets)
+    a = sol.ops.C0 @ sol.j
+    out -= 1j * sol.material.eta * bio.magnetic_potential(S, ke, a, targets)
     return out
 
 
@@ -235,8 +233,6 @@ def interior_field(sol: ScatteringSolution, targets: np.ndarray) -> np.ndarray:
     """E_i at interior points from the interior representation."""
     S = sol.surface
     ki = sol.material.kappa_i
-    dN = sc.HelmholtzDensity.from_stacked(S, sol.tN)
-    dD = sc.HelmholtzDensity.from_stacked(S, sol.tD)
-    return bio.electric_potential(S, ki, dN, targets) + bio.magnetic_potential(
-        S, ki, dD, targets
+    return bio.electric_potential(S, ki, sol.tN, targets) + bio.magnetic_potential(
+        S, ki, sol.tD, targets
     )

@@ -10,14 +10,17 @@ vector fields (N, 3) or (N, 3, k).  Everything works for complex data.
 
 The potential basis.  A tangential density j = grad_Gamma p + curl_Gamma q
 is stored as the mean-zero real-spherical-harmonic coefficients
-c = [p_1.., q_1..] of length 2K, K = (L+1)^2 - 1.  Its node values are
-jb c and div_Gamma j = divb c (density_basis), jb = [GY | TK] on the solver
-degrees, GY = grad_Gamma Y, TK = GY ^ n: the only map from coefficients to
-node values.  Every basis and test field is a Y_theta + b Y_phi with
-per-node vectors (a, b), its "frame" (_basis_fields); full-degree test
-fields enter only through their frames (_frame_rows), and their shape
-derivatives are frames too (_dgeom).  Only Delta_Gamma Y of the K gradient
-densities takes a dense d/dtheta, d/dphi transform.
+c = [p_1.., q_1..] of length 2K, K = (L+1)^2 - 1, or as a batch (2K, m) of
+such stacks: the one format in which a density crosses a module boundary
+(helmholtz_decompose returns it; the solver's traces and bio's potentials
+take it).  Its node values are jb c and div_Gamma j = divb c
+(density_basis), jb = [GY | TK] on the solver degrees, GY = grad_Gamma Y,
+TK = GY ^ n: the only map from coefficients to node values.  Every basis
+and test field is a Y_theta + b Y_phi with per-node vectors (a, b), its
+"frame" (_basis_fields); full-degree test fields enter only through their
+frames (_frame_rows), and their shape derivatives are frames too (_dgeom).
+Only Delta_Gamma Y of the K gradient densities takes a dense d/dtheta,
+d/dphi transform.
 
 The weak projection is the only map from node data to (p, q).  The
 potentials solve A u = r with the Laplace-Beltrami stiffness matrix A over
@@ -28,9 +31,13 @@ folded into the test fields Zc = w J [-TK | GY], so that
 derivative of j is taken.  Per node w J grad_Gamma Y . (grad_Gamma q ^ n) =
 w (Y_theta q_phi - Y_phi q_theta) / sin(theta) does not depend on the
 geometry, so the rule integrates it exactly for band-limited data and the
-projection is an exact left inverse of jb on every surface.  Its
-derivative on the transported surfaces (_d_weak_project) serves route A's
-layer blocks and incident traces alike.
+projection is an exact left inverse of jb on every surface.  For the same
+reason, and because the stiffness matrix is the Gram matrix of TK under
+the same rule, curl_Gamma f of scalar node data f projects to (0; the
+degree 1..L coefficients of f), so TK times those coefficients stands in
+for the curl.  The derivative of the projection on the transported
+surfaces (_d_weak_project) serves route A's layer blocks and incident
+traces alike.
 """
 
 from __future__ import annotations
@@ -43,7 +50,6 @@ from .geometry import DeformationField, Surface
 from .grid import _real_apply
 
 __all__ = [
-    "HelmholtzDensity",
     "density_basis",
     "surface_gradient",
     "surface_divergence",
@@ -403,50 +409,24 @@ def _times(B: np.ndarray, c) -> np.ndarray:
 
 
 # -- Helmholtz decomposition ----------------------------------------------
-class HelmholtzDensity:
-    """Tangential field j = grad_Gamma p + curl_Gamma q, stored via (p, q).
-
-    Coefficients are real-spherical-harmonic vectors of length (L+1)^2 with
-    the degree-0 entry identically zero (potentials are mean-zero).
-    """
-
-    def __init__(self, surface: Surface, p_coeffs, q_coeffs):
-        self.surface = surface
-        L = surface.grid.L
-        nc = surface.grid.ncoef(L)
-        self.p_coeffs = np.zeros(nc, dtype=complex)
-        self.q_coeffs = np.zeros(nc, dtype=complex)
-        self.p_coeffs[: len(p_coeffs)] = p_coeffs
-        self.q_coeffs[: len(q_coeffs)] = q_coeffs
-        self.p_coeffs[0] = 0.0
-        self.q_coeffs[0] = 0.0
-
-    def node_values(self) -> np.ndarray:
-        """j at the nodes, shape (N, 3): the basis densities times stacked()."""
-        return _times(density_basis(self.surface)[0], self.stacked())
-
-    def stacked(self) -> np.ndarray:
-        """Concatenated (p, q) coefficient vector without the degree-0 slots."""
-        return np.concatenate([self.p_coeffs[1:], self.q_coeffs[1:]])
-
-    @classmethod
-    def from_stacked(cls, surface: Surface, vec: np.ndarray) -> "HelmholtzDensity":
-        n = vec.shape[0] // 2
-        p = np.concatenate([[0.0], vec[:n]])
-        q = np.concatenate([[0.0], vec[n:]])
-        return cls(surface, p, q)
+def _stack_pq(mq_p: np.ndarray) -> np.ndarray:
+    """The rows [-q; p] of a weak projection (the column order of Zc) as the
+    coefficient stack [p; q]."""
+    K = mq_p.shape[0] // 2
+    return np.concatenate([mq_p[K:], -mq_p[:K]])
 
 
-def helmholtz_decompose(S: Surface, j: np.ndarray) -> HelmholtzDensity:
-    """Split a tangential field into gradient and rotational potentials.
+def helmholtz_decompose(S: Surface, j: np.ndarray) -> np.ndarray:
+    """Coefficient stack c = [p; q] of a tangential field j = grad_Gamma p +
+    curl_Gamma q, shape (2K,) for j of shape (N, 3), or a batch (2K, m) for
+    j of shape (N, 3, m).
 
     p = A^{-1} int grad_Gamma Y . j ds and q = A^{-1} int curl_Gamma Y . j ds
     at the solver degrees, the weak projection _bsum(Zc, j) = [-q; p] (see
     the module docstring); it recovers the coefficients of jb c exactly.
     """
-    mq_p = _bsum(_basis_fields(S)["Zc"], j[:, :, None])[:, 0]
-    K = mq_p.shape[0] // 2
-    return HelmholtzDensity.from_stacked(S, np.concatenate([mq_p[K:], -mq_p[:K]]))
+    c = _stack_pq(_bsum(_basis_fields(S)["Zc"], j.reshape(j.shape[:2] + (-1,))))
+    return c.reshape(c.shape[:1] + j.shape[2:])
 
 
 # -- shape derivatives of the surface operators ---------------------------

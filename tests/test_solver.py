@@ -171,7 +171,6 @@ class TestWeakTraces:
     def test_sphere_matches_strong_form(self, small_sphere, material, wave):
         dD, dN = solver.incident_traces(small_sphere, material, wave)
         for weak, strong in zip((dD, dN), strong_traces(small_sphere, material, wave)):
-            weak = weak.stacked()
             assert np.abs(weak - strong).max() <= 1e-13 * np.abs(strong).max()
 
     def test_wobbly_far_field_gap_falls_spectrally(
