@@ -59,8 +59,10 @@ instead of 2K.  Without c the batch is the identity and the result is the
 matrix.  ``d_wave_blocks``
 mirrors ``wave_blocks``: it builds the kernel pairs (V, dV), (K', dK'),
 (K's, dK's) of one wavenumber in a single pass and returns (dC @ c, dM @ c),
-the two recipes sharing V, dV and the products V j, dV j and V dj; route A
-makes one such pass per wavenumber and one static pass.
+the two recipes sharing the products V j, dV j and V dj; route A makes one
+such pass per wavenumber and one static pass.  The pass is streamed: each
+pair is applied to the batch as it is yielded and dropped before the next
+is built, so at most one pair of N x N matrices is alive.
 
 Far-field operators and smooth off-surface potential evaluations are at the
 end of the module.  The far-field operators are the moments of the basis
@@ -170,7 +172,7 @@ def _magnetic_block(S: Surface, kappa: float, V, Vj, KP, KS) -> np.ndarray:
 
 def _wave_mats(S: Surface, kappa: float) -> tuple:
     """(V, K', K's) of kappa from one kernel pass."""
-    return kn._kernel_mats(S, kappa, (kn._V, kn._KP, kn._KS))
+    return tuple(kn._kernel_mats(S, kappa, (kn._V, kn._KP, kn._KS)))
 
 
 def electric_block(S: Surface, kappa: float) -> np.ndarray:
@@ -207,34 +209,43 @@ def static_block(S: Surface) -> np.ndarray:
 
 
 # -- shape derivatives of the blocks --------------------------------------
-def _d_single_layer(S: Surface, xi: DeformationField, V, dV, c) -> tuple:
-    """(V, dV, batch, V j, dV j + V dj): the data the derivative recipes of
-    one wavenumber share.  batch holds the node values of the densities with
-    coefficient batch c, their divergences and the stage derivatives of both
-    (j, divj, dj, ddivj); dV j + V dj is the derivative of the transported
-    V j.
+# The derivative recipes take the kernel matrices as an iterator mats in
+# pass order (V, dV, then K', dK', K's, dK's for the magnetic block): each
+# pair is applied to the batch and dropped before the next one is drawn, so
+# a streamed kernel pass holds one pair at a time.
+def _d_single_layer(S: Surface, xi: DeformationField, mats, c) -> tuple:
+    """(batch, V j, dV j + V dj, dV divj + V ddivj) from the pair (V, dV)
+    drawn from mats: the data the derivative recipes of one wavenumber
+    share.  batch holds the node values of the densities with coefficient
+    batch c, their divergences and the stage derivatives of both
+    (j, divj, dj, ddivj); the products are the derivatives of the
+    transported V j and V divj.
 
     c has shape (2K, m); c = None stands for the identity, so the recipes
     run on the basis densities themselves and assemble a matrix."""
     batch = _densities(S, c, xi)
-    j, _, dj, _ = batch
-    return V, dV, batch, _vec_apply(V, j), _vec_apply(dV, j) + _vec_apply(V, dj)
+    j, divj, dj, ddivj = batch
+    V, dV = next(mats), next(mats)
+    dVj = _vec_apply(dV, j) + _vec_apply(V, dj)
+    dVdivj = _vec_apply(dV, divj) + _vec_apply(V, ddivj)
+    return batch, _vec_apply(V, j), dVj, dVdivj
 
 
 def _d_layer_block(S: Surface, xi, sl, sa: float, sv: float):
     """Derivative of the weak-form single-layer recipe of _layer_block, on the
     shared data sl of _d_single_layer: the derivative of the weak projection
     of V j (sc._d_weak_project) with d(V j) = dV j + V dj."""
-    V, dV, (_, divj, _, ddivj), Vj, dVj = sl
+    _, Vj, dVj, dVdivj = sl
     K = S.grid.ncoef(S.grid.L) - 1
     rows = sa * sc._d_weak_project(S, xi, Vj, dVj)
-    rows[K:] += sv * _project(S, _vec_apply(dV, divj) + _vec_apply(V, ddivj))
+    rows[K:] += sv * _project(S, dVdivj)
     return rows
 
 
-def _d_magnetic_block(S: Surface, kappa: float, xi, sl, KP, dKP, KS, dKS):
+def _d_magnetic_block(S: Surface, kappa: float, xi, sl, mats):
     """Derivative of the magnetic recipe on the shared data sl of
-    _d_single_layer and the kernel pairs (K', dK'), (K's, dK's) of kappa.
+    _d_single_layer and the kernel pairs (K', dK'), (K's, dK's) of kappa,
+    drawn from mats and used one pair at a time.
 
     The Galerkin right-hand side sum_b Df_b^T V^T y_b - TK_b^T KS^T y_b and
     its derivative are applied factor by factor to y_b = w J j_b, the test
@@ -242,7 +253,7 @@ def _d_magnetic_block(S: Surface, kappa: float, xi, sl, KP, dKP, KS, dKS):
     formed.  V^T y = w J (V j) holds on every transported surface (see
     _magnetic_block), so its derivative is w J d(V j) + w dJ V j."""
     g = S.grid
-    V, dV, (j, divj, dj, ddivj), Vj, dVj = sl
+    (j, divj, dj, ddivj), Vj, dVj, _ = sl
     dg = sc._dgeom(S, xi)
     fr, dfr = sc._basis_fields(S)["frames"], dg["frames"]
     n, dN = S.normal, dg["dN"]
@@ -251,9 +262,11 @@ def _d_magnetic_block(S: Surface, kappa: float, xi, sl, KP, dKP, KS, dKS):
     ncL = g.ncoef(g.L)
 
     # gradient potential
+    KP, dKP = next(mats), next(mats)
     f = kappa**2 * np.einsum("ij,ijk->ik", n, Vj) + _vec_apply(KP, divj)
     dnVj = np.einsum("ij,ijk->ik", dN, Vj) + np.einsum("ij,ijk->ik", n, dVj)
     df = kappa**2 * dnVj + _vec_apply(dKP, divj) + _vec_apply(KP, ddivj)
+    del KP, dKP
     p_rows = sc._d_weak_poisson(S, dg, f, df)[1:ncL]
 
     # rotational potential: Q = A^{-1} rc, dQ = A^{-1}(drc - dA Q)
@@ -261,8 +274,10 @@ def _d_magnetic_block(S: Surface, kappa: float, xi, sl, KP, dKP, KS, dKS):
     dy = wdJ * j + wJ * dj
     Vy = wJ * Vj
     dVy = wJ * dVj + wdJ * Vj
+    KS, dKS = next(mats), next(mats)
     Ky = _vec_apply(KS.T, y)
     dKy = _vec_apply(KS.T, dy) + _vec_apply(dKS.T, y)
+    del KS, dKS
     rc = sc._frame_rows(g, fr["Df"], Vy) - sc._frame_rows(g, fr["TK"], Ky)
     drc = sc._frame_rows(g, fr["Df"], dVy) + sc._frame_rows(g, dfr["Df"], Vy)
     drc -= sc._frame_rows(g, fr["TK"], dKy) + sc._frame_rows(g, dfr["TK"], Ky)
@@ -270,20 +285,20 @@ def _d_magnetic_block(S: Surface, kappa: float, xi, sl, KP, dKP, KS, dKS):
     return np.concatenate([p_rows, q_rows], axis=0)
 
 
-def _d_wave_mats(S: Surface, kappa: float, xi: DeformationField) -> tuple:
-    """(V, dV, K', dK', K's, dK's) of kappa from one kernel pass."""
+def _d_wave_mats(S: Surface, kappa: float, xi: DeformationField):
+    """The streamed kernel pass (V, dV, K', dK', K's, dK's) of kappa."""
     groups = (kn._V, kn._DV, kn._KP, kn._DKP, kn._KS, kn._DKS)
     return kn._kernel_mats(S, kappa, groups, xi)
 
 
 def d_wave_blocks(S: Surface, kappa: float, xi: DeformationField, c) -> tuple:
     """(d_electric_block @ c, d_magnetic_block @ c) of one wavenumber from one
-    kernel pass; the two recipes share V, dV and the products V j, dV j and
+    streamed kernel pass; the two recipes share the products V j, dV j and
     V dj of the densities j of the batch c."""
-    V, dV, *K = _d_wave_mats(S, kappa, xi)
-    sl = _d_single_layer(S, xi, V, dV, c)
+    mats = _d_wave_mats(S, kappa, xi)
+    sl = _d_single_layer(S, xi, mats, c)
     dC = _d_layer_block(S, xi, sl, kappa, 1.0 / kappa)
-    return dC, _d_magnetic_block(S, kappa, xi, sl, *K)
+    return dC, _d_magnetic_block(S, kappa, xi, sl, mats)
 
 
 def d_electric_block(
@@ -291,7 +306,7 @@ def d_electric_block(
 ) -> np.ndarray:
     """Derivative of the transported electric block at the base surface,
     applied to the coefficient batch c (the matrix when c is None)."""
-    sl = _d_single_layer(S, xi, *kn.dvmat(S, kappa, xi), c)
+    sl = _d_single_layer(S, xi, iter(kn.dvmat(S, kappa, xi)), c)
     return _d_layer_block(S, xi, sl, kappa, 1.0 / kappa)
 
 
@@ -300,14 +315,14 @@ def d_magnetic_block(
 ) -> np.ndarray:
     """Derivative of the transported magnetic block at the base surface,
     applied to the coefficient batch c (the matrix when c is None)."""
-    V, dV, *K = _d_wave_mats(S, kappa, xi)
-    return _d_magnetic_block(S, kappa, xi, _d_single_layer(S, xi, V, dV, c), *K)
+    mats = _d_wave_mats(S, kappa, xi)
+    return _d_magnetic_block(S, kappa, xi, _d_single_layer(S, xi, mats, c), mats)
 
 
 def d_static_block(S: Surface, xi: DeformationField, c=None) -> np.ndarray:
     """Derivative of the transported static coupling block, applied to the
     coefficient batch c (the matrix when c is None)."""
-    sl = _d_single_layer(S, xi, *kn.dvmat(S, 0.0, xi), c)
+    sl = _d_single_layer(S, xi, iter(kn.dvmat(S, 0.0, xi)), c)
     return _d_layer_block(S, xi, sl, 1.0, -1.0)
 
 

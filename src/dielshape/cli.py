@@ -261,6 +261,7 @@ def cmd_solve(cfg):
         "L": L,
         "nquad": nquad,
         "residual": sol.residual,
+        "condition_number": sol.ops.condition,
         "far_field_csv": "far_field.csv",
         "far_field_max": float(np.abs(F).max()),
     }

@@ -37,7 +37,9 @@ derivative matrices are those of the transported integrals, so they include
 the measure variation dJ = J div_Gamma xi as the term K diag(div_Gamma xi).
 That term needs the primal matrix K, so derivative kernels come in (K, dK)
 pairs from one assembly, and one pass can build several pairs of one
-wavenumber on shared distances, radial factors and numerators.
+wavenumber on shared distances, radial factors and numerators.  The pass
+yields each matrix as soon as it is built, so a caller that uses each pair
+and drops it never holds the matrices of the whole pass.
 """
 
 from __future__ import annotations
@@ -259,18 +261,21 @@ def _term_sum(terms, nums, radial):
     return total
 
 
-def _kernel_mats(S: Surface, kappa: float, groups, xi=None) -> tuple:
-    """Matrices B F J + 1j sm w J, one per group of (order, coefficient,
-    numerator factors) terms; for kappa = 0, where sm vanishes, the real
-    matrices B F J.  The groups share the radial factors and the numerators;
-    a numerator is formed when a group first needs it, and each is dropped
-    after the last group that uses it.  This is the one place where
-    diagonals are set: F from the probe ring, sm from its R = 0 limit.
+def _kernel_mats(S: Surface, kappa: float, groups, xi=None):
+    """Yield the matrices B F J + 1j sm w J, one per group of (order,
+    coefficient, numerator factors) terms, each as soon as it is built; for
+    kappa = 0, where sm vanishes, the real matrices B F J.  The groups share
+    the radial factors and the numerators; a numerator is formed when a group
+    first needs it, and each is dropped after the last group that uses it.
+    This is the one place where diagonals are set: F from the probe ring, sm
+    from its R = 0 limit.
 
     With a deformation xi the groups come as consecutive (terms, dterms)
     pairs, and the second matrix of each pair becomes the derivative of the
     transported first one: dK + K diag(div_Gamma xi), the measure term
-    coming from dJ = J div_Gamma xi."""
+    coming from dJ = J div_Gamma xi.  The generator keeps only the last
+    primal it yielded, so a caller that uses each pair and drops it holds
+    one pair at a time."""
     g = S.grid
     P = pair_geometry(S)
     pr = probe_geometry(S)
@@ -315,7 +320,7 @@ def _kernel_mats(S: Surface, kappa: float, groups, xi=None) -> tuple:
     J = S.jacobian
     wJ = g.weights * J
     nums = {}
-    out = []
+    prev = None
     for i, terms in enumerate(groups):
         for nm in {nm for _, _, nms in terms for nm in nms} - nums.keys():
             nums[nm] = pair_numerator(nm)
@@ -332,12 +337,13 @@ def _kernel_mats(S: Surface, kappa: float, groups, xi=None) -> tuple:
             M = B * _term_sum(terms, nums, sing) * J[None, :]
         np.fill_diagonal(M, diag)
         if xi is not None and i % 2:
-            M += out[-1] * divxi[None, :]
-        out.append(M)
+            M += prev * divxi[None, :]
         for key in [key for key, li in last.items() if li == i]:
             for data in (sing, smooth, nums):
                 data.pop(key, None)
-    return tuple(out)
+        prev = None if i % 2 else M
+        yield M
+        del M
 
 
 # -- primal kernel matrices -------------------------------------------------
@@ -347,12 +353,12 @@ def vmat(S: Surface, kappa: float) -> np.ndarray:
     (vmat @ u)[i] ~ int_Gamma exp(i k R)/(4 pi R) u(y) ds(y) at x_i.
     Supports kappa = 0 (the static kernel of C0*, a real matrix).
     """
-    return _kernel_mats(S, kappa, (_V,))[0]
+    return next(_kernel_mats(S, kappa, (_V,)))
 
 
 def kprime_mat(S: Surface, kappa: float) -> np.ndarray:
     """Matrix of K'_kappa u(x) = int (d/dn(x)) G_kappa(|x-y|) u(y) ds(y)."""
-    return _kernel_mats(S, kappa, (_KP,))[0]
+    return next(_kernel_mats(S, kappa, (_KP,)))
 
 
 def kprime_src_mat(S: Surface, kappa: float) -> np.ndarray:
@@ -362,7 +368,7 @@ def kprime_src_mat(S: Surface, kappa: float) -> np.ndarray:
     grad_y G . n(y) = g(R) n(y).(y-x).  Used by the Galerkin realization of
     the magnetic boundary operator.
     """
-    return _kernel_mats(S, kappa, (_KS,))[0]
+    return next(_kernel_mats(S, kappa, (_KS,)))
 
 
 # -- shape derivatives: each returns (K, dK), the primal matrix and the ----
@@ -370,16 +376,16 @@ def kprime_src_mat(S: Surface, kappa: float) -> np.ndarray:
 def dvmat(S: Surface, kappa: float, xi: DeformationField) -> tuple:
     """(vmat, dV) with dV = d/dt of  int G(kappa, |x_t - y_t|) u(y) J_t ds(y)
     at t = 0, where x_t = x + t xi."""
-    return _kernel_mats(S, kappa, (_V, _DV), xi)
+    return tuple(_kernel_mats(S, kappa, (_V, _DV), xi))
 
 
 def dkprime_mat(S: Surface, kappa: float, xi: DeformationField) -> tuple:
     """(kprime_mat, dK') for the kernel T_t g(R_t), T_t = n_t(x).(x_t - y_t);
     uses dT = dN(x).(x-y) + n(x).(xi(x)-xi(y)) and the chain rule in R^2."""
-    return _kernel_mats(S, kappa, (_KP, _DKP), xi)
+    return tuple(_kernel_mats(S, kappa, (_KP, _DKP), xi))
 
 
 def dkprime_src_mat(S: Surface, kappa: float, xi: DeformationField) -> tuple:
     """(kprime_src_mat, its derivative) for the source-normal kernel
     Ts g(R), Ts = n(y).(y-x), with dTs = dn(y).(y-x) + n(y).(xi(y)-xi(x))."""
-    return _kernel_mats(S, kappa, (_KS, _DKS), xi)
+    return tuple(_kernel_mats(S, kappa, (_KS, _DKS), xi))

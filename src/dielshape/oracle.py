@@ -11,7 +11,6 @@ the far field is returned in the package normalization
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import spherical_jn, spherical_yn
 
 from .errors import SeriesNotConverged
 from .geometry import Material
@@ -24,22 +23,41 @@ __all__ = [
 ]
 
 
-def _psi(n, z):
-    """Riccati-Bessel psi_n(z) = z j_n(z) and its derivative."""
-    j = spherical_jn(n, z)
-    jp = spherical_jn(n, z, derivative=True)
-    return z * j, j + z * jp
+def _sph_bessel(nmax, z):
+    """Spherical Bessel j_n, y_n and their derivatives, n = 0..nmax + 1, at
+    real z > 0.
+
+    j_n by Miller's downward recurrence from an order well above nmax and z,
+    normalised against j_0 or j_1, whichever is larger (so the zeros of
+    sin z do no harm); y_n by upward recurrence, stable for y.  Derivatives
+    from f_n' = f_{n-1} - (n + 1) f_n / z and f_0' = -f_1."""
+    s, c = np.sin(z), np.cos(z)
+    top = nmax + int(z) + 40
+    j = np.zeros(top + 2)
+    j[top] = 1.0
+    for k in range(top, 0, -1):
+        j[k - 1] = (2 * k + 1) / z * j[k] - j[k + 1]
+        if abs(j[k - 1]) > 1e250:
+            j[k - 1:] *= 1e-250
+    j0, j1 = s / z, (s / z - c) / z
+    j = j[: nmax + 2] * (j0 / j[0] if abs(j0) >= abs(j1) else j1 / j[1])
+    y = np.empty(nmax + 2)
+    y[0], y[1] = -c / z, (-c / z - s) / z
+    for k in range(1, nmax + 1):
+        y[k + 1] = (2 * k + 1) / z * y[k] - y[k - 1]
+    n = np.arange(1, nmax + 2)
+    jp = np.concatenate([[-j[1]], j[:-1] - (n + 1) * j[1:] / z])
+    yp = np.concatenate([[-y[1]], y[:-1] - (n + 1) * y[1:] / z])
+    return j, jp, y, yp
 
 
-def _xi(n, z):
-    """Riccati-Bessel xi_n(z) = z h1_n(z) and its derivative."""
-    j = spherical_jn(n, z)
-    jp = spherical_jn(n, z, derivative=True)
-    y = spherical_yn(n, z)
-    yp = spherical_yn(n, z, derivative=True)
+def _riccati(nmax, z):
+    """Riccati-Bessel psi_n = z j_n, xi_n = z h1_n and their derivatives,
+    n = 1..nmax."""
+    j, jp, y, yp = (f[1 : nmax + 1] for f in _sph_bessel(nmax, z))
     h = j + 1j * y
     hp = jp + 1j * yp
-    return z * h, h + z * hp
+    return z * j, j + z * jp, z * h, h + z * hp
 
 
 def default_order(mat: Material, radius: float) -> int:
@@ -61,10 +79,8 @@ def mie_coefficients(mat: Material, radius: float, nmax: int | None = None):
     y = mat.kappa_i * radius
     m = mat.kappa_i / mat.kappa_e
     mu_r = mat.mu_i / mat.mu_e
-    n = np.arange(1, nmax + 1)
-    px, dpx = _psi(n, x)
-    py, dpy = _psi(n, y)
-    xx, dxx = _xi(n, x)
+    px, dpx, xx, dxx = _riccati(nmax, x)
+    py, dpy, _, _ = _riccati(nmax, y)
     a = (m * py * dpx - mu_r * px * dpy) / (m * py * dxx - mu_r * xx * dpy)
     b = (mu_r * py * dpx - m * px * dpy) / (mu_r * py * dxx - m * xx * dpy)
     scale = max(np.abs(a).max(), np.abs(b).max())

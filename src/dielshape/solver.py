@@ -26,12 +26,10 @@ t_D = g_D - L j and t_N = (g_N - N j)/rho.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .errors import SingularSystem, NoConvergence
 from .geometry import Surface, Material
@@ -120,17 +118,21 @@ class SystemOperators:
         self.S = self.Ci @ self.N + rho * (self.Mi @ self.L - 0.5 * self.L)
 
     @cached_property
-    def _lu(self):
-        with warnings.catch_warnings():  # lu_factor only warns on a zero pivot
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu, piv = lu_factor(self.S, check_finite=False)
-        if not np.all(np.diagonal(lu)):
-            raise SingularSystem("system matrix has a zero pivot")
-        return lu, piv
+    def _inv(self):
+        try:
+            return np.linalg.inv(self.S)
+        except np.linalg.LinAlgError as err:
+            raise SingularSystem(f"system matrix is singular: {err}") from None
+
+    @cached_property
+    def condition(self) -> float:
+        """1-norm condition number ||S||_1 ||S^{-1}||_1, exact and O(K^2)
+        from the cached inverse."""
+        return float(np.linalg.norm(self.S, 1) * np.linalg.norm(self._inv, 1))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """S^{-1} b from the one LU factorization of S, made on first use."""
-        return lu_solve(self._lu, b, check_finite=False)
+        """S^{-1} b from the one inverse of S, made on first use."""
+        return self._inv @ b
 
     def rhs(self, gD: np.ndarray, gN: np.ndarray) -> np.ndarray:
         """Right-hand side for stacked incident trace coefficients."""

@@ -242,10 +242,8 @@ def _lb_data(S: Surface) -> dict:
     only degrees <= L; "rows" gives those coefficients directly.  A solve is
     a product with the inverse, which the well conditioned stiffness matrix
     (eigenvalues growing like l(l+1), l = 1..Lmax) allows.  The inverse
-    comes from numpy.linalg, whose LAPACK runs on numpy's BLAS threads:
-    scipy.linalg links its own OpenBLAS, whose threads compete with numpy's
-    when several are in use, and its Cholesky factor and triangular solves
-    of this small matrix then took tens of milliseconds each."""
+    comes from numpy.linalg, the package's only LAPACK, whose calls run on
+    numpy's BLAS threads."""
     if "lb" not in S._cache:
         g = S.grid
         w = g.weights * S.jacobian

@@ -2,6 +2,8 @@
 sphere, translation behaviour, off-surface potentials, and agreement of the
 analytic shape derivatives with finite differences of deformed surfaces."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -339,3 +341,20 @@ class TestShapeDerivativeBlocks:
             fd = (at(self.h) - at(-self.h)) / (2.0 * self.h)
             out = dfn(S, KAPPA, dens, targets, generic_xi)
             assert_allclose(out, fd, atol=1e-7 * np.abs(fd).max())
+
+
+def test_derivative_pass_streams_kernel_pairs(wobbly_surface, generic_xi):
+    # d_wave_blocks uses each kernel pair (V, dV), (K', dK'), (K's, dK's) as
+    # the pass yields it and drops it, so a warm call never holds the six
+    # complex N x N matrices of a wavenumber at once
+    S = wobbly_surface
+    K2 = 2 * (S.grid.ncoef(S.grid.L) - 1)
+    c = np.random.default_rng(7).normal(size=(K2, 2)) + 0j
+    bio.d_wave_blocks(S, KAPPA, generic_xi, c)
+    tracemalloc.start()
+    try:
+        bio.d_wave_blocks(S, KAPPA, generic_xi, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 16 * S.grid.nnodes**2

@@ -43,6 +43,7 @@ class TestSolve:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["command"] == "solve"
         assert summary["residual"] < 1e-10
+        assert 1.0 <= summary["condition_number"] < 1e6
         # default surface is the unit sphere, so the series comparison runs
         assert summary["mie_relative_l2_error"] < 1e-5
         header, rows = read_csv(tmp_path / "far_field.csv")

@@ -5,6 +5,7 @@ radius-derivative extrapolation."""
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import spherical_jn, spherical_yn
 
 from dielshape import oracle
 from dielshape.errors import SeriesNotConverged
@@ -91,3 +92,39 @@ class TestRadiusDerivative:
         slope = np.log10(errs[0] / errs[1])
         assert slope == pytest.approx(2.0, abs=0.05)
         assert errs[1] < 1e-4
+
+
+class TestBessel:
+    # scipy is a test-only reference; the absolute floor is j_0(pi) ~ 4e-17,
+    # a zero of sin z, where no relative accuracy is meaningful
+    @pytest.mark.parametrize("z", [0.05, 0.3, 1.0, 1.5, np.pi, 10.0, 30.0])
+    def test_matches_scipy(self, z):
+        nmax = int(np.ceil(z)) + 15
+        n = np.arange(nmax + 2)
+        ref = (
+            spherical_jn(n, z),
+            spherical_jn(n, z, derivative=True),
+            spherical_yn(n, z),
+            spherical_yn(n, z, derivative=True),
+        )
+        for out, r in zip(oracle._sph_bessel(nmax, z), ref):
+            assert out.shape == r.shape
+            assert_allclose(out, r, rtol=5e-14, atol=4e-17)
+
+    def test_far_field_matches_scipy_reference(self, monkeypatch):
+        # the same series with scipy's Bessel functions in place of the
+        # recurrences
+        dirs = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [0.0, -1.0, 0.0]])
+        F = oracle.mie_far_field(MAT, 1.0, WAVE, dirs)
+
+        def scipy_bessel(nmax, z):
+            n = np.arange(nmax + 2)
+            return tuple(
+                f(n, z, derivative=d)
+                for f in (spherical_jn, spherical_yn)
+                for d in (False, True)
+            )
+
+        monkeypatch.setattr(oracle, "_sph_bessel", scipy_bessel)
+        ref = oracle.mie_far_field(MAT, 1.0, WAVE, dirs)
+        assert np.abs(F - ref).max() <= 1e-13 * np.abs(ref).max()

@@ -43,6 +43,10 @@ class TestSolve:
         assert_allclose(ops.S @ ops.solve(b), b, atol=1e-10)
         assert ops.solve(b[:, 0]).shape == (ops.S.shape[0],)
 
+    def test_condition_is_exact_1_norm_condition(self, small_solution):
+        ops = small_solution.ops
+        assert ops.condition == pytest.approx(np.linalg.cond(ops.S, 1), rel=1e-10)
+
     def test_singular_system_raises(self, small_sphere, material):
         # All blocks zero give S = 0, whose LU factor has zero pivots.
         Z = np.zeros((4, 4), dtype=complex)
