@@ -4,7 +4,8 @@ The grid is a tensor product of Gauss-Legendre nodes in cos(theta) (``nquad``
 points) with a uniform azimuthal rule (``2*nquad`` points).  With
 ``Lmax = nquad - 1`` the rule integrates products of two harmonics of degree
 <= Lmax exactly, which is what both the discrete transform and the singular
-product quadrature need.
+product quadrature need.  Angular derivatives of node data go through the
+coefficients; the only N x N data are the singular weights and chords.
 """
 
 from __future__ import annotations
@@ -17,12 +18,6 @@ from . import sh
 from .errors import ResolutionTooLow
 
 __all__ = ["ReferenceGrid"]
-
-# probe ring for the diagonal limits of the kernels: PROBE_NDIRS points at
-# geodesic distance PROBE_T around each node
-PROBE_T = 1.0e-3
-PROBE_NDIRS = 8
-
 
 def _real_apply(op: np.ndarray, f: np.ndarray) -> np.ndarray:
     """The real matrix op applied along the first axis of f, in real
@@ -81,9 +76,6 @@ class ReferenceGrid:
         st, ct = np.sin(self.theta), np.cos(self.theta)
         sp, cp = np.sin(self.phi), np.cos(self.phi)
         self.nodes = np.stack([st * cp, st * sp, ct], axis=1)
-        # local orthonormal frame on S^2 (nodes exclude the poles)
-        self.e_theta = np.stack([ct * cp, ct * sp, -st], axis=1)
-        self.e_phi = np.stack([-sp, cp, np.zeros_like(sp)], axis=1)
 
         self.Y, self.Yth, self.Yph = sh.sh_basis(self.Lmax, self.theta, self.phi)
         # analysis: c_k = sum_i w_i Y_k(x_i) f(x_i)
@@ -114,20 +106,13 @@ class ReferenceGrid:
         basis = {None: self.Y, "theta": self.Yth, "phi": self.Yph}[deriv]
         return _real_apply(basis[:, :nc], c)
 
-    @cached_property
-    def dtheta_matrix(self) -> np.ndarray:
-        """Dense spectral d/dtheta matrix on node values."""
-        return self.Yth @ self.analysis_full
-
-    @cached_property
-    def dphi_matrix(self) -> np.ndarray:
-        return self.Yph @ self.analysis_full
-
     def dtheta(self, f: np.ndarray) -> np.ndarray:
-        return _real_apply(self.dtheta_matrix, f)
+        """Spectral d/dtheta of node values, through their coefficients."""
+        return self.synthesize(self.analyze(f, self.Lmax), deriv="theta")
 
     def dphi(self, f: np.ndarray) -> np.ndarray:
-        return _real_apply(self.dphi_matrix, f)
+        """Spectral d/dphi of node values, through their coefficients."""
+        return self.synthesize(self.analyze(f, self.Lmax), deriv="phi")
 
     # -- singular product quadrature -------------------------------------
     @cached_property
@@ -148,26 +133,6 @@ class ReferenceGrid:
         chord = np.sqrt(np.maximum(2.0 - 2.0 * dot, 0.0))
         np.fill_diagonal(chord, 1.0)
         return chord
-
-    # -- probe ring --------------------------------------------------------
-    @cached_property
-    def ring(self) -> dict:
-        """Basis Y, Y_theta, Y_phi on the probe ring and the probes' chord.
-
-        The ring holds PROBE_NDIRS points at geodesic distance PROBE_T
-        around each node, in evenly spread tangent directions; basis rows
-        are node-major, (N * PROBE_NDIRS, ncoef).  Built on first use.
-        """
-        alphas = 2.0 * np.pi * np.arange(PROBE_NDIRS) / PROBE_NDIRS
-        dirs = (
-            np.cos(alphas)[None, :, None] * self.e_theta[:, None, :]
-            + np.sin(alphas)[None, :, None] * self.e_phi[:, None, :]
-        )
-        y = np.cos(PROBE_T) * self.nodes[:, None, :] + np.sin(PROBE_T) * dirs
-        theta = np.arccos(np.clip(y[..., 2], -1.0, 1.0)).ravel()
-        phi = np.mod(np.arctan2(y[..., 1], y[..., 0]), 2.0 * np.pi).ravel()
-        Y, Yth, Yph = sh.sh_basis(self.Lmax, theta, phi)
-        return {"Y": Y, "Yth": Yth, "Yph": Yph, "chord": 2.0 * np.sin(PROBE_T / 2.0)}
 
     def __repr__(self):
         return f"ReferenceGrid(L={self.L}, nquad={self.nquad})"

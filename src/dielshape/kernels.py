@@ -14,20 +14,22 @@ imaginary part a smooth one.  The singular part is split as
 with F smooth away from the diagonal.  The 1/|xhat - yhat| factor is
 integrated by the product rule that is exact for spherical harmonics up to
 the grid degree (ReferenceGrid.singular_weights); the smooth part uses the
-plain rule.  Diagonal limits of F are direction dependent; they are
-evaluated by averaging the off-diagonal formula over a ring of probe points
-at geodesic distance ``PROBE_T`` around each node.  Order 0 takes its radial
-factor at R = 0 there (cos 0 = 1), higher orders at the probe distance.  The
-ring and the basis with its angular derivatives there are grid data
-(ReferenceGrid.ring, built once per grid); a surface or a deformation reaches
-the probes by a few matrix products with its coefficients, and the normal
-derivative there comes from the tangents of the surface and of xi.
+plain rule.
+
+Diagonal limits of F depend on the direction of approach; the diagonal is
+their mean over PROBE_NDIRS directions, in closed form (probe_geometry).
+Along a reference tangent with parameter direction u, a point at geodesic
+distance s has chord ~ s and R ~ |v| s, v = x_theta u_theta + x_phi u_phi.
+Each numerator vanishes with its parameter gradient at y = x, so num / s^2
+is half its Hessian at u: T, Ts -> -h(u, u) / 2 (h_ij = x_ij . n), Phi ->
+v . xi_u, dT, dTs -> -dh(u, u) / 2 (dh_ij = xi_ij . n + x_ij . dN).  A term
+tends to rad_p(0) = 1, -1, 3/2 times its numerator limits over |v|^(2p+1);
+the limits commute with d/dt on x + t xi, so dK's diagonal is exact too.
 
 On the node pairs the numerators come from Gram products: each is U W^T
 for two N x k factors (k <= 8), e.g. T_ij = n_i.x_i - (n X^T)_ij, so no
 N x N x 3 difference array is formed.  The Gram form loses accuracy like
 eps |x|^2 / R^2, so the near pairs (R below NEAR times the body's radius)
-and the probe ring, whose probes lie at distance PROBE_T from the node,
 keep the difference form.
 
 All matrices include the surface measure (weights are applied by the
@@ -47,8 +49,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import Surface, DeformationField
-from .grid import PROBE_NDIRS
-from .surfcalc import surface_divergence, d_normal
+from .surfcalc import _curvature, _d_second_form, d_normal, surface_divergence
 
 __all__ = [
     "pair_geometry",
@@ -64,6 +65,8 @@ __all__ = [
 # Node pairs closer than NEAR times the body's radius take their numerators
 # in difference form, the others from Gram products (see _pair_numerators).
 NEAR = 0.25
+# Directions of approach averaged for the diagonal limits (probe_geometry).
+PROBE_NDIRS = 8
 
 # Kernel terms (order p, coefficient, numerator factors); see the docstring.
 _V = ((0, 1.0, ()),)
@@ -116,14 +119,14 @@ def _smooth_radial(p, kappa, R, z, c, s):
     return out
 
 
-# -- pairwise and probe geometry -----------------------------------------
+# -- pairwise and diagonal geometry --------------------------------------
 def pair_geometry(S: Surface) -> dict:
     """Cached pairwise distances R, the ratio s = chord/R of the grid's
     reference chord to R, and the indices (I, J) of the near pairs, those
     closer than NEAR times the body's radius about its centroid.
 
     The diagonal of R is set to 1 (never used directly; diagonal kernel
-    values come from the probe limits)."""
+    values are the closed-form limits of _kernel_mats)."""
     if "pairs" not in S._cache:
         x = S.points
         dx = x[:, None, :] - x[None, :, :]
@@ -136,29 +139,31 @@ def pair_geometry(S: Surface) -> dict:
 
 
 def probe_geometry(S: Surface) -> dict:
-    """Surface points, tangents x_theta, x_phi and unit normals on the
-    grid's probe ring, each of shape (N, PROBE_NDIRS, 3), and the area
-    element |x_theta ^ x_phi| there, shape (N, PROBE_NDIRS)."""
+    """Cached per-node direction data of the diagonal limits, over the
+    PROBE_NDIRS angles a_k = 2 pi k / PROBE_NDIRS: the parameter direction
+    "u" = (cos a, sin a / sin theta) of the reference tangent cos a e_theta +
+    sin a e_phi, the surface tangent "v" = x_theta u_theta + x_phi u_phi of
+    shape (N, PROBE_NDIRS, 3), its length "vn" and the second fundamental
+    form "h" = h(u, u), both of shape (N, PROBE_NDIRS)."""
     if "probes" not in S._cache:
-        ring = S.grid.ring
-        shape = (S.grid.nnodes, PROBE_NDIRS, 3)
-        x, xt, xp = ((ring[k] @ S.coef.T).reshape(shape) for k in ("Y", "Yth", "Yph"))
-        cross = np.cross(xt, xp)
-        area = np.linalg.norm(cross, axis=-1)
-        n = cross / area[..., None]
-        S._cache["probes"] = {"x": x, "n": n, "xt": xt, "xp": xp, "area": area}
+        a = 2.0 * np.pi * np.arange(PROBE_NDIRS) / PROBE_NDIRS
+        u = (np.cos(a)[None, :], np.sin(a)[None, :] / np.sin(S.grid.theta)[:, None])
+        v = _along(u, S.xt, S.xp)
+        h = _form(_curvature(S)["h"], u)
+        S._cache["probes"] = {"u": u, "v": v, "vn": np.sqrt(_dot(v, v)), "h": h}
     return S._cache["probes"]
 
 
-def _probe_dn(S: Surface, xi: DeformationField) -> np.ndarray:
-    """Normal derivative at the probes, P_perp (xi_theta ^ x_phi + x_theta ^
-    xi_phi) / |x_theta ^ x_phi|, from the tangents of the surface and of xi."""
-    pr = probe_geometry(S)
-    ring = S.grid.ring
-    xit, xip = ((ring[k] @ xi.coef.T).reshape(pr["x"].shape) for k in ("Yth", "Yph"))
-    dc = np.cross(xit, pr["xp"]) + np.cross(pr["xt"], xip)
-    n = pr["n"]
-    return (dc - _dot(n, dc)[..., None] * n) / pr["area"][..., None]
+def _along(u, at, ap):
+    """at u_theta + ap u_phi, the derivative along u of a map with angular
+    derivatives at, ap (N, 3): shape (N, PROBE_NDIRS, 3)."""
+    return u[0][..., None] * at[:, None, :] + u[1][..., None] * ap[:, None, :]
+
+
+def _form(h, u):
+    """h(u, u) = h_tt u_t^2 + 2 h_tp u_t u_p + h_pp u_p^2 for h of shape (3, N)."""
+    ut, up = u
+    return h[0][:, None] * ut**2 + 2 * h[1][:, None] * ut * up + h[2][:, None] * up**2
 
 
 # -- the one assembly recipe ----------------------------------------------
@@ -170,8 +175,7 @@ def _numerators(tgt: dict, src: dict, names) -> dict:
     """Kernel numerators between targets and sources, in difference form.
 
     tgt and src hold points x, normals n and, for derivatives, xi and the
-    normal derivative dn, broadcastable against each other: the nodes
-    against their probe rings, or the two ends of the near node pairs."""
+    normal derivative dn at the two ends of the near node pairs."""
     out = {}
     if not names:
         return out
@@ -267,8 +271,8 @@ def _kernel_mats(S: Surface, kappa: float, groups, xi=None):
     kappa = 0, where sm vanishes, the real matrices B F J.  The groups share
     the radial factors and the numerators; a numerator is formed when a group
     first needs it, and each is dropped after the last group that uses it.
-    This is the one place where diagonals are set: F from the probe ring, sm
-    from its R = 0 limit.
+    This is the one place where diagonals are set: F from its closed-form
+    direction-mean limit (see the module docstring), sm from its R = 0 limit.
 
     With a deformation xi the groups come as consecutive (terms, dterms)
     pairs, and the second matrix of each pair becomes the derivative of the
@@ -280,7 +284,6 @@ def _kernel_mats(S: Surface, kappa: float, groups, xi=None):
     P = pair_geometry(S)
     pr = probe_geometry(S)
     R, s = P["R"], P["s"]
-    x, n = S.points, S.normal
     names = {nm for terms in groups for _, _, nms in terms for nm in nms}
     orders = {p for terms in groups for p, _, _ in terms}
     last = {}  # radial order or numerator name -> index of its last group
@@ -288,29 +291,23 @@ def _kernel_mats(S: Surface, kappa: float, groups, xi=None):
         for p, _, nms in terms:
             last.update(dict.fromkeys((p, *nms), i))
 
-    nodes = {"x": x, "n": n}
-    prb = {"x": pr["x"], "n": pr["n"]}
+    # numerator limits over s^2 and radial factors at R = 0 over |v|^(2p+1)
+    nodes = {"x": S.points, "n": S.normal}
+    lim = {"T": -0.5 * pr["h"], "Ts": -0.5 * pr["h"]}
     if xi is not None:
         nodes["xi"] = xi.values
-        prb["xi"] = (g.ring["Y"] @ xi.coef.T).reshape(pr["x"].shape)
+        xiu = _along(pr["u"], *(g.synthesize(xi.coef.T, d) for d in ("theta", "phi")))
+        lim["Phi"] = _dot(pr["v"], xiu)
         if names & {"dT", "dTs"}:
             nodes["dn"] = d_normal(S, xi)
-            if "dTs" in names:
-                prb["dn"] = _probe_dn(S, xi)
+            dh = _form(_d_second_form(S, xi, nodes["dn"]), pr["u"])
+            lim["dT"] = lim["dTs"] = -0.5 * dh
         divxi = surface_divergence(S, xi.values)
-    nums_p = _numerators({k: v[:, None] for k, v in nodes.items()}, prb, names)
+    rad0 = {p: _singular_radial(p, 0, 1, 0) / pr["vn"] ** (2 * p + 1) for p in orders}
     pair_numerator = _pair_numerators(P["near"], nodes, names)
 
-    dxp = x[:, None] - pr["x"]
-    Rp = np.sqrt(_dot(dxp, dxp))
-    sp = g.ring["chord"] / Rp
     zcs = _trig(kappa, R)
-    zcs_p = _trig(kappa, Rp)
     sing = {p: _singular_radial(p, *zcs) * _scale(s, R, p) for p in orders}
-    sing_p = {
-        p: (_singular_radial(p, *zcs_p) if p else 1.0) * _scale(sp, Rp, p)
-        for p in orders
-    }
     smooth = {}
     if kappa != 0.0:
         smooth = {p: _smooth_radial(p, kappa, R, *zcs) for p in orders}
@@ -324,9 +321,9 @@ def _kernel_mats(S: Surface, kappa: float, groups, xi=None):
     for i, terms in enumerate(groups):
         for nm in {nm for _, _, nms in terms for nm in nms} - nums.keys():
             nums[nm] = pair_numerator(nm)
-        # diagonal: probe-ring limit of F; the smooth part is kappa/(4 pi)
-        # for order 0 and vanishes for the higher orders
-        diag = B.diagonal() * _term_sum(terms, nums_p, sing_p).mean(axis=1) * J
+        # diagonal: direction mean of the limit of F; the smooth part is
+        # kappa/(4 pi) for order 0 and vanishes for the higher orders
+        diag = B.diagonal() * _term_sum(terms, lim, rad0).mean(axis=1) * J
         if kappa != 0.0:
             M = np.empty(R.shape, dtype=complex)
             M.real = B * _term_sum(terms, nums, sing) * J[None, :]

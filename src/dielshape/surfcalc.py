@@ -19,8 +19,8 @@ TK = GY ^ n: the only map from coefficients to node values.  Every basis
 and test field is a Y_theta + b Y_phi with per-node vectors (a, b), its
 "frame" (_basis_fields); full-degree test fields enter only through their
 frames (_frame_rows), and their shape derivatives are frames too (_dgeom).
-Only Delta_Gamma Y of the K gradient densities takes a dense d/dtheta,
-d/dphi transform.
+Only Delta_Gamma Y of the K gradient densities takes a d/dtheta, d/dphi
+transform of node data (through its coefficients, ReferenceGrid.dtheta).
 
 The weak projection is the only map from node data to (p, q).  The
 potentials solve A u = r with the Laplace-Beltrami stiffness matrix A over
@@ -203,15 +203,22 @@ def _curvature(S: Surface) -> dict:
     return S._cache["curvature"]
 
 
+def _d_second_form(S: Surface, xi, dN) -> np.ndarray:
+    """dh, shape (3, N): the derivative of the transported second fundamental
+    form h_ij = x_ij . n at the base surface, from the derivative dN of the
+    normal.  The second derivatives of the transported map are x_ij + r xi_ij,
+    so dh_ij = xi_ij . n + x_ij . dN."""
+    dh = np.einsum("jia,ia->ji", _second_derivatives(S.grid, xi.coef), S.normal)
+    dh += np.einsum("jia,ia->ji", _curvature(S)["d2x"], dN)
+    return dh
+
+
 def _d_curvature(S: Surface, xi, dN, dt, dp) -> tuple:
     """(dW, dH): derivatives of the transported shape operator and mean
     curvature at the base surface, from the derivatives dN, dt, dp of the
-    normal and of grad_Gamma theta, grad_Gamma phi.  The second derivatives
-    of the transported map are x_ij + r xi_ij, so dh_ij = xi_ij . n + x_ij . dN."""
+    normal and of grad_Gamma theta, grad_Gamma phi, and dh (_d_second_form)."""
     cv = _curvature(S)
-    d2xi = _second_derivatives(S.grid, xi.coef)
-    dh = np.einsum("jia,ia->ji", d2xi, S.normal)
-    dh += np.einsum("jia,ia->ji", cv["d2x"], dN)
+    dh = _d_second_form(S, xi, dN)
     X = _shape_form(cv["h"], dt, dp, S.grad_t, S.grad_p)
     dW = -(_shape_form(dh, S.grad_t, S.grad_p, S.grad_t, S.grad_p) + X)
     dW -= X.swapaxes(1, 2)
@@ -492,7 +499,7 @@ def _dgeom(S: Surface, xi: DeformationField) -> dict:
     with dW and dH = tr dW / 2 from _d_curvature.  "djb" and "ddivb" are
     the derivatives of density_basis; Delta_Gamma Y keeps the dense
     discretisation of _basis_fields, whose angular derivatives are fixed
-    matrices, so dLBY = dt.GY_theta + dp.GY_phi + div_Gamma dGY on the K
+    linear maps, so dLBY = dt.GY_theta + dp.GY_phi + div_Gamma dGY on the K
     solver columns.  The stiffness derivative "dA" takes the metric form
     _metric_gram with w d(J t.t, J t.p, J p.p)."""
     ent = S._cache.get("dgeom")

@@ -131,7 +131,7 @@ class TestBenchmarkAccuracy:
         dirs, w = weighted_directions
         F = solver.far_field(sol, dirs)
         ref = oracle.mie_far_field(bench_material, 1.0, bench_wave, dirs)
-        assert rel_l2(w, F, ref) < 1e-4
+        assert rel_l2(w, F, ref) < 1e-12
         assert elapsed < 60.0
 
     def test_no_contrast_scatters_nothing(
@@ -141,7 +141,7 @@ class TestBenchmarkAccuracy:
         sol = solver.solve(bench_sphere, mat, bench_wave)
         dirs, _ = weighted_directions
         F = solver.far_field(sol, dirs)
-        assert np.abs(F).max() < 1e-7 * np.linalg.norm(bench_wave.p)
+        assert np.abs(F).max() < 1e-12 * np.linalg.norm(bench_wave.p)
 
 
 class TestSurfaceCalculusIdentities:

@@ -2,12 +2,17 @@
 sphere, translation behaviour, off-surface potentials, and agreement of the
 analytic shape derivatives with finite differences of deformed surfaces."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import dielshape
 from dielshape import bio, kernels, solver
 from dielshape import surfcalc as sc
 from dielshape.errors import TargetOnSurface
@@ -358,3 +363,34 @@ def test_derivative_pass_streams_kernel_pairs(wobbly_surface, generic_xi):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 16 * S.grid.nnodes**2
+
+
+_BLOCKS_SCRIPT = """
+import sys
+import numpy as np
+from dielshape import bio
+from dielshape.geometry import build_surface
+S = build_surface({"0,0": np.sqrt(4.0 * np.pi), "2,0": 0.25, "3,1": 0.15}, 10, 22)
+Ce, Me = bio.wave_blocks(S, 1.0)
+Ci, Mi = bio.wave_blocks(S, 1.5)
+np.savez(sys.argv[1], Ce=Ce, Me=Me, Ci=Ci, Mi=Mi, C0=bio.static_block(S))
+"""
+
+
+def test_blocks_do_not_depend_on_blas_threads(tmp_path):
+    # The blocks are assembled from dense products whose summation order
+    # follows the BLAS thread count; no entry may amplify that rounding, as
+    # a diagonal limit taken from nearly cancelling numerators would.
+    src = str(Path(dielshape.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    blocks = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blocks{threads}.npz"
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        subprocess.run(
+            [sys.executable, "-c", _BLOCKS_SCRIPT, str(out)], env=env, check=True
+        )
+        blocks.append(np.load(out))
+    for name in ("Ce", "Me", "Ci", "Mi", "C0"):
+        a, b = blocks[0][name], blocks[1][name]
+        assert np.abs(a - b).max() <= 1e-13 * np.abs(a).max(), name

@@ -52,7 +52,7 @@ class TestSphereEigenvalues:
         a, kap = 1.0, 1.3
         S = sphere(a, 8, 18)
         lam = _eigenvalue_of(
-            kn.kprime_mat(S, kap), _harmonic(S.grid, n, m), spread_tol=1e-7
+            kn.kprime_mat(S, kap), _harmonic(S.grid, n, m), spread_tol=1e-11
         )
         x = kap * a
         expected = (
@@ -64,7 +64,7 @@ class TestSphereEigenvalues:
                 + spherical_jn(n, x) * _h1(n, x, derivative=True)
             )
         )
-        assert_allclose(lam, expected, atol=1e-7)
+        assert_allclose(lam, expected, atol=1e-12)
 
     @pytest.mark.parametrize("n,m", [(1, 0), (3, 1)])
     def test_static_limit(self, n, m):

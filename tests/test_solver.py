@@ -102,7 +102,7 @@ class TestSolve:
         F = solver.far_field(small_solution, unit_directions)
         mat, wave = small_solution.material, small_solution.wave
         ref = oracle.mie_far_field(mat, 1.0, wave, unit_directions)
-        assert rel_l2(F, ref) < 1e-5
+        assert rel_l2(F, ref) < 1e-12
 
     def test_general_material_matches_series_solution(self, unit_directions):
         # Magnetic contrast, non-unit frequency, rotated wave, scaled sphere.
@@ -114,7 +114,7 @@ class TestSolve:
         sol = solver.solve(S, mat, wave)
         F = solver.far_field(sol, unit_directions)
         ref = oracle.mie_far_field(mat, 0.9, wave, unit_directions)
-        assert rel_l2(F, ref) < 1e-5
+        assert rel_l2(F, ref) < 1e-12
 
     def test_scattered_field_radiates(self, small_solution):
         # E_s ~ exp(i k r)/(4 pi r) E_inf with O(1/(k r)) relative remainder.
