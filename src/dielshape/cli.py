@@ -132,23 +132,34 @@ def build_discretization(cfg):
     return L, nquad, None if nmie is None else _number(d, "N_mie", None, int)
 
 
+def _sphere_radius(s):
+    """Radius of a sphere spec ("sphere", {"type": "sphere", "radius": r} or
+    {"radius": r}), None for {"radial": ...}; any other spec is a ConfigError."""
+    if s == "sphere":
+        return 1.0
+    if not isinstance(s, dict):
+        raise ConfigError("'surface' must be \"sphere\" or an object")
+    if s.get("type", "sphere") != "sphere":
+        raise ConfigError(f"unknown surface type {s['type']!r}")
+    if "type" in s or "radius" in s and "radial" not in s:
+        return _number(s, "radius", 1.0)
+    if "radial" in s:
+        return None
+    raise ConfigError(f"unrecognized surface specification {s!r}")
+
+
 def build_surface(cfg, L, nquad):
     from . import geometry
     from .errors import NonPositiveRadial, ResolutionTooLow
 
-    s = _get(cfg, "surface", {"type": "sphere", "radius": 1.0})
+    s = _get(cfg, "surface", "sphere")
+    radius = _sphere_radius(s)
     try:
-        if s == "sphere":
-            return geometry.sphere(1.0, L, nquad)
-        if not isinstance(s, dict):
-            raise ConfigError("'surface' must be \"sphere\" or an object")
-        if s.get("type") == "sphere" or "radius" in s and "radial" not in s:
-            return geometry.sphere(float(s.get("radius", 1.0)), L, nquad)
-        if "radial" in s:
-            return geometry.build_surface(dict(s["radial"]), L, nquad)
+        if radius is not None:
+            return geometry.sphere(radius, L, nquad)
+        return geometry.build_surface(dict(s["radial"]), L, nquad)
     except (NonPositiveRadial, ResolutionTooLow, TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"invalid surface: {exc}") from exc
-    raise ConfigError(f"unrecognized surface specification {s!r}")
 
 
 def build_deformation(cfg, surface):
@@ -330,10 +341,9 @@ def cmd_mie(cfg):
     mat = build_material(cfg)
     wave = build_wave(cfg)
     _, _, nmie = build_discretization(cfg)
-    s = _get(cfg, "surface", "sphere")
-    if s != "sphere" and not isinstance(s, dict):
-        raise ConfigError("'surface' must be \"sphere\" or an object")
-    radius = 1.0 if s == "sphere" else _number(s, "radius", 1.0)
+    radius = _sphere_radius(_get(cfg, "surface", "sphere"))
+    if radius is None:
+        raise ConfigError("mie needs a sphere; the series has no radial surface")
     theta, phi, dirs = direction_grid(cfg)
     out = _outdir(cfg)
     F = oracle.mie_far_field(

@@ -5,7 +5,8 @@ points) with a uniform azimuthal rule (``2*nquad`` points).  With
 ``Lmax = nquad - 1`` the rule integrates products of two harmonics of degree
 <= Lmax exactly, which is what both the discrete transform and the singular
 product quadrature need.  Angular derivatives of node data go through the
-coefficients; the only N x N data are the singular weights and chords.
+coefficients; the one N x N matrix is the product rule for weakly singular
+kernels (singular_weights), which carries the reference chord in it.
 """
 
 from __future__ import annotations
@@ -117,22 +118,19 @@ class ReferenceGrid:
     # -- singular product quadrature -------------------------------------
     @cached_property
     def singular_weights(self) -> np.ndarray:
-        """Matrix B with  sum_j B[i,j] f(y_j)  ~  int f(y)/(4 pi |x_i - y|) ds(y).
+        """Product rule W = B o C for kernels g = F / |xhat - yhat| with F
+        smooth off the diagonal: W[i,j] g(x_i, y_j) = B[i,j] F(x_i, y_j), i != j.
 
-        Exact whenever f is a spherical harmonic of degree <= Lmax, via the
-        Legendre expansion 1/|x-y| = sum_n P_n(x.y) on the unit sphere and the
-        addition theorem; equivalently B = Y diag(1/(2n+1)) Y^T W.
+        B = Y diag(1/(2n+1)) Y^T W_q gives int f(y) / (4 pi |x_i - y|) ds(y)
+        on the unit sphere exactly for harmonics f of degree <= Lmax (via
+        1/|x-y| = sum_n P_n(x.y) and the addition theorem).  The chords
+        C[i,j] = |xhat_i - xhat_j| are set to 1 on the diagonal, so W's
+        diagonal is B's; the caller multiplies it by the limit of F.
         """
-        scale = 1.0 / (2.0 * self.degrees + 1.0)
-        return (self.Y * scale) @ self.analysis_full
-
-    @cached_property
-    def chord_matrix(self) -> np.ndarray:
-        """Chords |xhat_i - xhat_j| between the nodes, 1 on the diagonal."""
-        dot = np.clip(self.nodes @ self.nodes.T, -1.0, 1.0)
-        chord = np.sqrt(np.maximum(2.0 - 2.0 * dot, 0.0))
+        chord = np.sqrt(2.0 - 2.0 * np.clip(self.nodes @ self.nodes.T, -1.0, 1.0))
         np.fill_diagonal(chord, 1.0)
-        return chord
+        scale = 1.0 / (2.0 * self.degrees + 1.0)
+        return (self.Y * scale) @ self.analysis_full * chord
 
     def __repr__(self):
         return f"ReferenceGrid(L={self.L}, nquad={self.nquad})"

@@ -7,14 +7,14 @@ derivatives dT, dTs of T, Ts).  Order 0 is the single layer G_kappa; each
 shape derivative raises the order by one, since d/dt R^2 = 2 Phi.  The real
 part of e^{i kappa R} gives the singular radial factor (cos kR for order 0,
 -(cos kR + kR sin kR) for order 1, its d/d(R^2) companion for order 2), the
-imaginary part a smooth one.  The singular part is split as
+imaginary part a smooth one.  The singular part is
 
-    F(x, y) / |xhat - yhat|,   F = rad_p num chord / R^(2p+1)
+    F(x, y) / |xhat - yhat|,   F = rad_p num chord / R^(2p+1),
 
-with F smooth away from the diagonal.  The 1/|xhat - yhat| factor is
-integrated by the product rule that is exact for spherical harmonics up to
-the grid degree (ReferenceGrid.singular_weights); the smooth part uses the
-plain rule.
+with F smooth away from the diagonal.  The grid's product rule, exact for
+1/|xhat - yhat| times spherical harmonics up to the grid degree, carries
+the chord (ReferenceGrid.singular_weights), so a pass forms rad_p num /
+R^(2p+1) only; the smooth part uses the plain rule.
 
 Diagonal limits of F depend on the direction of approach; the diagonal is
 their mean over PROBE_NDIRS directions, in closed form (probe_geometry).
@@ -25,6 +25,7 @@ is half its Hessian at u: T, Ts -> -h(u, u) / 2 (h_ij = x_ij . n), Phi ->
 v . xi_u, dT, dTs -> -dh(u, u) / 2 (dh_ij = xi_ij . n + x_ij . dN).  A term
 tends to rad_p(0) = 1, -1, 3/2 times its numerator limits over |v|^(2p+1);
 the limits commute with d/dt on x + t xi, so dK's diagonal is exact too.
+The derivative data of xi come from surfcalc._dgeom (see _kernel_mats).
 
 On the node pairs the numerators come from Gram products: each is U W^T
 for two N x k factors (k <= 8), e.g. T_ij = n_i.x_i - (n X^T)_ij, so no
@@ -49,7 +50,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import Surface, DeformationField
-from .surfcalc import _curvature, _d_second_form, d_normal, surface_divergence
+from .surfcalc import _curvature, _dgeom
 
 __all__ = [
     "pair_geometry",
@@ -121,9 +122,8 @@ def _smooth_radial(p, kappa, R, z, c, s):
 
 # -- pairwise and diagonal geometry --------------------------------------
 def pair_geometry(S: Surface) -> dict:
-    """Cached pairwise distances R, the ratio s = chord/R of the grid's
-    reference chord to R, and the indices (I, J) of the near pairs, those
-    closer than NEAR times the body's radius about its centroid.
+    """Cached pairwise distances R and the indices (I, J) of the near pairs,
+    those closer than NEAR times the body's radius about its centroid.
 
     The diagonal of R is set to 1 (never used directly; diagonal kernel
     values are the closed-form limits of _kernel_mats)."""
@@ -134,7 +134,7 @@ def pair_geometry(S: Surface) -> dict:
         np.fill_diagonal(R, 1.0)
         xc = x - x.mean(axis=0)
         near = np.nonzero(R < NEAR * np.sqrt(_dot(xc, xc).max()))
-        S._cache["pairs"] = {"R": R, "s": S.grid.chord_matrix / R, "near": near}
+        S._cache["pairs"] = {"R": R, "near": near}
     return S._cache["pairs"]
 
 
@@ -247,11 +247,6 @@ def _pair_numerators(near, nodes: dict, names):
     return numerator
 
 
-def _scale(s, R, p):
-    """chord / R^(2p+1), the singular factor's geometric part, as s / R^(2p)."""
-    return s if p == 0 else s / R ** (2 * p)
-
-
 def _term_sum(terms, nums, radial):
     """sum over terms of coefficient * radial[p] * prod(numerator factors)."""
     total = None
@@ -277,13 +272,14 @@ def _kernel_mats(S: Surface, kappa: float, groups, xi=None):
     With a deformation xi the groups come as consecutive (terms, dterms)
     pairs, and the second matrix of each pair becomes the derivative of the
     transported first one: dK + K diag(div_Gamma xi), the measure term
-    coming from dJ = J div_Gamma xi.  The generator keeps only the last
+    coming from dJ = J div_Gamma xi; dN, div_Gamma xi, xi_u and dh are read
+    from the cached surfcalc._dgeom.  The generator keeps only the last
     primal it yielded, so a caller that uses each pair and drops it holds
     one pair at a time."""
     g = S.grid
     P = pair_geometry(S)
     pr = probe_geometry(S)
-    R, s = P["R"], P["s"]
+    R = P["R"]
     names = {nm for terms in groups for _, _, nms in terms for nm in nms}
     orders = {p for terms in groups for p, _, _ in terms}
     last = {}  # radial order or numerator name -> index of its last group
@@ -295,19 +291,15 @@ def _kernel_mats(S: Surface, kappa: float, groups, xi=None):
     nodes = {"x": S.points, "n": S.normal}
     lim = {"T": -0.5 * pr["h"], "Ts": -0.5 * pr["h"]}
     if xi is not None:
-        nodes["xi"] = xi.values
-        xiu = _along(pr["u"], *(g.synthesize(xi.coef.T, d) for d in ("theta", "phi")))
-        lim["Phi"] = _dot(pr["v"], xiu)
-        if names & {"dT", "dTs"}:
-            nodes["dn"] = d_normal(S, xi)
-            dh = _form(_d_second_form(S, xi, nodes["dn"]), pr["u"])
-            lim["dT"] = lim["dTs"] = -0.5 * dh
-        divxi = surface_divergence(S, xi.values)
+        dg = _dgeom(S, xi)
+        nodes["xi"], nodes["dn"] = xi.values, dg["dN"]
+        lim["Phi"] = _dot(pr["v"], _along(pr["u"], *dg["xi_ang"]))
+        lim["dT"] = lim["dTs"] = -0.5 * _form(dg["dh"], pr["u"])
     rad0 = {p: _singular_radial(p, 0, 1, 0) / pr["vn"] ** (2 * p + 1) for p in orders}
     pair_numerator = _pair_numerators(P["near"], nodes, names)
 
     zcs = _trig(kappa, R)
-    sing = {p: _singular_radial(p, *zcs) * _scale(s, R, p) for p in orders}
+    sing = {p: _singular_radial(p, *zcs) / R ** (2 * p + 1) for p in orders}
     smooth = {}
     if kappa != 0.0:
         smooth = {p: _smooth_radial(p, kappa, R, *zcs) for p in orders}
@@ -334,7 +326,7 @@ def _kernel_mats(S: Surface, kappa: float, groups, xi=None):
             M = B * _term_sum(terms, nums, sing) * J[None, :]
         np.fill_diagonal(M, diag)
         if xi is not None and i % 2:
-            M += prev * divxi[None, :]
+            M += prev * dg["divxi"][None, :]
         for key in [key for key, li in last.items() if li == i]:
             for data in (sing, smooth, nums):
                 data.pop(key, None)

@@ -19,8 +19,9 @@ TK = GY ^ n: the only map from coefficients to node values.  Every basis
 and test field is a Y_theta + b Y_phi with per-node vectors (a, b), its
 "frame" (_basis_fields); full-degree test fields enter only through their
 frames (_frame_rows), and their shape derivatives are frames too (_dgeom).
-Only Delta_Gamma Y of the K gradient densities takes a d/dtheta, d/dphi
-transform of node data (through its coefficients, ReferenceGrid.dtheta).
+Only Delta_Gamma Y of the K gradient densities, and its stage derivative,
+take a d/dtheta, d/dphi transform of node data (ReferenceGrid.dtheta); the
+shape derivatives read [grad_Gamma xi] from xi's coefficients (_grad_xi).
 
 The weak projection is the only map from node data to (p, q).  The
 potentials solve A u = r with the Laplace-Beltrami stiffness matrix A over
@@ -203,22 +204,11 @@ def _curvature(S: Surface) -> dict:
     return S._cache["curvature"]
 
 
-def _d_second_form(S: Surface, xi, dN) -> np.ndarray:
-    """dh, shape (3, N): the derivative of the transported second fundamental
-    form h_ij = x_ij . n at the base surface, from the derivative dN of the
-    normal.  The second derivatives of the transported map are x_ij + r xi_ij,
-    so dh_ij = xi_ij . n + x_ij . dN."""
-    dh = np.einsum("jia,ia->ji", _second_derivatives(S.grid, xi.coef), S.normal)
-    dh += np.einsum("jia,ia->ji", _curvature(S)["d2x"], dN)
-    return dh
-
-
-def _d_curvature(S: Surface, xi, dN, dt, dp) -> tuple:
+def _d_curvature(S: Surface, dh, dt, dp) -> tuple:
     """(dW, dH): derivatives of the transported shape operator and mean
-    curvature at the base surface, from the derivatives dN, dt, dp of the
-    normal and of grad_Gamma theta, grad_Gamma phi, and dh (_d_second_form)."""
+    curvature at the base surface, from the derivatives dh of the second
+    fundamental form and dt, dp of grad_Gamma theta, grad_Gamma phi (_dgeom)."""
     cv = _curvature(S)
-    dh = _d_second_form(S, xi, dN)
     X = _shape_form(cv["h"], dt, dp, S.grad_t, S.grad_p)
     dW = -(_shape_form(dh, S.grad_t, S.grad_p, S.grad_t, S.grad_p) + X)
     dW -= X.swapaxes(1, 2)
@@ -435,52 +425,51 @@ def helmholtz_decompose(S: Surface, j: np.ndarray) -> np.ndarray:
 
 
 # -- shape derivatives of the surface operators ---------------------------
-def _xi_values(S: Surface, xi):
-    if hasattr(xi, "values"):
-        return xi.values
-    return np.asarray(xi)
+def _grad_xi(S: Surface, xi: DeformationField) -> tuple:
+    """((xi_theta, xi_phi), A): the angular derivatives of xi from its
+    coefficients and A = [grad_Gamma xi] = t (x) xi_theta + p (x) xi_phi,
+    the one source of [grad_Gamma xi] (t, p = grad_Gamma theta, phi)."""
+    ang = tuple(S.grid.synthesize(xi.coef.T, deriv=d) for d in ("theta", "phi"))
+    return ang, _frame_field((S.grad_t, S.grad_p), *ang)
 
 
-def d_normal(S: Surface, xi) -> np.ndarray:
+def d_normal(S: Surface, xi: DeformationField) -> np.ndarray:
     """First derivative of the transported unit normal: -[grad_Gamma xi] n."""
-    A = surface_gradient(S, _xi_values(S, xi))
-    return -np.einsum("iac,ic->ia", A, S.normal)
+    return -np.einsum("iac,ic->ia", _grad_xi(S, xi)[1], S.normal)
 
 
-def d_jacobian(S: Surface, xi) -> np.ndarray:
+def d_jacobian(S: Surface, xi: DeformationField) -> np.ndarray:
     """First derivative of the surface Jacobian: J div_Gamma xi."""
-    return S.jacobian * surface_divergence(S, _xi_values(S, xi))
+    return S.jacobian * np.einsum("iaa->i", _grad_xi(S, xi)[1])
 
 
-def d_surface_operator(which: str, S: Surface, xi, u: np.ndarray) -> np.ndarray:
+def d_surface_operator(
+    which: str, S: Surface, xi: DeformationField, u: np.ndarray
+) -> np.ndarray:
     """Closed-form first derivative of a transported surface operator.
 
     which in {"gradient", "divergence", "vector_curl", "scalar_curl"}.
     """
-    xiv = _xi_values(S, xi)
-    A = surface_gradient(S, xiv)  # [G xi]
-    n = S.normal
+    A = _grad_xi(S, xi)[1]  # [G xi]
+    n, dxi = S.normal, np.einsum("iaa->i", A)
+    An = np.einsum("iac,ic->ia", A, n)
     if which == "gradient":
         if u.ndim not in (1, 2) or (u.ndim == 2 and u.shape[1] == 3):
             raise KindMismatch("gradient derivative needs a scalar field")
         gu = surface_gradient(S, u)
         Agu = np.einsum("iac,ic...->ia...", A, gu)
-        An = np.einsum("iac,ic->ia", A, n)
         nb = n if gu.ndim == 2 else n[:, :, None]
         return -Agu + np.einsum("ia...,ia->i...", gu, An)[:, None] * nb
     if which == "divergence":
         Au = surface_gradient(S, u)
-        An = np.einsum("iac,ic->ia", A, n)
         tr = np.einsum("iac,ica...->i...", A, Au)
         Aun = np.einsum("iac...,ic->ia...", Au, n)
         return -tr + np.einsum("ia...,ia->i...", Aun, An)
     if which == "vector_curl":
         cu = tangential_vector_curl(S, u)
-        dxi = surface_divergence(S, xiv)
         At_cu = np.einsum("iac,ia...->ic...", A, cu)
         return At_cu - (dxi[:, None] if cu.ndim == 2 else dxi[:, None, None]) * cu
     if which == "scalar_curl":
-        dxi = surface_divergence(S, xiv)
         ru = surface_scalar_curl(S, u)
         return _d_rstar(S, A, u) - (dxi if u.ndim == 2 else dxi[:, None]) * ru
     raise KindMismatch(f"unknown surface operator {which!r}")
@@ -488,19 +477,22 @@ def d_surface_operator(which: str, S: Surface, xi, u: np.ndarray) -> np.ndarray:
 
 # -- shape derivatives of the basis and of the weak projection ------------
 def _dgeom(S: Surface, xi: DeformationField) -> dict:
-    """Stage derivatives of the basis, shared by every transported assembly.
+    """Stage derivatives of the geometry and the basis, shared by every
+    transported assembly, the kernel passes included.
 
-    The derivative of a basis field with frame (a, b) (_frame_field) has the
-    frame (da, db), so "frames" holds per-node vectors only and no transform
-    of a basis batch is taken.  With A = [grad_Gamma xi]:
-        dN = -A n,  dt = -A t + (t.A n) n  (likewise dp),
-        dGY: (dt, dp),  dTK: (dt ^ n + t ^ dN, dp ^ n + p ^ dN),
-        dDf: (dM t + M dt, dM p + M dp),
-    with dW and dH = tr dW / 2 from _d_curvature.  "djb" and "ddivb" are
-    the derivatives of density_basis; Delta_Gamma Y keeps the dense
-    discretisation of _basis_fields, whose angular derivatives are fixed
-    linear maps, so dLBY = dt.GY_theta + dp.GY_phi + div_Gamma dGY on the K
-    solver columns.  The stiffness derivative "dA" takes the metric form
+    With A = [grad_Gamma xi] and "xi_ang" = (xi_theta, xi_phi) of _grad_xi:
+        dN = -A n,  "divxi" = tr A,  dJ = J tr A,
+        dt = -A t + (t.A n) n  (likewise dp),  dh_ij = xi_ij . n + x_ij . dN
+    for the second fundamental form h_ij = x_ij . n, and dW, dH = tr dW / 2
+    from _d_curvature.  A basis field with frame (a, b) (_frame_field) has
+    the derivative frame (da, db), so "frames" holds per-node vectors only:
+    dGY: (dt, dp), dTK: (dt ^ n + t ^ dN, dp ^ n + p ^ dN), dDf: (dM t +
+    M dt, dM p + M dp).
+    "djb" and "ddivb" are the derivatives of density_basis; Delta_Gamma Y
+    keeps the dense discretisation of _basis_fields, whose angular
+    derivatives are fixed linear maps, so dLBY = dt.GY_theta + dp.GY_phi +
+    div_Gamma dGY on the K solver columns, the one d/dtheta, d/dphi pair
+    of a route A.  The stiffness derivative "dA" takes the metric form
     _metric_gram with w d(J t.t, J t.p, J p.p)."""
     ent = S._cache.get("dgeom")
     if ent is not None and ent[0] is xi:
@@ -509,16 +501,19 @@ def _dgeom(S: Surface, xi: DeformationField) -> dict:
     bb = _basis_fields(S)
     K = g.ncoef(g.L) - 1
     n, t, p, J = S.normal, S.grad_t, S.grad_p, S.jacobian
-    A = surface_gradient(S, xi.values)
+    xi_ang, A = _grad_xi(S, xi)
     An = np.einsum("iac,ic->ia", A, n)
     dN = -An
-    dJ = J * np.einsum("iaa->i", A)
+    divxi = np.einsum("iaa->i", A)
+    dJ = J * divxi
     dt, dp = (
         np.einsum("ia,ia->i", v, An)[:, None] * n - np.einsum("iac,ic->ia", A, v)
         for v in (t, p)
     )
     cv = _curvature(S)
-    dW, dH = _d_curvature(S, xi, dN, dt, dp)
+    dh = np.einsum("jia,ia->ji", _second_derivatives(g, xi.coef), n)
+    dh += np.einsum("jia,ia->ji", cv["d2x"], dN)
+    dW, dH = _d_curvature(S, dh, dt, dp)
     fr = {
         "GY": (dt, dp),
         "TK": (np.cross(dt, n) + np.cross(t, dN), np.cross(dp, n) + np.cross(p, dN)),
@@ -546,6 +541,9 @@ def _dgeom(S: Surface, xi: DeformationField) -> dict:
     out = {
         "dN": dN,
         "dJ": dJ,
+        "divxi": divxi,
+        "xi_ang": xi_ang,
+        "dh": dh,
         "frames": fr,
         "djb": np.concatenate([dGYL, _frame_field(fr["TK"], *YL)], axis=2),
         "ddivb": np.concatenate([dLBY, np.zeros_like(dLBY)], axis=1),
@@ -616,13 +614,13 @@ def _d_rstar(S: Surface, A: np.ndarray, u: np.ndarray) -> np.ndarray:
     return -acc
 
 
-def d_rstar(S: Surface, xi, u: np.ndarray) -> np.ndarray:
+def d_rstar(S: Surface, xi: DeformationField, u: np.ndarray) -> np.ndarray:
     """dR*[0,xi] u = -sum_c grad_Gamma xi_c . curl_Gamma u_c ; all higher
     derivatives of r -> R*(r) vanish identically."""
-    return _d_rstar(S, surface_gradient(S, _xi_values(S, xi)), u)
+    return _d_rstar(S, _grad_xi(S, xi)[1], u)
 
 
-def d_lstar(S: Surface, xi, u: np.ndarray) -> np.ndarray:
+def d_lstar(S: Surface, xi: DeformationField, u: np.ndarray) -> np.ndarray:
     """dL*[0,xi] u for the weighted Laplace-Beltrami family L* = -R*(r) R(r)."""
     cu = tangential_vector_curl(S, u)
     return -d_rstar(S, xi, cu) - surface_scalar_curl(
@@ -630,7 +628,7 @@ def d_lstar(S: Surface, xi, u: np.ndarray) -> np.ndarray:
     )
 
 
-def d_laplace_inverse(S: Surface, xi, f: np.ndarray) -> np.ndarray:
+def d_laplace_inverse(S: Surface, xi: DeformationField, f: np.ndarray) -> np.ndarray:
     """First derivative of (L*(r))^{-1} f:  -Delta^{-1} dL*[0,xi] Delta^{-1} f."""
     u = laplace_beltrami_inverse(S, f)
     g = d_lstar(S, xi, u)

@@ -160,6 +160,9 @@ class TestErrors:
             ("mie", {"discretization": {"N_mie": "many"}}),
             ("dsolve", {"deformation": "radial", "h": "small"}),
             ("dsolve", {"deformation": {"translation": 5}}),
+            ("mie", {"surface": {"radial": {"0,0": 3.5449077018110318, "2,0": 0.2}}}),
+            ("mie", {"surface": {"type": "ellipsoid", "radius": 2}}),
+            ("solve", {"surface": {"type": "ellipsoid", "radius": 2}}),
         ],
     )
     def test_malformed_section(self, tmp_path, capsys, command, overrides):

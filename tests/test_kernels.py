@@ -195,3 +195,18 @@ class TestPairNumerators:
         for nm, want in ref.items():
             err = np.abs(numerator(nm) - want)[off] / R2[off]
             assert err.max() < 1e-11, nm
+
+
+class TestPairGeometry:
+    def test_one_product_rule_matrix(self, small_solution):
+        # The chord lives inside the grid's singular weights, so after a
+        # solve the grid and the surface's pair data hold one real N x N
+        # array each: the weights and the distances R.
+        S = small_solution.surface
+        N = S.grid.nnodes
+        held = [*vars(S.grid).values(), *kn.pair_geometry(S).values()]
+        square = [
+            a for a in held
+            if isinstance(a, np.ndarray) and a.shape == (N, N) and not np.iscomplexobj(a)
+        ]
+        assert sum(a.nbytes for a in square) == 2 * N * N * 8

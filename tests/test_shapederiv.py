@@ -249,28 +249,32 @@ class TestKernelPasses:
             route(small_sphere, material, wave, xi_profile, dirs, sol=small_solution)
 
     def test_stage_derivatives_transform_solver_degree_columns_only(
-        self, wobbly_surface, material, xi_profile, monkeypatch
+        self, wobbly_surface, material, wave, dirs, xi_profile, monkeypatch
     ):
         # On a warm surface the stage derivatives of route A transform the
-        # Jacobian of xi and the derivatives of the K solver-degree gradient
-        # fields, never a batch over the full grid degree.
+        # derivatives of the K solver-degree gradient fields once by d/dtheta
+        # and once by d/dphi ([grad_Gamma xi] comes from the coefficients of
+        # xi), and once they are cached route A transforms nothing: its
+        # kernel passes read dN, div_Gamma xi and dh from them.
         S = wobbly_surface
         g = S.grid
-        solver.build_system(S, material)
+        sol = solver.solve(S, material, wave)
         xi = DeformationField(g, xi_profile.coef.copy())
-        cols = []
+        calls = []
         for name in ("dtheta", "dphi"):
             inner = getattr(ReferenceGrid, name)
 
-            def counting(self, f, inner=inner):
-                cols.append(int(np.prod(f.shape[1:])))
+            def counting(self, f, inner=inner, name=name):
+                calls.append((name, int(np.prod(f.shape[1:]))))
                 return inner(self, f)
 
             monkeypatch.setattr(ReferenceGrid, name, counting)
         sc._dgeom(S, xi)
-        assert cols
-        assert sum(cols) <= 12 * g.ncoef(g.L) + 24
-        assert max(cols) < g.ncoef(g.Lmax)
+        K = g.ncoef(g.L) - 1
+        assert sorted(calls) == [("dphi", 3 * K), ("dtheta", 3 * K)]
+        calls.clear()
+        sd.d_solution_routeA(S, material, wave, xi, dirs, sol=sol)
+        assert calls == []
 
 
 class TestIncidentTraceDerivative:
