@@ -51,7 +51,7 @@ coefficients held fixed; they differentiate the exact discrete recipe
 (kernel matrices, test fields, Galerkin solves) term by term, so they agree
 with finite differences of the primal assembly to O(h^2).  The weak-form
 recipe differentiates through surfcalc._d_weak_project and the stage
-derivatives of the basis (surfcalc._dgeom).
+derivatives of the basis (surfcalc._dbasis, on the record surfcalc._dgeom).
 
 They take an optional coefficient batch c of shape (2K, m) and return
 dBlock @ c without forming the matrix: every stage then runs on m columns
@@ -255,7 +255,7 @@ def _d_magnetic_block(S: Surface, kappa: float, xi, sl, mats):
     g = S.grid
     (j, divj, dj, ddivj), Vj, dVj, _ = sl
     dg = sc._dgeom(S, xi)
-    fr, dfr = sc._basis_fields(S)["frames"], dg["frames"]
+    fr, dfr = sc._basis_fields(S)["frames"], sc._dbasis(S, xi)["frames"]
     n, dN = S.normal, dg["dN"]
     wJ = (g.weights * S.jacobian)[:, None, None]
     wdJ = (g.weights * dg["dJ"])[:, None, None]
@@ -267,7 +267,7 @@ def _d_magnetic_block(S: Surface, kappa: float, xi, sl, mats):
     dnVj = np.einsum("ij,ijk->ik", dN, Vj) + np.einsum("ij,ijk->ik", n, dVj)
     df = kappa**2 * dnVj + _vec_apply(dKP, divj) + _vec_apply(KP, ddivj)
     del KP, dKP
-    p_rows = sc._d_weak_poisson(S, dg, f, df)[1:ncL]
+    p_rows = sc._d_weak_poisson(S, xi, f, df)[1:ncL]
 
     # rotational potential: Q = A^{-1} rc, dQ = A^{-1}(drc - dA Q)
     y = wJ * j
@@ -281,7 +281,7 @@ def _d_magnetic_block(S: Surface, kappa: float, xi, sl, mats):
     rc = sc._frame_rows(g, fr["Df"], Vy) - sc._frame_rows(g, fr["TK"], Ky)
     drc = sc._frame_rows(g, fr["Df"], dVy) + sc._frame_rows(g, dfr["Df"], Vy)
     drc -= sc._frame_rows(g, fr["TK"], dKy) + sc._frame_rows(g, dfr["TK"], Ky)
-    q_rows = -sc._d_lb_solve(S, dg, rc, drc)[1:ncL]
+    q_rows = -sc._d_lb_solve(S, xi, rc, drc)[1:ncL]
     return np.concatenate([p_rows, q_rows], axis=0)
 
 
@@ -351,10 +351,10 @@ def _far_moments(S: Surface, kappa: float, d: np.ndarray, c=None, xi=None):
     jc = sc._times(sc.density_basis(S)[0], c)
     if xi is None:
         return _vec_apply(phase * wJ[None, :], jc)
-    dg = sc._dgeom(S, xi)
-    djc = sc._times(dg["djb"], c)
+    djc = sc._times(sc._dbasis(S, xi)["djb"], c)
     dphase = phase * (-1j * kappa) * (d @ xi.values.T)
-    I = _vec_apply(phase * (g.weights * dg["dJ"])[None, :] + dphase * wJ[None, :], jc)
+    wdJ = g.weights * sc._dgeom(S, xi)["dJ"]
+    I = _vec_apply(phase * wdJ[None, :] + dphase * wJ[None, :], jc)
     I += _vec_apply(phase * wJ[None, :], djc)
     return I
 
@@ -410,11 +410,11 @@ def _densities(S: Surface, c, xi=None) -> tuple:
     """Node values (j, div_Gamma j) of the densities with coefficient stack c,
     shape (2K,) or a batch (2K, m); c = None stands for the identity and
     gives the basis.  With a deformation xi also their stage derivatives
-    (dj, d div_Gamma j), from (djb, ddivb) of sc._dgeom."""
+    (dj, d div_Gamma j), from (djb, ddivb) of sc._dbasis."""
     basis = sc.density_basis(S)
     if xi is not None:
-        dg = sc._dgeom(S, xi)
-        basis += (dg["djb"], dg["ddivb"])
+        db = sc._dbasis(S, xi)
+        basis += (db["djb"], db["ddivb"])
     return tuple(sc._times(B, c) for B in basis)
 
 

@@ -134,17 +134,20 @@ def build_discretization(cfg):
 
 def _sphere_radius(s):
     """Radius of a sphere spec ("sphere", {"type": "sphere", "radius": r} or
-    {"radius": r}), None for {"radial": ...}; any other spec is a ConfigError."""
+    {"radius": r}), None for {"radial": ...}; any other spec (one that mixes
+    "radial" with "type" or "radius" too) is a ConfigError."""
     if s == "sphere":
         return 1.0
     if not isinstance(s, dict):
         raise ConfigError("'surface' must be \"sphere\" or an object")
     if s.get("type", "sphere") != "sphere":
         raise ConfigError(f"unknown surface type {s['type']!r}")
-    if "type" in s or "radius" in s and "radial" not in s:
-        return _number(s, "radius", 1.0)
+    if "radial" in s and ("type" in s or "radius" in s):
+        raise ConfigError("'radial' cannot be combined with 'type' or 'radius'")
     if "radial" in s:
         return None
+    if "type" in s or "radius" in s:
+        return _number(s, "radius", 1.0)
     raise ConfigError(f"unrecognized surface specification {s!r}")
 
 

@@ -9,6 +9,7 @@ the coefficients -- no finite differencing of geometry.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +104,22 @@ class Surface:
 
     def __repr__(self):
         return f"Surface(grid={self.grid!r}, area={self.area:.6f})"
+
+
+def surface_memo(fn):
+    """Memoize fn(S) or fn(S, xi) in S._cache under fn's name.  A function of
+    a deformation keeps its value for the last xi only, matched by identity:
+    the derivative routes work along one xi at a time."""
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def cached(S, xi=None):
+        hit = S._cache.get(name)
+        if hit is None or hit[0] is not xi:
+            hit = S._cache[name] = (xi, fn(S) if xi is None else fn(S, xi))
+        return hit[1]
+
+    return cached
 
 
 class DeformationField:

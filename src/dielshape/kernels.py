@@ -25,7 +25,8 @@ is half its Hessian at u: T, Ts -> -h(u, u) / 2 (h_ij = x_ij . n), Phi ->
 v . xi_u, dT, dTs -> -dh(u, u) / 2 (dh_ij = xi_ij . n + x_ij . dN).  A term
 tends to rad_p(0) = 1, -1, 3/2 times its numerator limits over |v|^(2p+1);
 the limits commute with d/dt on x + t xi, so dK's diagonal is exact too.
-The derivative data of xi come from surfcalc._dgeom (see _kernel_mats).
+The derivative data of xi come from the per-node record surfcalc._dgeom,
+which builds no basis and takes no transform (see _kernel_mats).
 
 On the node pairs the numerators come from Gram products: each is U W^T
 for two N x k factors (k <= 8), e.g. T_ij = n_i.x_i - (n X^T)_ij, so no
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Surface, DeformationField
+from .geometry import Surface, DeformationField, surface_memo
 from .surfcalc import _curvature, _dgeom
 
 __all__ = [
@@ -121,23 +122,22 @@ def _smooth_radial(p, kappa, R, z, c, s):
 
 
 # -- pairwise and diagonal geometry --------------------------------------
+@surface_memo
 def pair_geometry(S: Surface) -> dict:
     """Cached pairwise distances R and the indices (I, J) of the near pairs,
     those closer than NEAR times the body's radius about its centroid.
 
     The diagonal of R is set to 1 (never used directly; diagonal kernel
     values are the closed-form limits of _kernel_mats)."""
-    if "pairs" not in S._cache:
-        x = S.points
-        dx = x[:, None, :] - x[None, :, :]
-        R = np.sqrt(np.einsum("ijk,ijk->ij", dx, dx))
-        np.fill_diagonal(R, 1.0)
-        xc = x - x.mean(axis=0)
-        near = np.nonzero(R < NEAR * np.sqrt(_dot(xc, xc).max()))
-        S._cache["pairs"] = {"R": R, "near": near}
-    return S._cache["pairs"]
+    x = S.points
+    dx = x[:, None, :] - x[None, :, :]
+    R = np.sqrt(np.einsum("ijk,ijk->ij", dx, dx))
+    np.fill_diagonal(R, 1.0)
+    xc = x - x.mean(axis=0)
+    return {"R": R, "near": np.nonzero(R < NEAR * np.sqrt(_dot(xc, xc).max()))}
 
 
+@surface_memo
 def probe_geometry(S: Surface) -> dict:
     """Cached per-node direction data of the diagonal limits, over the
     PROBE_NDIRS angles a_k = 2 pi k / PROBE_NDIRS: the parameter direction
@@ -145,13 +145,10 @@ def probe_geometry(S: Surface) -> dict:
     sin a e_phi, the surface tangent "v" = x_theta u_theta + x_phi u_phi of
     shape (N, PROBE_NDIRS, 3), its length "vn" and the second fundamental
     form "h" = h(u, u), both of shape (N, PROBE_NDIRS)."""
-    if "probes" not in S._cache:
-        a = 2.0 * np.pi * np.arange(PROBE_NDIRS) / PROBE_NDIRS
-        u = (np.cos(a)[None, :], np.sin(a)[None, :] / np.sin(S.grid.theta)[:, None])
-        v = _along(u, S.xt, S.xp)
-        h = _form(_curvature(S)["h"], u)
-        S._cache["probes"] = {"u": u, "v": v, "vn": np.sqrt(_dot(v, v)), "h": h}
-    return S._cache["probes"]
+    a = 2.0 * np.pi * np.arange(PROBE_NDIRS) / PROBE_NDIRS
+    u = (np.cos(a)[None, :], np.sin(a)[None, :] / np.sin(S.grid.theta)[:, None])
+    v = _along(u, S.xt, S.xp)
+    return {"u": u, "v": v, "vn": np.sqrt(_dot(v, v)), "h": _form(_curvature(S)["h"], u)}
 
 
 def _along(u, at, ap):
@@ -273,9 +270,9 @@ def _kernel_mats(S: Surface, kappa: float, groups, xi=None):
     pairs, and the second matrix of each pair becomes the derivative of the
     transported first one: dK + K diag(div_Gamma xi), the measure term
     coming from dJ = J div_Gamma xi; dN, div_Gamma xi, xi_u and dh are read
-    from the cached surfcalc._dgeom.  The generator keeps only the last
-    primal it yielded, so a caller that uses each pair and drops it holds
-    one pair at a time."""
+    from the per-node record surfcalc._dgeom.  The generator keeps only the
+    last primal it yielded, so a caller that uses each pair and drops it
+    holds one pair at a time."""
     g = S.grid
     P = pair_geometry(S)
     pr = probe_geometry(S)

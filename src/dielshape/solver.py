@@ -89,7 +89,7 @@ def incident_traces(S: Surface, mat: Material, wave: PlaneWave):
     (1/k_e) curl E ^ n, from one batched weak projection."""
     ke = mat.kappa_e
     E = np.stack([wave.field(ke, S.points), wave.curl(ke, S.points) / ke], axis=2)
-    gD, gN = sc.helmholtz_decompose(S, sc._cross_n(E, S.normal)).T
+    gD, gN = sc.helmholtz_decompose(S, np.cross(E, S.normal[:, :, None], axis=1)).T
     return gD, gN
 
 

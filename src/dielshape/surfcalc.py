@@ -8,6 +8,16 @@ tau_r o op_{Gamma_r} o tau_r^{-1} at the base surface.
 Scalar fields are arrays of shape (N,) or (N, k) (k = batch of columns);
 vector fields (N, 3) or (N, 3, k).  Everything works for complex data.
 
+The frame rule.  With t, p = grad_Gamma theta, grad_Gamma phi, a
+first-order operator is a frame (a, b) of per-node vectors on the angular
+derivatives of its argument (_frames): grad_Gamma u = t u_theta + p u_phi,
+curl_Gamma u = (t ^ n) u_theta + (p ^ n) u_phi, div_Gamma U = t . U_theta +
+p . U_phi and curl_Gamma U = (n ^ t) . U_theta + (n ^ p) . U_phi.  Transport
+keeps the angular derivatives of tau_r^{-1} u, so a shape derivative is the
+same formula on the derivative frame, read from the per-node record of xi
+(_dgeom) that the paper's d_* operators, the kernel passes and route A's
+basis derivatives (_dbasis) share.
+
 The potential basis.  A tangential density j = grad_Gamma p + curl_Gamma q
 is stored as the mean-zero real-spherical-harmonic coefficients
 c = [p_1.., q_1..] of length 2K, K = (L+1)^2 - 1, or as a batch (2K, m) of
@@ -18,10 +28,9 @@ take it).  Its node values are jb c and div_Gamma j = divb c
 TK = GY ^ n: the only map from coefficients to node values.  Every basis
 and test field is a Y_theta + b Y_phi with per-node vectors (a, b), its
 "frame" (_basis_fields); full-degree test fields enter only through their
-frames (_frame_rows), and their shape derivatives are frames too (_dgeom).
+frames (_frame_rows), and their shape derivatives are frames too (_dbasis).
 Only Delta_Gamma Y of the K gradient densities, and its stage derivative,
-take a d/dtheta, d/dphi transform of node data (ReferenceGrid.dtheta); the
-shape derivatives read [grad_Gamma xi] from xi's coefficients (_grad_xi).
+take a d/dtheta, d/dphi transform of node data (ReferenceGrid.dtheta).
 
 The weak projection is the only map from node data to (p, q).  The
 potentials solve A u = r with the Laplace-Beltrami stiffness matrix A over
@@ -47,7 +56,7 @@ import numpy as np
 
 from . import sh
 from .errors import KindMismatch, NonZeroMean
-from .geometry import DeformationField, Surface
+from .geometry import DeformationField, Surface, surface_memo
 from .grid import _real_apply
 
 __all__ = [
@@ -66,71 +75,81 @@ __all__ = [
     "d_surface_operator",
     "rstar_apply",
     "d_rstar",
-    "d_lstar",
     "d_laplace_inverse",
 ]
 
 
-# -- broadcasting helpers -------------------------------------------------
-def _cross_n(a, n):
-    """Cross product a x n for a of shape (N,3[,k]), n of shape (N,3)."""
-    if a.ndim == 2:
-        return np.cross(a, n)
-    out = np.empty_like(a)
-    out[:, 0] = a[:, 1] * n[:, 2, None] - a[:, 2] * n[:, 1, None]
-    out[:, 1] = a[:, 2] * n[:, 0, None] - a[:, 0] * n[:, 2, None]
-    out[:, 2] = a[:, 0] * n[:, 1, None] - a[:, 1] * n[:, 0, None]
-    return out
+# -- first-order operators: frames on angular derivatives ------------------
+@surface_memo
+def _frames(S: Surface) -> dict:
+    """Frames of the first-order operators (see the module docstring):
+    "GY" = (t, p) of grad_Gamma and div_Gamma, "TK" = (t ^ n, p ^ n) of the
+    vector curl; the scalar curl takes -TK."""
+    t, p, n = S.grad_t, S.grad_p, S.normal
+    return {"GY": (t, p), "TK": (np.cross(t, n), np.cross(p, n))}
 
 
-# -- first-order operators ------------------------------------------------
-def _tangents(S: Surface, ndim: int):
-    """grad_Gamma theta and grad_Gamma phi, shape (N, 3) followed by ndim
-    unit axes, to broadcast against batched angular derivatives."""
-    shape = S.grad_t.shape + (1,) * ndim
-    return S.grad_t.reshape(shape), S.grad_p.reshape(shape)
+def _angular(S: Surface, u: np.ndarray) -> tuple:
+    """(u_theta, u_phi): one d/dtheta and one d/dphi transform of node data."""
+    return S.grid.dtheta(u), S.grid.dphi(u)
+
+
+def _frame_field(fr: tuple, Yt: np.ndarray, Yp: np.ndarray) -> np.ndarray:
+    """a (x) Yt + b (x) Yp, shape (N, 3, ...), for the frame fr = (a, b) and
+    angular derivatives Yt, Yp of shape (N, ...): the gradient-type field of
+    the frame, e.g. a basis field on columns of Y_theta, Y_phi."""
+    a, b = (v.reshape(v.shape + (1,) * (Yt.ndim - 1)) for v in fr)
+    return a * Yt[:, None] + b * Yp[:, None]
+
+
+def _div_frame(fr: tuple, Ut: np.ndarray, Up: np.ndarray) -> np.ndarray:
+    """a . U_theta + b . U_phi per node (and column) for the frame fr = (a, b)
+    and the angular derivatives Ut, Up (N, 3, ...) of a field U."""
+    a, b = fr
+    return np.einsum("ia,ia...->i...", a, Ut) + np.einsum("ia,ia...->i...", b, Up)
+
+
+# operator -> (frame, takes vector data); the scalar curl takes -TK
+_FIRST_ORDER = {
+    "gradient": ("GY", False),
+    "vector_curl": ("TK", False),
+    "divergence": ("GY", True),
+    "scalar_curl": ("TK", True),
+}
+
+
+def _first_order(which: str, frames: dict, ang: tuple) -> np.ndarray:
+    """The operator which on the angular derivatives ang, with the frames of
+    _frames or their derivatives (_dgeom)."""
+    name, vector = _FIRST_ORDER[which]
+    out = (_div_frame if vector else _frame_field)(frames[name], *ang)
+    return -out if which == "scalar_curl" else out
 
 
 def surface_gradient(S: Surface, u: np.ndarray) -> np.ndarray:
-    """grad_Gamma u via the contravariant tangent basis; out[:, a, ...] is the
-    a-th Cartesian component for u of shape (N, ...).
+    """grad_Gamma u = t u_theta + p u_phi; out[:, a, ...] is the a-th Cartesian
+    component for u of shape (N, ...).
 
     For a vector field U of shape (N, 3) this is the tangential Jacobian
     [grad_Gamma U], out[:, a, c] = (grad_Gamma U_c)_a, the matrix written
     [G(r)u] in the derivative formulas; the three components share one
     d/dtheta and one d/dphi transform."""
-    gt, gp = _tangents(S, u.ndim - 1)
-    return gt * S.grid.dtheta(u)[:, None] + gp * S.grid.dphi(u)[:, None]
+    return _first_order("gradient", _frames(S), _angular(S, u))
 
 
 def tangential_vector_curl(S: Surface, u: np.ndarray) -> np.ndarray:
     """curl_Gamma u = grad_Gamma u x n (scalar -> tangential vector)."""
-    return _cross_n(surface_gradient(S, u), S.normal)
-
-
-def _div_scurl(S: Surface, U: np.ndarray):
-    """(div_Gamma U, curl_Gamma U) from one d/dtheta and one d/dphi transform.
-
-    With t, p = grad_Gamma theta, grad_Gamma phi the tangential Jacobian is
-    [grad_Gamma U]_ac = t_a U_c,theta + p_a U_c,phi.  The divergence is its
-    trace; the scalar curl n . curl U is its contraction eps_bac n_b, which
-    pairs U_theta and U_phi with n ^ t and n ^ p.  The nine entries of the
-    Jacobian are never formed.
-    """
-    t, p = _tangents(S, U.ndim - 2)
-    nt, npp = (np.cross(S.normal, v).reshape(t.shape) for v in (S.grad_t, S.grad_p))
-    uth, uph = S.grid.dtheta(U), S.grid.dphi(U)
-    return (t * uth + p * uph).sum(axis=1), (nt * uth + npp * uph).sum(axis=1)
+    return _first_order("vector_curl", _frames(S), _angular(S, u))
 
 
 def surface_divergence(S: Surface, U: np.ndarray) -> np.ndarray:
     """div_Gamma U = trace of the tangential Jacobian (extension-free)."""
-    return _div_scurl(S, U)[0]
+    return _first_order("divergence", _frames(S), _angular(S, U))
 
 
 def surface_scalar_curl(S: Surface, U: np.ndarray) -> np.ndarray:
     """curl_Gamma U = n . curl(extension of U); defined for any vector field."""
-    return _div_scurl(S, U)[1]
+    return _first_order("scalar_curl", _frames(S), _angular(S, U))
 
 
 def laplace_beltrami(S: Surface, u: np.ndarray) -> np.ndarray:
@@ -181,6 +200,7 @@ def _shape_form(h: np.ndarray, t1, p1, t2, p2) -> np.ndarray:
     )
 
 
+@surface_memo
 def _curvature(S: Surface) -> dict:
     """Cached closed-form curvature of S: the second derivatives "d2x" of the
     parametrization (_second_derivatives), the second fundamental form
@@ -191,17 +211,10 @@ def _curvature(S: Surface) -> dict:
     W = t (x) n_t + p (x) n_p = -(h_tt t t + h_tp (t p + p t) + h_pp p p):
     symmetric, W n = 0, and W = P / a on a sphere of radius a.  It takes no
     transform of node data, only syntheses of the surface coefficients."""
-    if "curvature" not in S._cache:
-        d2x = _second_derivatives(S.grid, S.coef)
-        h = np.einsum("jia,ia->ji", d2x, S.normal)
-        W = -_shape_form(h, S.grad_t, S.grad_p, S.grad_t, S.grad_p)
-        S._cache["curvature"] = {
-            "d2x": d2x,
-            "h": h,
-            "W": W,
-            "H": 0.5 * np.einsum("iaa->i", W),
-        }
-    return S._cache["curvature"]
+    d2x = _second_derivatives(S.grid, S.coef)
+    h = np.einsum("jia,ia->ji", d2x, S.normal)
+    W = -_shape_form(h, S.grad_t, S.grad_p, S.grad_t, S.grad_p)
+    return {"d2x": d2x, "h": h, "W": W, "H": 0.5 * np.einsum("iaa->i", W)}
 
 
 def _d_curvature(S: Surface, dh, dt, dp) -> tuple:
@@ -216,18 +229,24 @@ def _d_curvature(S: Surface, dh, dt, dp) -> tuple:
 
 
 # -- Laplace-Beltrami inverse (spectral Galerkin) -------------------------
-def _metric_gram(grid, a, b, c) -> np.ndarray:
+def _metric_gram(grid, a, b, c, u=None) -> np.ndarray:
     """Y_t^T diag(a) Y_t + B + B^T + Y_p^T diag(c) Y_p with B = Y_t^T diag(b) Y_p,
-    over the full grid degree (Y_t, Y_p = Y_theta, Y_phi at the nodes).
+    over the full grid degree (Y_t, Y_p = Y_theta, Y_phi at the nodes); with
+    coefficients u (nc[, m]) its product with u, without forming it.
 
     With (a, b, c) = w J (t.t, t.p, p.p) this is the stiffness matrix
     int grad_Gamma Y_k . grad_Gamma Y_l ds, since grad_Gamma Y = t Y_theta +
     p Y_phi; with their derivatives, its derivative."""
     Yt, Yp = grid.Yth, grid.Yph
+    if u is not None:
+        ut, up = (_real_apply(Y, u) for Y in (Yt, Yp))
+        a, b, c = (v.reshape(v.shape + (1,) * (u.ndim - 1)) for v in (a, b, c))
+        return _real_apply(Yt.T, a * ut + b * up) + _real_apply(Yp.T, b * ut + c * up)
     B = Yt.T @ (b[:, None] * Yp)
     return Yt.T @ (a[:, None] * Yt) + B + B.T + Yp.T @ (c[:, None] * Yp)
 
 
+@surface_memo
 def _lb_data(S: Surface) -> dict:
     """Cached Galerkin data of the Laplace-Beltrami operator in the full
     spherical-harmonic basis: the inverse of the stiffness matrix
@@ -241,19 +260,13 @@ def _lb_data(S: Surface) -> dict:
     (eigenvalues growing like l(l+1), l = 1..Lmax) allows.  The inverse
     comes from numpy.linalg, the package's only LAPACK, whose calls run on
     numpy's BLAS threads."""
-    if "lb" not in S._cache:
-        g = S.grid
-        w = g.weights * S.jacobian
-        t, p = S.grad_t, S.grad_p
-        metric = (np.einsum("ia,ia->i", u, v) for u, v in ((t, t), (t, p), (p, p)))
-        A = _metric_gram(g, *(w * m for m in metric))
-        inverse = np.linalg.inv(A[1:, 1:])
-        S._cache["lb"] = {
-            "inverse": inverse,
-            "rows": inverse[: g.ncoef(g.L) - 1],
-            "mass": (w[:, None] * g.Y).T,
-        }
-    return S._cache["lb"]
+    g = S.grid
+    w = g.weights * S.jacobian
+    t, p = S.grad_t, S.grad_p
+    metric = (np.einsum("ia,ia->i", u, v) for u, v in ((t, t), (t, p), (p, p)))
+    inverse = np.linalg.inv(_metric_gram(g, *(w * m for m in metric))[1:, 1:])
+    rows = inverse[: g.ncoef(g.L) - 1]
+    return {"inverse": inverse, "rows": rows, "mass": (w[:, None] * g.Y).T}
 
 
 def _lb_solve(S: Surface, rhs: np.ndarray) -> np.ndarray:
@@ -293,14 +306,6 @@ def _fold(F: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return cols.reshape(F.shape[:-1] + (rows.shape[0],))
 
 
-def _frame_field(fr: tuple, Yt: np.ndarray, Yp: np.ndarray) -> np.ndarray:
-    """Node data a (x) Yt + b (x) Yp, shape (N, 3, k), of the basis field with
-    frame fr = (a, b) (see the module docstring) on the columns Yt, Yp (N, k)
-    of Y_theta, Y_phi."""
-    a, b = fr
-    return a[:, :, None] * Yt[:, None, :] + b[:, :, None] * Yp[:, None, :]
-
-
 def _frame_rows(g, fr: tuple, u: np.ndarray) -> np.ndarray:
     """sum_b F_b^T u_b over the full grid degree, shape (nc, m), for the basis
     field F with frame fr = (a, b) and node data u (N, 3, m):
@@ -311,12 +316,6 @@ def _frame_rows(g, fr: tuple, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _div_frame(t, p, Ut, Up):
-    """t . U_theta + p . U_phi per node and column for the angular derivatives
-    Ut, Up (N, 3, k) of a field U: div_Gamma U (surface_divergence)."""
-    return np.einsum("ia,iak->ik", t, Ut) + np.einsum("ia,iak->ik", p, Up)
-
-
 def _curl_curv(n, H, W, v):
     """n ^ ((2 H - W) v) per node, for vectors v (N, 3); linear in n, in
     (H, W) and in v.  M v = _curl_curv(n, H, W, v) is the frame vector of the
@@ -324,6 +323,7 @@ def _curl_curv(n, H, W, v):
     return np.cross(n, 2.0 * H[:, None] * v - np.einsum("iac,ic->ia", W, v))
 
 
+@surface_memo
 def _basis_fields(S: Surface) -> dict:
     """Cached node data of the potential basis and of the test fields.
 
@@ -346,35 +346,29 @@ def _basis_fields(S: Surface) -> dict:
     M = [n ^](2H I - W).  Folding acts on Y_theta and Y_phi alone, so only
     Delta_Gamma Y takes a transform, on the K solver columns.
     """
-    if "basis" not in S._cache:
-        g = S.grid
-        rows = _lb_data(S)["rows"]
-        n, t, p = S.normal, S.grad_t, S.grad_p
-        K = rows.shape[0]
-        cv = _curvature(S)
-        fr = {
-            "GY": (t, p),
-            "TK": (np.cross(t, n), np.cross(p, n)),
-            "Df": tuple(_curl_curv(n, cv["H"], cv["W"], v) for v in (t, p)),
-        }
-        YL = (g.Yth[:, 1 : K + 1], g.Yph[:, 1 : K + 1])
-        Yf = (_fold(g.Yth, rows), _fold(g.Yph, rows))
-        GYL = _frame_field(fr["GY"], *YL)
-        TKf = _frame_field(fr["TK"], *Yf)
-        GY_ang = (g.dtheta(GYL), g.dphi(GYL))
-        LBY = _div_frame(t, p, *GY_ang)
-        wJ = (g.weights * S.jacobian)[:, None, None]
-        S._cache["basis"] = {
-            "frames": fr,
-            "GY_ang": GY_ang,
-            "jb": np.concatenate([GYL, _frame_field(fr["TK"], *YL)], axis=2),
-            "divb": np.concatenate([LBY, np.zeros_like(LBY)], axis=1),
-            "Zc": wJ * np.concatenate([-TKf, _frame_field(fr["GY"], *Yf)], axis=2),
-            "Zp": -_fold(wJ[:, :, 0] * g.Y, rows),
-            "Zq": -wJ * _frame_field(fr["Df"], *Yf),
-            "TKf": TKf,
-        }
-    return S._cache["basis"]
+    g = S.grid
+    rows = _lb_data(S)["rows"]
+    K = rows.shape[0]
+    cv = _curvature(S)
+    fr = _frames(S)
+    fr = {**fr, "Df": tuple(_curl_curv(S.normal, cv["H"], cv["W"], v) for v in fr["GY"])}
+    YL = (g.Yth[:, 1 : K + 1], g.Yph[:, 1 : K + 1])
+    Yf = (_fold(g.Yth, rows), _fold(g.Yph, rows))
+    GYL = _frame_field(fr["GY"], *YL)
+    TKf = _frame_field(fr["TK"], *Yf)
+    GY_ang = _angular(S, GYL)
+    LBY = _div_frame(fr["GY"], *GY_ang)
+    wJ = (g.weights * S.jacobian)[:, None, None]
+    return {
+        "frames": fr,
+        "GY_ang": GY_ang,
+        "jb": np.concatenate([GYL, _frame_field(fr["TK"], *YL)], axis=2),
+        "divb": np.concatenate([LBY, np.zeros_like(LBY)], axis=1),
+        "Zc": wJ * np.concatenate([-TKf, _frame_field(fr["GY"], *Yf)], axis=2),
+        "Zp": -_fold(wJ[:, :, 0] * g.Y, rows),
+        "Zq": -wJ * _frame_field(fr["Df"], *Yf),
+        "TKf": TKf,
+    }
 
 
 def density_basis(S: Surface):
@@ -424,150 +418,178 @@ def helmholtz_decompose(S: Surface, j: np.ndarray) -> np.ndarray:
     return c.reshape(c.shape[:1] + j.shape[2:])
 
 
-# -- shape derivatives of the surface operators ---------------------------
-def _grad_xi(S: Surface, xi: DeformationField) -> tuple:
-    """((xi_theta, xi_phi), A): the angular derivatives of xi from its
-    coefficients and A = [grad_Gamma xi] = t (x) xi_theta + p (x) xi_phi,
-    the one source of [grad_Gamma xi] (t, p = grad_Gamma theta, phi)."""
-    ang = tuple(S.grid.synthesize(xi.coef.T, deriv=d) for d in ("theta", "phi"))
-    return ang, _frame_field((S.grad_t, S.grad_p), *ang)
+# -- the per-node derivative record and the paper's d_* operators ---------
+@surface_memo
+def _dgeom(S: Surface, xi: DeformationField) -> dict:
+    """Per-node stage derivatives of the geometry under xi, the one record
+    that the paper's d_* operators, the kernel passes and route A's basis
+    derivatives (_dbasis) read.  No transform of node data is taken.
+
+    "xi_ang" = (xi_theta, xi_phi) come from xi's coefficients, and
+    A = [grad_Gamma xi] = t (x) xi_theta + p (x) xi_phi is formed here only:
+        dN = -A n,  "divxi" = tr A,  dJ = J tr A,
+        dt = -A t + (t.A n) n  (likewise dp),  dh_ij = xi_ij . n + x_ij . dN
+    for the second fundamental form h_ij = x_ij . n.  "dmetric" = w d(J t.t,
+    J t.p, J p.p) are the derivatives of the stiffness weights (_metric_gram)
+    and "frames" the derivative frames of _frames (see the module
+    docstring): dGY = (dt, dp), dTK = (dt ^ n + t ^ dN, dp ^ n + p ^ dN)."""
+    g = S.grid
+    n, t, p = S.normal, S.grad_t, S.grad_p
+    xi_ang = tuple(g.synthesize(xi.coef.T, deriv=d) for d in ("theta", "phi"))
+    A = _frame_field((t, p), *xi_ang)
+    An = np.einsum("iac,ic->ia", A, n)
+    dN = -An
+    divxi = np.einsum("iaa->i", A)
+    dt, dp = (
+        np.einsum("ia,ia->i", v, An)[:, None] * n - np.einsum("iac,ic->ia", A, v)
+        for v in (t, p)
+    )
+    dh = np.einsum("jia,ia->ji", _second_derivatives(g, xi.coef), n)
+    dh += np.einsum("jia,ia->ji", _curvature(S)["d2x"], dN)
+    J, dJ = S.jacobian, S.jacobian * divxi
+
+    def dot(u, v):
+        return np.einsum("ia,ia->i", u, v)
+
+    return {
+        "xi_ang": xi_ang,
+        "dN": dN,
+        "divxi": divxi,
+        "dJ": dJ,
+        "dh": dh,
+        "dmetric": tuple(
+            g.weights * (dJ * dot(u, v) + J * (dot(du, v) + dot(u, dv)))
+            for u, du, v, dv in ((t, dt, t, dt), (t, dt, p, dp), (p, dp, p, dp))
+        ),
+        "frames": {
+            "GY": (dt, dp),
+            "TK": (np.cross(dt, n) + np.cross(t, dN), np.cross(dp, n) + np.cross(p, dN)),
+        },
+    }
 
 
 def d_normal(S: Surface, xi: DeformationField) -> np.ndarray:
     """First derivative of the transported unit normal: -[grad_Gamma xi] n."""
-    return -np.einsum("iac,ic->ia", _grad_xi(S, xi)[1], S.normal)
+    return _dgeom(S, xi)["dN"].copy()
 
 
 def d_jacobian(S: Surface, xi: DeformationField) -> np.ndarray:
     """First derivative of the surface Jacobian: J div_Gamma xi."""
-    return S.jacobian * np.einsum("iaa->i", _grad_xi(S, xi)[1])
+    return _dgeom(S, xi)["dJ"].copy()
 
 
 def d_surface_operator(
     which: str, S: Surface, xi: DeformationField, u: np.ndarray
 ) -> np.ndarray:
-    """Closed-form first derivative of a transported surface operator.
+    """Closed-form first derivative of a transported surface operator: its
+    formula on the derivative frame of _dgeom and the angular derivatives of
+    u (see the module docstring).
 
     which in {"gradient", "divergence", "vector_curl", "scalar_curl"}.
     """
-    A = _grad_xi(S, xi)[1]  # [G xi]
-    n, dxi = S.normal, np.einsum("iaa->i", A)
-    An = np.einsum("iac,ic->ia", A, n)
-    if which == "gradient":
-        if u.ndim not in (1, 2) or (u.ndim == 2 and u.shape[1] == 3):
-            raise KindMismatch("gradient derivative needs a scalar field")
-        gu = surface_gradient(S, u)
-        Agu = np.einsum("iac,ic...->ia...", A, gu)
-        nb = n if gu.ndim == 2 else n[:, :, None]
-        return -Agu + np.einsum("ia...,ia->i...", gu, An)[:, None] * nb
-    if which == "divergence":
-        Au = surface_gradient(S, u)
-        tr = np.einsum("iac,ica...->i...", A, Au)
-        Aun = np.einsum("iac...,ic->ia...", Au, n)
-        return -tr + np.einsum("ia...,ia->i...", Aun, An)
-    if which == "vector_curl":
-        cu = tangential_vector_curl(S, u)
-        At_cu = np.einsum("iac,ia...->ic...", A, cu)
-        return At_cu - (dxi[:, None] if cu.ndim == 2 else dxi[:, None, None]) * cu
-    if which == "scalar_curl":
-        ru = surface_scalar_curl(S, u)
-        return _d_rstar(S, A, u) - (dxi if u.ndim == 2 else dxi[:, None]) * ru
-    raise KindMismatch(f"unknown surface operator {which!r}")
+    if which not in _FIRST_ORDER:
+        raise KindMismatch(f"unknown surface operator {which!r}")
+    if which == "gradient" and (u.ndim not in (1, 2) or u.ndim == 2 and u.shape[1] == 3):
+        raise KindMismatch("gradient derivative needs a scalar field")
+    return _first_order(which, _dgeom(S, xi)["frames"], _angular(S, u))
 
 
-# -- shape derivatives of the basis and of the weak projection ------------
-def _dgeom(S: Surface, xi: DeformationField) -> dict:
-    """Stage derivatives of the geometry and the basis, shared by every
-    transported assembly, the kernel passes included.
-
-    With A = [grad_Gamma xi] and "xi_ang" = (xi_theta, xi_phi) of _grad_xi:
-        dN = -A n,  "divxi" = tr A,  dJ = J tr A,
-        dt = -A t + (t.A n) n  (likewise dp),  dh_ij = xi_ij . n + x_ij . dN
-    for the second fundamental form h_ij = x_ij . n, and dW, dH = tr dW / 2
-    from _d_curvature.  A basis field with frame (a, b) (_frame_field) has
-    the derivative frame (da, db), so "frames" holds per-node vectors only:
-    dGY: (dt, dp), dTK: (dt ^ n + t ^ dN, dp ^ n + p ^ dN), dDf: (dM t +
-    M dt, dM p + M dp).
-    "djb" and "ddivb" are the derivatives of density_basis; Delta_Gamma Y
-    keeps the dense discretisation of _basis_fields, whose angular
-    derivatives are fixed linear maps, so dLBY = dt.GY_theta + dp.GY_phi +
-    div_Gamma dGY on the K solver columns, the one d/dtheta, d/dphi pair
-    of a route A.  The stiffness derivative "dA" takes the metric form
-    _metric_gram with w d(J t.t, J t.p, J p.p)."""
-    ent = S._cache.get("dgeom")
-    if ent is not None and ent[0] is xi:
-        return ent[1]
-    g = S.grid
-    bb = _basis_fields(S)
-    K = g.ncoef(g.L) - 1
-    n, t, p, J = S.normal, S.grad_t, S.grad_p, S.jacobian
-    xi_ang, A = _grad_xi(S, xi)
-    An = np.einsum("iac,ic->ia", A, n)
-    dN = -An
-    divxi = np.einsum("iaa->i", A)
-    dJ = J * divxi
-    dt, dp = (
-        np.einsum("ia,ia->i", v, An)[:, None] * n - np.einsum("iac,ic->ia", A, v)
-        for v in (t, p)
-    )
-    cv = _curvature(S)
-    dh = np.einsum("jia,ia->ji", _second_derivatives(g, xi.coef), n)
-    dh += np.einsum("jia,ia->ji", cv["d2x"], dN)
-    dW, dH = _d_curvature(S, dh, dt, dp)
-    fr = {
-        "GY": (dt, dp),
-        "TK": (np.cross(dt, n) + np.cross(t, dN), np.cross(dp, n) + np.cross(p, dN)),
-        "Df": tuple(
-            _curl_curv(dN, cv["H"], cv["W"], v)
-            + _curl_curv(n, dH, dW, v)
-            + _curl_curv(n, cv["H"], cv["W"], dv)
-            for v, dv in ((t, dt), (p, dp))
-        ),
-    }
-    YL = (g.Yth[:, 1 : K + 1], g.Yph[:, 1 : K + 1])
-    dGYL = _frame_field(fr["GY"], *YL)
-    dLBY = _div_frame(dt, dp, *bb["GY_ang"])
-    dLBY += _div_frame(t, p, g.dtheta(dGYL), g.dphi(dGYL))
-    # Galerkin stage derivatives; the stiffness weights are w J (t.t, t.p, p.p)
-    w = g.weights
-
-    def dot(u, v):
-        return np.einsum("ia,ia->i", u, v)
-
-    dmetric = (
-        w * (dJ * dot(u, v) + J * (dot(du, v) + dot(u, dv)))
-        for u, du, v, dv in ((t, dt, t, dt), (t, dt, p, dp), (p, dp, p, dp))
-    )
-    out = {
-        "dN": dN,
-        "dJ": dJ,
-        "divxi": divxi,
-        "xi_ang": xi_ang,
-        "dh": dh,
-        "frames": fr,
-        "djb": np.concatenate([dGYL, _frame_field(fr["TK"], *YL)], axis=2),
-        "ddivb": np.concatenate([dLBY, np.zeros_like(dLBY)], axis=1),
-        "dA": _metric_gram(g, *dmetric),
-        "dmass": ((w * dJ)[:, None] * g.Y).T,
-    }
-    S._cache["dgeom"] = (xi, out)
-    return out
+def rstar_apply(base: Surface, S_r: Surface, u: np.ndarray) -> np.ndarray:
+    """R*(r) u = J_rel tau_r curl_{Gamma_r} tau_r^{-1} u (J-weighted scalar curl)."""
+    jrel = S_r.jacobian / base.jacobian
+    out = surface_scalar_curl(S_r, u)
+    return out * (jrel if out.ndim == 1 else jrel[:, None])
 
 
-def _d_lb_solve(S: Surface, dg: dict, r: np.ndarray, dr: np.ndarray):
+def d_rstar(S: Surface, xi: DeformationField, u: np.ndarray) -> np.ndarray:
+    """dR*[0,xi] u = -sum_c grad_Gamma xi_c . curl_Gamma u_c: the derivative
+    of the scalar curl plus the measure term div_Gamma xi curl_Gamma u, one
+    frame -(dTK + div_Gamma xi TK) on one d/dtheta, d/dphi pair of u.  All
+    higher derivatives of r -> R*(r) vanish identically."""
+    dg = _dgeom(S, xi)
+    dxi = dg["divxi"][:, None]
+    fr = tuple(da + dxi * a for da, a in zip(dg["frames"]["TK"], _frames(S)["TK"]))
+    return -_div_frame(fr, *_angular(S, u))
+
+
+# -- Galerkin stage derivatives -------------------------------------------
+@surface_memo
+def _d_lb_data(S: Surface, xi: DeformationField) -> dict:
+    """Route A's stage derivatives of the Galerkin data of _lb_data under xi:
+    the stiffness derivative "dA" = _metric_gram on the record's "dmetric"
+    and the mass rows "dmass" = int . Y_k dJ ds.  They read the record
+    _dgeom and need no basis field."""
+    g, dg = S.grid, _dgeom(S, xi)
+    dmass = ((g.weights * dg["dJ"])[:, None] * g.Y).T
+    return {"dA": _metric_gram(g, *dg["dmetric"]), "dmass": dmass}
+
+
+def _d_lb_solve(S: Surface, xi: DeformationField, r: np.ndarray, dr: np.ndarray):
     """Derivative of the transported Galerkin solve u = A^{-1} r:
     du = A^{-1}(dr - dA u), over the full grid degree (batched)."""
     u = _lb_solve(S, r)
-    return _lb_solve(S, dr - _real_apply(dg["dA"], u))
+    return _lb_solve(S, dr - _real_apply(_d_lb_data(S, xi)["dA"], u))
 
 
-def _d_weak_poisson(S: Surface, dg: dict, f: np.ndarray, df: np.ndarray):
+def _d_weak_poisson(S: Surface, xi: DeformationField, f: np.ndarray, df: np.ndarray):
     """Derivative of the transported mean-zero weak solution of Delta u = f,
     the Galerkin solve with right-hand side -int f Y_k ds."""
     mass = _lb_data(S)["mass"]
     r = -_real_apply(mass, f)
-    dr = -_real_apply(dg["dmass"], f) - _real_apply(mass, df)
-    return _d_lb_solve(S, dg, r, dr)
+    dr = -_real_apply(_d_lb_data(S, xi)["dmass"], f) - _real_apply(mass, df)
+    return _d_lb_solve(S, xi, r, dr)
+
+
+def d_laplace_inverse(S: Surface, xi: DeformationField, f: np.ndarray) -> np.ndarray:
+    """First derivative of (L*(r))^{-1} f for the weighted Laplace-Beltrami
+    family L*(r) = -R*(r) R(r) = J_rel Delta_r, mean-zero.
+
+    On every transported surface the Galerkin right-hand side of
+    laplace_beltrami_inverse(Gamma_r, f / J_rel) is -int f Y_k ds on Gamma,
+    so its derivative is -A^{-1} dA u for the coefficients u of
+    laplace_beltrami_inverse(S, f), which the grid analyses exactly: the
+    exact derivative of the discrete inverse, up to the constant of its mean
+    gauge.  dA u is applied without forming dA."""
+    g = S.grid
+    u = g.analyze(laplace_beltrami_inverse(S, f), g.Lmax)
+    du = g.synthesize(_lb_solve(S, -_metric_gram(g, *_dgeom(S, xi)["dmetric"], u)))
+    return du - mean_value(S, du)
+
+
+# -- shape derivatives of the basis and of the weak projection ------------
+@surface_memo
+def _dbasis(S: Surface, xi: DeformationField) -> dict:
+    """Route A's stage derivatives of the potential basis and test fields.
+
+    A basis field with frame (a, b) (_frame_field) has the derivative frame
+    (da, db), so "frames" extends the frames of the record _dgeom by
+    dDf = (dM t + M dt, dM p + M dp) (M of _basis_fields, with dW, dH of
+    _d_curvature).  "djb" and
+    "ddivb" are the derivatives of density_basis; Delta_Gamma Y keeps the
+    dense discretisation of _basis_fields, whose angular derivatives are
+    fixed linear maps, so dLBY = dt.GY_theta + dp.GY_phi + div_Gamma dGY on
+    the K solver columns, the one d/dtheta, d/dphi pair of a route A."""
+    g, bb, dg, cv = S.grid, _basis_fields(S), _dgeom(S, xi), _curvature(S)
+    n, K = S.normal, g.ncoef(g.L) - 1
+    dW, dH = _d_curvature(S, dg["dh"], *dg["frames"]["GY"])
+    fr = {
+        **dg["frames"],
+        "Df": tuple(
+            _curl_curv(dg["dN"], cv["H"], cv["W"], v)
+            + _curl_curv(n, dH, dW, v)
+            + _curl_curv(n, cv["H"], cv["W"], dv)
+            for v, dv in zip(bb["frames"]["GY"], dg["frames"]["GY"])
+        ),
+    }
+    YL = (g.Yth[:, 1 : K + 1], g.Yph[:, 1 : K + 1])
+    dGYL = _frame_field(fr["GY"], *YL)
+    dLBY = _div_frame(fr["GY"], *bb["GY_ang"])
+    dLBY += _div_frame(bb["frames"]["GY"], *_angular(S, dGYL))
+    return {
+        "frames": fr,
+        "djb": np.concatenate([dGYL, _frame_field(fr["TK"], *YL)], axis=2),
+        "ddivb": np.concatenate([dLBY, np.zeros_like(dLBY)], axis=1),
+    }
 
 
 def _d_weak_project(S: Surface, xi: DeformationField, u: np.ndarray, du: np.ndarray):
@@ -581,8 +603,7 @@ def _d_weak_project(S: Surface, xi: DeformationField, u: np.ndarray, du: np.ndar
     du, and the test fields enter through their frames (_frame_rows), so no
     (N, 3, nc) array is formed per call."""
     g = S.grid
-    dg = _dgeom(S, xi)
-    fr, dfr = _basis_fields(S)["frames"], dg["frames"]
+    fr, dg = _frames(S), _dgeom(S, xi)
     K = g.ncoef(g.L) - 1
     wJ = (g.weights * S.jacobian)[:, None, None]
     wdJ = (g.weights * dg["dJ"])[:, None, None]
@@ -593,43 +614,5 @@ def _d_weak_project(S: Surface, xi: DeformationField, u: np.ndarray, du: np.ndar
         )
 
     y, dy = wJ * u, wJ * du + wdJ * u
-    dU = _d_lb_solve(S, dg, rhs(fr, y), rhs(fr, dy) + rhs(dfr, y))[1 : K + 1]
+    dU = _d_lb_solve(S, xi, rhs(fr, y), rhs(fr, dy) + rhs(dg["frames"], y))[1 : K + 1]
     return dU.swapaxes(0, 1).reshape(2 * K, -1)
-
-
-# -- transported weighted operators R*, L* --------------------------------
-def rstar_apply(base: Surface, S_r: Surface, u: np.ndarray) -> np.ndarray:
-    """R*(r) u = J_rel tau_r curl_{Gamma_r} tau_r^{-1} u (J-weighted scalar curl)."""
-    jrel = S_r.jacobian / base.jacobian
-    out = surface_scalar_curl(S_r, u)
-    return out * (jrel if out.ndim == 1 else jrel[:, None])
-
-
-def _d_rstar(S: Surface, A: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """-sum_c grad_Gamma xi_c . curl_Gamma u_c for A = [grad_Gamma xi]."""
-    acc = 0.0
-    for c in range(3):
-        curl_c = tangential_vector_curl(S, u[:, c])
-        acc = acc + np.einsum("ia,ia...->i...", A[:, :, c], curl_c)
-    return -acc
-
-
-def d_rstar(S: Surface, xi: DeformationField, u: np.ndarray) -> np.ndarray:
-    """dR*[0,xi] u = -sum_c grad_Gamma xi_c . curl_Gamma u_c ; all higher
-    derivatives of r -> R*(r) vanish identically."""
-    return _d_rstar(S, _grad_xi(S, xi)[1], u)
-
-
-def d_lstar(S: Surface, xi: DeformationField, u: np.ndarray) -> np.ndarray:
-    """dL*[0,xi] u for the weighted Laplace-Beltrami family L* = -R*(r) R(r)."""
-    cu = tangential_vector_curl(S, u)
-    return -d_rstar(S, xi, cu) - surface_scalar_curl(
-        S, d_surface_operator("vector_curl", S, xi, u)
-    )
-
-
-def d_laplace_inverse(S: Surface, xi: DeformationField, f: np.ndarray) -> np.ndarray:
-    """First derivative of (L*(r))^{-1} f:  -Delta^{-1} dL*[0,xi] Delta^{-1} f."""
-    u = laplace_beltrami_inverse(S, f)
-    g = d_lstar(S, xi, u)
-    return -laplace_beltrami_inverse(S, g, check_mean=False)

@@ -163,6 +163,8 @@ class TestErrors:
             ("mie", {"surface": {"radial": {"0,0": 3.5449077018110318, "2,0": 0.2}}}),
             ("mie", {"surface": {"type": "ellipsoid", "radius": 2}}),
             ("solve", {"surface": {"type": "ellipsoid", "radius": 2}}),
+            ("solve", {"surface": {"type": "sphere", "radial": {"0,0": 3.5449077018110318}}}),
+            ("solve", {"surface": {"radius": 2, "radial": {"0,0": 3.5449077018110318}}}),
         ],
     )
     def test_malformed_section(self, tmp_path, capsys, command, overrides):

@@ -9,7 +9,8 @@ from scipy.special import spherical_jn, spherical_yn
 from dielshape import kernels as kn
 from dielshape.bio import scalar_single_layer
 from dielshape.errors import TargetOnSurface
-from dielshape.geometry import DeformationField, build_surface, deform, sphere
+from dielshape.geometry import DeformationField, Surface, build_surface, deform, sphere
+from dielshape.grid import ReferenceGrid
 from dielshape.surfcalc import d_normal
 
 
@@ -142,6 +143,28 @@ class TestKernelShapeDerivatives:
             for kap in (0.0, 1.3):
                 K, _ = getattr(kn, deriv)(wobbly_surface, kap, generic_xi)
                 assert np.array_equal(K, getattr(kn, primal)(wobbly_surface, kap)), deriv
+
+    @pytest.mark.parametrize("deriv", ["dvmat", "dkprime_mat", "dkprime_src_mat"])
+    def test_standalone_derivative_builds_no_basis(
+        self, wobbly_surface, generic_xi, deriv, monkeypatch
+    ):
+        # The kernel passes read dN, div_Gamma xi, xi_u and dh from the
+        # per-node record surfcalc._dgeom, so on a fresh surface a derivative
+        # kernel builds neither the potential basis nor the Laplace-Beltrami
+        # data, and transforms no node data.
+        calls = []
+        for name in ("dtheta", "dphi"):
+            inner = getattr(ReferenceGrid, name)
+
+            def counting(self, f, inner=inner, name=name):
+                calls.append(name)
+                return inner(self, f)
+
+            monkeypatch.setattr(ReferenceGrid, name, counting)
+        S = Surface(wobbly_surface.grid, wobbly_surface.coef)
+        getattr(kn, deriv)(S, 1.3, generic_xi)
+        assert "_basis_fields" not in S._cache and "_lb_data" not in S._cache
+        assert calls == []
 
 
 class TestSingleLayerSymmetry:

@@ -251,11 +251,12 @@ class TestKernelPasses:
     def test_stage_derivatives_transform_solver_degree_columns_only(
         self, wobbly_surface, material, wave, dirs, xi_profile, monkeypatch
     ):
-        # On a warm surface the stage derivatives of route A transform the
-        # derivatives of the K solver-degree gradient fields once by d/dtheta
-        # and once by d/dphi ([grad_Gamma xi] comes from the coefficients of
-        # xi), and once they are cached route A transforms nothing: its
-        # kernel passes read dN, div_Gamma xi and dh from them.
+        # On a warm surface route A's stage derivatives of the basis
+        # transform the derivatives of the K solver-degree gradient fields
+        # once by d/dtheta and once by d/dphi ([grad_Gamma xi] comes from the
+        # coefficients of xi), and once they are cached route A transforms
+        # nothing: its kernel passes read dN, div_Gamma xi and dh from the
+        # per-node record they build on.
         S = wobbly_surface
         g = S.grid
         sol = solver.solve(S, material, wave)
@@ -269,7 +270,7 @@ class TestKernelPasses:
                 return inner(self, f)
 
             monkeypatch.setattr(ReferenceGrid, name, counting)
-        sc._dgeom(S, xi)
+        sc._dbasis(S, xi)
         K = g.ncoef(g.L) - 1
         assert sorted(calls) == [("dphi", 3 * K), ("dtheta", 3 * K)]
         calls.clear()
