@@ -33,12 +33,13 @@ block is one product of kernel data with wavenumber-independent test data:
   core diag(w J) with a symmetric core (the singular weights are
   Bs diag(w) with Bs symmetric, and the kernel values are symmetric), so
   V^T (w J j) = w J (V j): the product V j of the electric block serves
-  here too, and the K's term is taken as (K's TK)^T y.  The test
-  divergences Df_b = div_Gamma(e_b ^ GY) - 2 H TK_b come in closed form
-  from the shape operator (surfcalc._basis_fields).
+  here too.  K's is the adjoint diag(w J)^-1 K'^T diag(w J) of K'
+  (kernels) and is not built: K's^T y = w J (K' j).  The test divergences
+  Df_b = div_Gamma(e_b ^ GY) - 2 H TK_b come in closed form from the shape
+  operator (surfcalc._basis_fields).
 
 The recipes take the kernel matrices as arguments.  ``wave_blocks`` builds
-(V, K', K's) of one wavenumber in a single kernel pass and returns both the
+(V, K') of one wavenumber in a single kernel pass and returns both the
 electric and the magnetic block, which share V and V j; a forward assembly
 thus makes three kernel passes (kappa_e, kappa_i, static) and keeps no matrix
 afterwards.  Kernel matrices meet the real basis batches through their real
@@ -57,9 +58,9 @@ They take an optional coefficient batch c of shape (2K, m) and return
 dBlock @ c without forming the matrix: every stage then runs on m columns
 instead of 2K.  Without c the batch is the identity and the result is the
 matrix.  ``d_wave_blocks``
-mirrors ``wave_blocks``: it builds the kernel pairs (V, dV), (K', dK'),
-(K's, dK's) of one wavenumber in a single pass and returns (dC @ c, dM @ c),
-the two recipes sharing the products V j, dV j and V dj; route A makes one
+mirrors ``wave_blocks``: it builds the kernel pairs (V, dV), (K', dK') of
+one wavenumber in a single pass and returns (dC @ c, dM @ c), the two
+recipes sharing the products V j, dV j and V dj; route A makes one
 such pass per wavenumber and one static pass.  The pass is streamed: each
 pair is applied to the batch as it is yielded and dropped before the next
 is built, so at most one pair of N x N matrices is alive.
@@ -152,27 +153,27 @@ def _layer_block(S: Surface, V, Vj, sa: float, sv: float) -> np.ndarray:
     return C
 
 
-def _magnetic_block(S: Surface, kappa: float, V, Vj, KP, KS) -> np.ndarray:
-    """Magnetic recipe on the kernel matrices V, K' and K's of kappa and the
+def _magnetic_block(S: Surface, kappa: float, V, Vj, KP) -> np.ndarray:
+    """Magnetic recipe on the kernel matrices V and K' of kappa and the
     product V jb.  The rotational right-hand side needs V^T y with
     y = w J jb, which is w J (V jb) since V = core diag(w J) with a symmetric
-    core; its K's term sum_b TK_b^T K's^T y_b is taken as (K's TK)^T y."""
-    g = S.grid
+    core; its K's term sum_b TK_b^T K's^T y_b is sum_b (K'^T (w J TK_b))^T
+    jb_b, with -w J TK the first K columns of Zc."""
     bb = sc._basis_fields(S)
     jb, divb = bb["jb"], bb["divb"]
     K = divb.shape[1] // 2
-    wJ = (g.weights * S.jacobian)[:, None, None]
 
     f = kappa**2 * np.einsum("ij,ijk->ik", S.normal, Vj)
     f[:, :K] += _vec_apply(KP, divb[:, :K])
     p_rows = _real_apply(bb["Zp"].T, f)
-    q_rows = sc._bsum(bb["Zq"], Vj) + sc._bsum(wJ * jb, _vec_apply(KS, bb["TKf"])).T
+    KZ = _vec_apply(KP.T, bb["Zc"][..., :K])
+    q_rows = sc._bsum(bb["Zq"], Vj) - sc._bsum(jb, KZ).T
     return np.concatenate([p_rows, q_rows], axis=0)
 
 
 def _wave_mats(S: Surface, kappa: float) -> tuple:
-    """(V, K', K's) of kappa from one kernel pass."""
-    return tuple(kn._kernel_mats(S, kappa, (kn._V, kn._KP, kn._KS)))
+    """(V, K') of kappa from one kernel pass."""
+    return tuple(kn._kernel_mats(S, kappa, (kn._V, kn._KP)))
 
 
 def electric_block(S: Surface, kappa: float) -> np.ndarray:
@@ -189,17 +190,17 @@ def magnetic_block(S: Surface, kappa: float) -> np.ndarray:
     parts so that only weakly singular kernels appear.  Its right-hand side
     is sum_b Df[b]^T V^T y_b - TK_b^T KS^T y_b with y_b = w J j_b.
     """
-    V, KP, KS = _wave_mats(S, kappa)
-    return _magnetic_block(S, kappa, *_single_layer(S, V), KP, KS)
+    V, KP = _wave_mats(S, kappa)
+    return _magnetic_block(S, kappa, *_single_layer(S, V), KP)
 
 
 def wave_blocks(S: Surface, kappa: float) -> tuple:
     """(electric_block, magnetic_block) of one wavenumber from one kernel
     pass; the two blocks share V and its product with the basis."""
-    V, KP, KS = _wave_mats(S, kappa)
+    V, KP = _wave_mats(S, kappa)
     V, Vj = _single_layer(S, V)
     C = _layer_block(S, V, Vj, kappa, 1.0 / kappa)
-    return C, _magnetic_block(S, kappa, V, Vj, KP, KS)
+    return C, _magnetic_block(S, kappa, V, Vj, KP)
 
 
 def static_block(S: Surface) -> np.ndarray:
@@ -210,7 +211,7 @@ def static_block(S: Surface) -> np.ndarray:
 
 # -- shape derivatives of the blocks --------------------------------------
 # The derivative recipes take the kernel matrices as an iterator mats in
-# pass order (V, dV, then K', dK', K's, dK's for the magnetic block): each
+# pass order (V, dV, then K', dK' for the magnetic block): each
 # pair is applied to the batch and dropped before the next one is drawn, so
 # a streamed kernel pass holds one pair at a time.
 def _d_single_layer(S: Surface, xi: DeformationField, mats, c) -> tuple:
@@ -244,14 +245,14 @@ def _d_layer_block(S: Surface, xi, sl, sa: float, sv: float):
 
 def _d_magnetic_block(S: Surface, kappa: float, xi, sl, mats):
     """Derivative of the magnetic recipe on the shared data sl of
-    _d_single_layer and the kernel pairs (K', dK'), (K's, dK's) of kappa,
-    drawn from mats and used one pair at a time.
+    _d_single_layer and the kernel pair (K', dK') of kappa drawn from mats.
 
     The Galerkin right-hand side sum_b Df_b^T V^T y_b - TK_b^T KS^T y_b and
     its derivative are applied factor by factor to y_b = w J j_b, the test
     fields through their frames (_frame_rows), so no (N, nc_full) matrix is
-    formed.  V^T y = w J (V j) holds on every transported surface (see
-    _magnetic_block), so its derivative is w J d(V j) + w dJ V j."""
+    formed.  V^T y = w J (V j) and KS^T y = w J (K' j) hold on every
+    transported surface (see _magnetic_block), so their derivatives are
+    w J d(V j) + w dJ V j and w J (dK' j + K' dj) + w dJ K' j."""
     g = S.grid
     (j, divj, dj, ddivj), Vj, dVj, _ = sl
     dg = sc._dgeom(S, xi)
@@ -266,18 +267,16 @@ def _d_magnetic_block(S: Surface, kappa: float, xi, sl, mats):
     f = kappa**2 * np.einsum("ij,ijk->ik", n, Vj) + _vec_apply(KP, divj)
     dnVj = np.einsum("ij,ijk->ik", dN, Vj) + np.einsum("ij,ijk->ik", n, dVj)
     df = kappa**2 * dnVj + _vec_apply(dKP, divj) + _vec_apply(KP, ddivj)
+    Kj = _vec_apply(KP, j)
+    dKj = _vec_apply(dKP, j) + _vec_apply(KP, dj)
     del KP, dKP
     p_rows = sc._d_weak_poisson(S, xi, f, df)[1:ncL]
 
     # rotational potential: Q = A^{-1} rc, dQ = A^{-1}(drc - dA Q)
-    y = wJ * j
-    dy = wdJ * j + wJ * dj
     Vy = wJ * Vj
     dVy = wJ * dVj + wdJ * Vj
-    KS, dKS = next(mats), next(mats)
-    Ky = _vec_apply(KS.T, y)
-    dKy = _vec_apply(KS.T, dy) + _vec_apply(dKS.T, y)
-    del KS, dKS
+    Ky = wJ * Kj
+    dKy = wJ * dKj + wdJ * Kj
     rc = sc._frame_rows(g, fr["Df"], Vy) - sc._frame_rows(g, fr["TK"], Ky)
     drc = sc._frame_rows(g, fr["Df"], dVy) + sc._frame_rows(g, dfr["Df"], Vy)
     drc -= sc._frame_rows(g, fr["TK"], dKy) + sc._frame_rows(g, dfr["TK"], Ky)
@@ -286,9 +285,8 @@ def _d_magnetic_block(S: Surface, kappa: float, xi, sl, mats):
 
 
 def _d_wave_mats(S: Surface, kappa: float, xi: DeformationField):
-    """The streamed kernel pass (V, dV, K', dK', K's, dK's) of kappa."""
-    groups = (kn._V, kn._DV, kn._KP, kn._DKP, kn._KS, kn._DKS)
-    return kn._kernel_mats(S, kappa, groups, xi)
+    """The streamed kernel pass (V, dV, K', dK') of kappa."""
+    return kn._kernel_mats(S, kappa, (kn._V, kn._DV, kn._KP, kn._DKP), xi)
 
 
 def d_wave_blocks(S: Surface, kappa: float, xi: DeformationField, c) -> tuple:

@@ -2,12 +2,12 @@
 
 Every kernel here is a sum of terms  rad_p(kappa R) num / (4 pi R^(2p+1))
 of radial order p = 0, 1, 2, with R = |x - y| and a smooth numerator num
-(1, T = n(x).(x-y), Ts = n(y).(y-x), Phi = (x-y).(xi(x)-xi(y)) and the
-derivatives dT, dTs of T, Ts).  Order 0 is the single layer G_kappa; each
-shape derivative raises the order by one, since d/dt R^2 = 2 Phi.  The real
-part of e^{i kappa R} gives the singular radial factor (cos kR for order 0,
--(cos kR + kR sin kR) for order 1, its d/d(R^2) companion for order 2), the
-imaginary part a smooth one.  The singular part is
+(1, T = n(x).(x-y), Phi = (x-y).(xi(x)-xi(y)) and the derivative dT of T).
+Order 0 is the single layer G_kappa; each shape derivative raises the order
+by one, since d/dt R^2 = 2 Phi.  The real part of e^{i kappa R} gives the
+singular radial factor (cos kR for order 0, -(cos kR + kR sin kR) for order
+1, its d/d(R^2) companion for order 2), the imaginary part a smooth one.
+The singular part is
 
     F(x, y) / |xhat - yhat|,   F = rad_p num chord / R^(2p+1),
 
@@ -21,12 +21,16 @@ their mean over PROBE_NDIRS directions, in closed form (probe_geometry).
 Along a reference tangent with parameter direction u, a point at geodesic
 distance s has chord ~ s and R ~ |v| s, v = x_theta u_theta + x_phi u_phi.
 Each numerator vanishes with its parameter gradient at y = x, so num / s^2
-is half its Hessian at u: T, Ts -> -h(u, u) / 2 (h_ij = x_ij . n), Phi ->
-v . xi_u, dT, dTs -> -dh(u, u) / 2 (dh_ij = xi_ij . n + x_ij . dN).  A term
-tends to rad_p(0) = 1, -1, 3/2 times its numerator limits over |v|^(2p+1);
-the limits commute with d/dt on x + t xi, so dK's diagonal is exact too.
-The derivative data of xi come from the per-node record surfcalc._dgeom,
-which builds no basis and takes no transform (see _kernel_mats).
+is half its Hessian at u: T -> -h(u, u) / 2 (h_ij = x_ij . n), Phi ->
+v . xi_u, dT -> -dh(u, u) / 2 (dh_ij = xi_ij . n + x_ij . dN).  A term tends
+to rad_p(0) = 1, -1, 3/2 times its numerator limits over |v|^(2p+1).  The
+derivative data of xi come from the per-node record surfcalc._dgeom, which
+builds no basis and takes no transform (see _kernel_mats).
+
+The source-normal kernel n(y).grad_y G is the weak-form adjoint of K',
+K's = diag(w J)^-1 K'^T diag(w J): its numerator is T_ji, the radial factors
+and the core of the singular weights are symmetric, and the diagonal limits
+agree.  No pass assembles it (kprime_src_mat).
 
 On the node pairs the numerators come from Gram products: each is U W^T
 for two N x k factors (k <= 8), e.g. T_ij = n_i.x_i - (n X^T)_ij, so no
@@ -73,10 +77,8 @@ PROBE_NDIRS = 8
 # Kernel terms (order p, coefficient, numerator factors); see the docstring.
 _V = ((0, 1.0, ()),)
 _KP = ((1, 1.0, ("T",)),)
-_KS = ((1, 1.0, ("Ts",)),)
 _DV = ((1, 1.0, ("Phi",)),)
 _DKP = ((1, 1.0, ("dT",)), (2, 2.0, ("T", "Phi")))
-_DKS = ((1, 1.0, ("dTs",)), (2, 2.0, ("Ts", "Phi")))
 
 
 # -- radial factors (even-analytic: smooth functions of R^2) --------------
@@ -181,14 +183,10 @@ def _numerators(tgt: dict, src: dict, names) -> dict:
     for nm in names:
         if nm == "T":
             out[nm] = _dot(tgt["n"], dx)
-        elif nm == "Ts":
-            out[nm] = -_dot(src["n"], dx)
         elif nm == "Phi":
             out[nm] = _dot(dx, dxi)
-        elif nm == "dT":
+        else:  # dT
             out[nm] = _dot(tgt["dn"], dx) + _dot(tgt["n"], dxi)
-        else:  # dTs
-            out[nm] = -(_dot(src["dn"], dx) + _dot(src["n"], dxi))
     return out
 
 
@@ -206,19 +204,13 @@ def _gram_factors(nd: dict, nm: str) -> tuple:
 
     if nm == "T":
         UW = ([n, col(_dot(n, x))], [-x, one])
-    elif nm == "Ts":
-        UW = ([x, one], [-n, col(_dot(n, x))])
     elif nm == "Phi":
         xi = nd["xi"]
         a = col(_dot(x, xi))
         UW = ([x, xi, a, one], [-xi, -x, one, a])
-    else:
+    else:  # dT
         xi, dn = nd["xi"], nd["dn"]
-        c = col(_dot(dn, x) + _dot(n, xi))
-        if nm == "dT":
-            UW = ([dn, n, c], [-x, -xi, one])
-        else:  # dTs
-            UW = ([x, xi, one], [-dn, -n, c])
+        UW = ([dn, n, col(_dot(dn, x) + _dot(n, xi))], [-x, -xi, one])
     return tuple(np.hstack(F) for F in UW)
 
 
@@ -286,12 +278,12 @@ def _kernel_mats(S: Surface, kappa: float, groups, xi=None):
 
     # numerator limits over s^2 and radial factors at R = 0 over |v|^(2p+1)
     nodes = {"x": S.points, "n": S.normal}
-    lim = {"T": -0.5 * pr["h"], "Ts": -0.5 * pr["h"]}
+    lim = {"T": -0.5 * pr["h"]}
     if xi is not None:
         dg = _dgeom(S, xi)
         nodes["xi"], nodes["dn"] = xi.values, dg["dN"]
         lim["Phi"] = _dot(pr["v"], _along(pr["u"], *dg["xi_ang"]))
-        lim["dT"] = lim["dTs"] = -0.5 * _form(dg["dh"], pr["u"])
+        lim["dT"] = -0.5 * _form(dg["dh"], pr["u"])
     rad0 = {p: _singular_radial(p, 0, 1, 0) / pr["vn"] ** (2 * p + 1) for p in orders}
     pair_numerator = _pair_numerators(P["near"], nodes, names)
 
@@ -348,13 +340,15 @@ def kprime_mat(S: Surface, kappa: float) -> np.ndarray:
 
 
 def kprime_src_mat(S: Surface, kappa: float) -> np.ndarray:
-    """Matrix of int (d/dn(y)) G_kappa(|x-y|) u(y) ds(y), normal at the source.
+    """Matrix of int (d/dn(y)) G_kappa(|x-y|) u(y) ds(y), normal at the source,
+    from K' as its adjoint (see the module docstring)."""
+    return _adjoint(S, kprime_mat(S, kappa))
 
-    Rows are targets x_i, columns integration nodes y_j; the kernel is
-    grad_y G . n(y) = g(R) n(y).(y-x).  Used by the Galerkin realization of
-    the magnetic boundary operator.
-    """
-    return next(_kernel_mats(S, kappa, (_KS,)))
+
+def _adjoint(S: Surface, K: np.ndarray) -> np.ndarray:
+    """diag(w J)^-1 K^T diag(w J): the weak-form adjoint of the matrix K."""
+    wJ = S.grid.weights * S.jacobian
+    return K.T / wJ[:, None] * wJ[None, :]
 
 
 # -- shape derivatives: each returns (K, dK), the primal matrix and the ----
@@ -372,6 +366,10 @@ def dkprime_mat(S: Surface, kappa: float, xi: DeformationField) -> tuple:
 
 
 def dkprime_src_mat(S: Surface, kappa: float, xi: DeformationField) -> tuple:
-    """(kprime_src_mat, its derivative) for the source-normal kernel
-    Ts g(R), Ts = n(y).(y-x), with dTs = dn(y).(y-x) + n(y).(xi(y)-xi(x))."""
-    return tuple(_kernel_mats(S, kappa, (_KS, _DKS), xi))
+    """(kprime_src_mat, its derivative) from those of K': the adjoint of the
+    transported kernel part dK' - K' diag(div_Gamma xi), plus the measure
+    term of the source-normal matrix."""
+    K, dK = dkprime_mat(S, kappa, xi)
+    divxi = _dgeom(S, xi)["divxi"][None, :]
+    KS = _adjoint(S, K)
+    return KS, _adjoint(S, dK - K * divxi) + KS * divxi

@@ -336,7 +336,8 @@ def _basis_fields(S: Surface) -> dict:
     in (_fold), so a projection is one product with them: "Zc" = w J
     [-TK | GY] for helmholtz_decompose and the electric and static blocks,
     "Zp" = -w J Y for the gradient potential of the magnetic block, and
-    "Zq" = -w J Df and "TKf" = TK for its rotational potential.
+    "Zq" = -w J Df for its rotational potential, whose K's term takes the
+    first K columns of Zc.
 
     Df[:, b, k] = div_Gamma F_b - 2 H n.F_b for F_b = e_b ^ grad_Gamma Y_k
     (n.F_b = TK_b) is taken in closed form: the tangential Hessian of Y is
@@ -355,7 +356,6 @@ def _basis_fields(S: Surface) -> dict:
     YL = (g.Yth[:, 1 : K + 1], g.Yph[:, 1 : K + 1])
     Yf = (_fold(g.Yth, rows), _fold(g.Yph, rows))
     GYL = _frame_field(fr["GY"], *YL)
-    TKf = _frame_field(fr["TK"], *Yf)
     GY_ang = _angular(S, GYL)
     LBY = _div_frame(fr["GY"], *GY_ang)
     wJ = (g.weights * S.jacobian)[:, None, None]
@@ -364,10 +364,11 @@ def _basis_fields(S: Surface) -> dict:
         "GY_ang": GY_ang,
         "jb": np.concatenate([GYL, _frame_field(fr["TK"], *YL)], axis=2),
         "divb": np.concatenate([LBY, np.zeros_like(LBY)], axis=1),
-        "Zc": wJ * np.concatenate([-TKf, _frame_field(fr["GY"], *Yf)], axis=2),
+        "Zc": wJ * np.concatenate(
+            [-_frame_field(fr["TK"], *Yf), _frame_field(fr["GY"], *Yf)], axis=2
+        ),
         "Zp": -_fold(wJ[:, :, 0] * g.Y, rows),
         "Zq": -wJ * _frame_field(fr["Df"], *Yf),
-        "TKf": TKf,
     }
 
 
@@ -513,31 +514,22 @@ def d_rstar(S: Surface, xi: DeformationField, u: np.ndarray) -> np.ndarray:
 
 
 # -- Galerkin stage derivatives -------------------------------------------
-@surface_memo
-def _d_lb_data(S: Surface, xi: DeformationField) -> dict:
-    """Route A's stage derivatives of the Galerkin data of _lb_data under xi:
-    the stiffness derivative "dA" = _metric_gram on the record's "dmetric"
-    and the mass rows "dmass" = int . Y_k dJ ds.  They read the record
-    _dgeom and need no basis field."""
-    g, dg = S.grid, _dgeom(S, xi)
-    dmass = ((g.weights * dg["dJ"])[:, None] * g.Y).T
-    return {"dA": _metric_gram(g, *dg["dmetric"]), "dmass": dmass}
-
-
 def _d_lb_solve(S: Surface, xi: DeformationField, r: np.ndarray, dr: np.ndarray):
     """Derivative of the transported Galerkin solve u = A^{-1} r:
-    du = A^{-1}(dr - dA u), over the full grid degree (batched)."""
+    du = A^{-1}(dr - dA u), over the full grid degree (batched); dA u is
+    applied on the record's "dmetric" without forming dA (_metric_gram)."""
     u = _lb_solve(S, r)
-    return _lb_solve(S, dr - _real_apply(_d_lb_data(S, xi)["dA"], u))
+    return _lb_solve(S, dr - _metric_gram(S.grid, *_dgeom(S, xi)["dmetric"], u))
 
 
 def _d_weak_poisson(S: Surface, xi: DeformationField, f: np.ndarray, df: np.ndarray):
-    """Derivative of the transported mean-zero weak solution of Delta u = f,
-    the Galerkin solve with right-hand side -int f Y_k ds."""
+    """Derivative of the transported mean-zero weak solution of Delta u = f
+    (f of shape (N, m)), the Galerkin solve with right-hand side
+    -int f Y_k ds; the measure term int f Y_k dJ ds, dJ = J div_Gamma xi,
+    takes the mass rows on div_Gamma xi f."""
     mass = _lb_data(S)["mass"]
-    r = -_real_apply(mass, f)
-    dr = -_real_apply(_d_lb_data(S, xi)["dmass"], f) - _real_apply(mass, df)
-    return _d_lb_solve(S, xi, r, dr)
+    dr = -_real_apply(mass, _dgeom(S, xi)["divxi"][:, None] * f + df)
+    return _d_lb_solve(S, xi, -_real_apply(mass, f), dr)
 
 
 def d_laplace_inverse(S: Surface, xi: DeformationField, f: np.ndarray) -> np.ndarray:

@@ -349,9 +349,9 @@ class TestShapeDerivativeBlocks:
 
 
 def test_derivative_pass_streams_kernel_pairs(wobbly_surface, generic_xi):
-    # d_wave_blocks uses each kernel pair (V, dV), (K', dK'), (K's, dK's) as
-    # the pass yields it and drops it, so a warm call never holds the six
-    # complex N x N matrices of a wavenumber at once
+    # d_wave_blocks uses each kernel pair (V, dV), (K', dK') as the pass
+    # yields it and drops it, so a warm call never holds the four complex
+    # N x N matrices of a wavenumber at once
     S = wobbly_surface
     K2 = 2 * (S.grid.ncoef(S.grid.L) - 1)
     c = np.random.default_rng(7).normal(size=(K2, 2)) + 0j
@@ -363,6 +363,29 @@ def test_derivative_pass_streams_kernel_pairs(wobbly_surface, generic_xi):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 16 * S.grid.nnodes**2
+
+
+def test_kernel_passes_build_no_source_normal_kernel(
+    wobbly_surface, generic_xi, monkeypatch
+):
+    # The source-normal kernel K's is the adjoint of K', so the forward pass
+    # of a wavenumber requests the groups (V, K') and the derivative pass
+    # (V, dV, K', dK'), none of them with a source-normal numerator
+    requested = []
+    inner = kernels._kernel_mats
+
+    def recording(S, kappa, groups, *args, **kwargs):
+        requested.append(groups)
+        return inner(S, kappa, groups, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "_kernel_mats", recording)
+    S = wobbly_surface
+    K2 = 2 * (S.grid.ncoef(S.grid.L) - 1)
+    bio.wave_blocks(S, KAPPA)
+    bio.d_wave_blocks(S, KAPPA, generic_xi, np.eye(K2)[:, :2])
+    assert [len(groups) for groups in requested] == [2, 4]
+    terms = [term for groups in requested for group in groups for term in group]
+    assert not {nm for _, _, nms in terms for nm in nms} & {"Ts", "dTs"}
 
 
 _BLOCKS_SCRIPT = """

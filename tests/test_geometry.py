@@ -17,11 +17,11 @@ from dielshape.geometry import (
     sphere,
 )
 
-# the three kernel pairs: (K, dK) function and the term tables of K and dK
+# the assembled kernel pairs: (K, dK) function and the term tables of K and
+# dK; the source-normal kernel is K's adjoint (tests/test_kernels.py)
 KERNEL_PAIRS = {
     "V": (kernels.dvmat, kernels._V, kernels._DV),
     "K'": (kernels.dkprime_mat, kernels._KP, kernels._DKP),
-    "K's": (kernels.dkprime_src_mat, kernels._KS, kernels._DKS),
 }
 
 
@@ -124,7 +124,7 @@ class TestSurface:
         self, wobbly_surface, generic_xi
     ):
         # The diagonal limits are exact: a ring of probes at distance s
-        # approaches them at second order in s, for all six kernels.  Below
+        # approaches them at second order in s, for all four kernels.  Below
         # s = 5e-4 the ring's numerators, O(s^2), lose digits to rounding.
         S, xi = wobbly_surface, generic_xi
         dists = (1e-3, 5e-4)

@@ -186,6 +186,30 @@ class TestSingleLayerSymmetry:
         assert not np.iscomplexobj(kn.vmat(wobbly_surface, 0.0))
 
 
+class TestSourceNormalKernel:
+    @pytest.mark.parametrize("kap", [0.0, 1.3])
+    def test_adjoint_matches_source_normal_kernel(self, wobbly_surface, kap):
+        # kprime_src_mat is the adjoint of K'.  Off the diagonal it must be
+        # the source-normal kernel g(R) Ts, Ts_ij = -n_j.(x_i - x_j) in
+        # difference form, under the weights _kernel_mats applies: the
+        # singular part B F J, the smooth part w J.  On the diagonal both
+        # kernels tend to the same closed-form limit.
+        S = wobbly_surface
+        x, n, J = S.points, S.normal, S.jacobian
+        R = kn.pair_geometry(S)["R"]
+        Ts = -np.einsum("jk,ijk->ij", n, x[:, None, :] - x[None, :, :])
+        zcs = kn._trig(kap, R)
+        ref = S.grid.singular_weights * (kn._singular_radial(1, *zcs) / R**3 * Ts)
+        ref = ref * J[None, :]
+        if kap != 0.0:
+            smooth = kn._smooth_radial(1, kap, R, *zcs) * Ts
+            ref = ref + 1j * smooth * (S.grid.weights * J)[None, :]
+        KS = kn.kprime_src_mat(S, kap)
+        off = ~np.eye(len(R), dtype=bool)
+        assert np.abs(KS - ref)[off].max() <= 1e-13 * np.abs(ref[off]).max()
+        assert_allclose(KS.diagonal(), kn.kprime_mat(S, kap).diagonal(), rtol=1e-15, atol=0)
+
+
 class TestPairNumerators:
     def test_gram_numerators_match_difference_form(self):
         # The node-pair numerators come from Gram products; against the
@@ -207,10 +231,8 @@ class TestPairNumerators:
         np.fill_diagonal(R2, 1.0)
         ref = {
             "T": np.einsum("ik,ijk->ij", n, dx),
-            "Ts": -np.einsum("jk,ijk->ij", n, dx),
             "Phi": np.einsum("ijk,ijk->ij", dx, dxi),
             "dT": np.einsum("ik,ijk->ij", dn, dx) + np.einsum("ik,ijk->ij", n, dxi),
-            "dTs": -np.einsum("jk,ijk->ij", dn, dx) - np.einsum("jk,ijk->ij", n, dxi),
         }
         del dx, dxi
         off = ~np.eye(g.nnodes, dtype=bool)

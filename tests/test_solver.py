@@ -55,7 +55,7 @@ class TestSolve:
             ops.solve(np.ones(4))
 
     def test_one_kernel_pass_per_wavenumber(self, small_sphere, material, monkeypatch):
-        # (V, K', K's) of each of kappa_e and kappa_i come from one kernel
+        # (V, K') of each of kappa_e and kappa_i come from one kernel
         # pass, shared by the electric and magnetic blocks; C0 takes a third
         kappas = []
         inner = kernels._kernel_mats
