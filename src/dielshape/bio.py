@@ -38,8 +38,8 @@ block is one product of kernel data with wavenumber-independent test data:
   Df_b = div_Gamma(e_b ^ GY) - 2 H TK_b come in closed form from the shape
   operator (surfcalc._basis_fields).
 
-The recipes take the kernel matrices as arguments.  ``wave_blocks`` builds
-(V, K') of one wavenumber in a single kernel pass and returns both the
+The recipes take the kernel matrices as arguments.  ``wave_blocks`` stacks
+(V, K') of one wavenumber from a single kernel pass and returns both the
 electric and the magnetic block, which share V and V j; a forward assembly
 thus makes three kernel passes (kappa_e, kappa_i, static) and keeps no matrix
 afterwards.  Kernel matrices meet the real basis batches through their real
@@ -57,13 +57,12 @@ derivatives of the basis (surfcalc._dbasis, on the record surfcalc._dgeom).
 They take an optional coefficient batch c of shape (2K, m) and return
 dBlock @ c without forming the matrix: every stage then runs on m columns
 instead of 2K.  Without c the batch is the identity and the result is the
-matrix.  ``d_wave_blocks``
-mirrors ``wave_blocks``: it builds the kernel pairs (V, dV), (K', dK') of
-one wavenumber in a single pass and returns (dC @ c, dM @ c), the two
-recipes sharing the products V j, dV j and V dj; route A makes one
-such pass per wavenumber and one static pass.  The pass is streamed: each
-pair is applied to the batch as it is yielded and dropped before the next
-is built, so at most one pair of N x N matrices is alive.
+matrix.  ``d_wave_blocks`` mirrors ``wave_blocks``: one kernel pass of
+(V, dV), (K', dK') gives (dC @ c, dM @ c), the two recipes sharing V j,
+dV j and V dj; route A makes one such pass per wavenumber and one static
+pass.  The recipes read only the products of a pass with the densities,
+taken block by block as it yields its rows (_d_pass), so no N x N kernel
+matrix is formed.
 
 Far-field operators and smooth off-surface potential evaluations are at the
 end of the module.  The far-field operators are the moments of the basis
@@ -103,24 +102,20 @@ __all__ = [
 
 
 # -- kernel x basis plumbing ---------------------------------------------
-def _vec_apply(Kmat: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Kmat @ U for an (r, N) kernel matrix and node data U of shape (N, ...).
+def _block_apply(block: tuple, U: np.ndarray) -> np.ndarray:
+    """re @ U + 1j (im @ U) for real (r, N) kernel rows (re, im), im None for
+    a real kernel, and node data U of shape (N, ...), in real arithmetic."""
+    re, im = block
+    out = _real_apply(re, U)
+    return out if im is None else out + 1j * _real_apply(im, U)
 
-    A real operand meets the real and imaginary parts of the other
-    separately, so nothing real is promoted to complex: a complex Kmat takes
-    two real products with a real U, a real Kmat (kappa = 0) one real product
-    with the real view of U.
-    """
-    cols = U.reshape(U.shape[0], -1)
-    if not np.iscomplexobj(Kmat):
-        out = _real_apply(Kmat, cols)
-    elif np.iscomplexobj(cols):
-        out = Kmat @ cols
-    else:
-        out = np.empty((Kmat.shape[0], cols.shape[1]), dtype=complex)
-        out.real = Kmat.real @ cols
-        out.imag = Kmat.imag @ cols
-    return out.reshape(Kmat.shape[:1] + U.shape[1:])
+
+def _vec_apply(Kmat: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Kmat @ U for an (r, N) kernel matrix: one complex product when both
+    are complex, else through the real and imaginary parts of Kmat."""
+    if np.iscomplexobj(Kmat) and np.iscomplexobj(U):
+        return np.tensordot(Kmat, U, axes=1)
+    return _block_apply((Kmat.real, Kmat.imag if np.iscomplexobj(Kmat) else None), U)
 
 
 def _project(S: Surface, f: np.ndarray) -> np.ndarray:
@@ -173,7 +168,7 @@ def _magnetic_block(S: Surface, kappa: float, V, Vj, KP) -> np.ndarray:
 
 def _wave_mats(S: Surface, kappa: float) -> tuple:
     """(V, K') of kappa from one kernel pass."""
-    return tuple(kn._kernel_mats(S, kappa, (kn._V, kn._KP)))
+    return tuple(kn._stack(S, kappa, (kn._V, kn._KP)))
 
 
 def electric_block(S: Surface, kappa: float) -> np.ndarray:
@@ -210,42 +205,43 @@ def static_block(S: Surface) -> np.ndarray:
 
 
 # -- shape derivatives of the blocks --------------------------------------
-# The derivative recipes take the kernel matrices as an iterator mats in
-# pass order (V, dV, then K', dK' for the magnetic block): each
-# pair is applied to the batch and dropped before the next one is drawn, so
-# a streamed kernel pass holds one pair at a time.
-def _d_single_layer(S: Surface, xi: DeformationField, mats, c) -> tuple:
-    """(batch, V j, dV j + V dj, dV divj + V ddivj) from the pair (V, dV)
-    drawn from mats: the data the derivative recipes of one wavenumber
-    share.  batch holds the node values of the densities with coefficient
-    batch c, their divergences and the stage derivatives of both
-    (j, divj, dj, ddivj); the products are the derivatives of the
-    transported V j and V divj.
+def _d_pass(S: Surface, kappa: float, xi: DeformationField, groups, c) -> list:
+    """Products of one derivative kernel pass with the densities of the batch
+    c, accumulated over its row blocks: per pair (K, dK) of groups,
+    [K j, K divj, dK j + K dj, dK divj + K ddivj] for the node values
+    (j, divj, dj, ddivj) of _densities.  No N x N matrix is formed.
 
     c has shape (2K, m); c = None stands for the identity, so the recipes
     run on the basis densities themselves and assemble a matrix."""
-    batch = _densities(S, c, xi)
-    j, divj, dj, ddivj = batch
-    V, dV = next(mats), next(mats)
-    dVj = _vec_apply(dV, j) + _vec_apply(V, dj)
-    dVdivj = _vec_apply(dV, divj) + _vec_apply(V, ddivj)
-    return batch, _vec_apply(V, j), dVj, dVdivj
+    N = S.grid.nnodes
+    dens = _densities(S, c, xi)
+    U = np.concatenate([a.reshape(N, -1) for a in dens], axis=1)
+    nu = U.shape[1] // 2
+    out = [np.empty_like(U, dtype=complex) for _ in groups[::2]]
+    for rows, blocks in kn._kernel_mats(S, kappa, groups, xi):
+        for o, K, dK in zip(out, blocks[::2], blocks[1::2]):
+            o[rows] = _block_apply(K, U)
+            o[rows, nu:] += _block_apply(dK, U[:, :nu])
+    cuts = np.cumsum([a[0].size for a in dens])[:-1]
+    return [
+        [a.reshape(d.shape) for a, d in zip(np.split(o, cuts, axis=1), dens)] for o in out
+    ]
 
 
-def _d_layer_block(S: Surface, xi, sl, sa: float, sv: float):
+def _d_layer_block(S: Surface, xi, V, sa: float, sv: float):
     """Derivative of the weak-form single-layer recipe of _layer_block, on the
-    shared data sl of _d_single_layer: the derivative of the weak projection
-    of V j (sc._d_weak_project) with d(V j) = dV j + V dj."""
-    _, Vj, dVj, dVdivj = sl
+    products V of the pair (V, dV) from _d_pass: the derivative of the weak
+    projection of V j (sc._d_weak_project) with d(V j) = dV j + V dj."""
+    Vj, _, dVj, dVdivj = V
     K = S.grid.ncoef(S.grid.L) - 1
     rows = sa * sc._d_weak_project(S, xi, Vj, dVj)
     rows[K:] += sv * _project(S, dVdivj)
     return rows
 
 
-def _d_magnetic_block(S: Surface, kappa: float, xi, sl, mats):
-    """Derivative of the magnetic recipe on the shared data sl of
-    _d_single_layer and the kernel pair (K', dK') of kappa drawn from mats.
+def _d_magnetic_block(S: Surface, kappa: float, xi, V, KP):
+    """Derivative of the magnetic recipe on the products V and KP of the
+    pairs (V, dV) and (K', dK') of kappa from _d_pass.
 
     The Galerkin right-hand side sum_b Df_b^T V^T y_b - TK_b^T KS^T y_b and
     its derivative are applied factor by factor to y_b = w J j_b, the test
@@ -254,7 +250,8 @@ def _d_magnetic_block(S: Surface, kappa: float, xi, sl, mats):
     transported surface (see _magnetic_block), so their derivatives are
     w J d(V j) + w dJ V j and w J (dK' j + K' dj) + w dJ K' j."""
     g = S.grid
-    (j, divj, dj, ddivj), Vj, dVj, _ = sl
+    Vj, _, dVj, _ = V
+    Kj, Kdivj, dKj, dKdivj = KP
     dg = sc._dgeom(S, xi)
     fr, dfr = sc._basis_fields(S)["frames"], sc._dbasis(S, xi)["frames"]
     n, dN = S.normal, dg["dN"]
@@ -263,13 +260,9 @@ def _d_magnetic_block(S: Surface, kappa: float, xi, sl, mats):
     ncL = g.ncoef(g.L)
 
     # gradient potential
-    KP, dKP = next(mats), next(mats)
-    f = kappa**2 * np.einsum("ij,ijk->ik", n, Vj) + _vec_apply(KP, divj)
+    f = kappa**2 * np.einsum("ij,ijk->ik", n, Vj) + Kdivj
     dnVj = np.einsum("ij,ijk->ik", dN, Vj) + np.einsum("ij,ijk->ik", n, dVj)
-    df = kappa**2 * dnVj + _vec_apply(dKP, divj) + _vec_apply(KP, ddivj)
-    Kj = _vec_apply(KP, j)
-    dKj = _vec_apply(dKP, j) + _vec_apply(KP, dj)
-    del KP, dKP
+    df = kappa**2 * dnVj + dKdivj
     p_rows = sc._d_weak_poisson(S, xi, f, df)[1:ncL]
 
     # rotational potential: Q = A^{-1} rc, dQ = A^{-1}(drc - dA Q)
@@ -284,19 +277,16 @@ def _d_magnetic_block(S: Surface, kappa: float, xi, sl, mats):
     return np.concatenate([p_rows, q_rows], axis=0)
 
 
-def _d_wave_mats(S: Surface, kappa: float, xi: DeformationField):
-    """The streamed kernel pass (V, dV, K', dK') of kappa."""
-    return kn._kernel_mats(S, kappa, (kn._V, kn._DV, kn._KP, kn._DKP), xi)
+_D_WAVE = (kn._V, kn._DV, kn._KP, kn._DKP)
 
 
 def d_wave_blocks(S: Surface, kappa: float, xi: DeformationField, c) -> tuple:
     """(d_electric_block @ c, d_magnetic_block @ c) of one wavenumber from one
-    streamed kernel pass; the two recipes share the products V j, dV j and
-    V dj of the densities j of the batch c."""
-    mats = _d_wave_mats(S, kappa, xi)
-    sl = _d_single_layer(S, xi, mats, c)
-    dC = _d_layer_block(S, xi, sl, kappa, 1.0 / kappa)
-    return dC, _d_magnetic_block(S, kappa, xi, sl, mats)
+    kernel pass; the two recipes share the products V j, dV j and V dj of
+    the densities j of the batch c."""
+    V, KP = _d_pass(S, kappa, xi, _D_WAVE, c)
+    dC = _d_layer_block(S, xi, V, kappa, 1.0 / kappa)
+    return dC, _d_magnetic_block(S, kappa, xi, V, KP)
 
 
 def d_electric_block(
@@ -304,8 +294,8 @@ def d_electric_block(
 ) -> np.ndarray:
     """Derivative of the transported electric block at the base surface,
     applied to the coefficient batch c (the matrix when c is None)."""
-    sl = _d_single_layer(S, xi, iter(kn.dvmat(S, kappa, xi)), c)
-    return _d_layer_block(S, xi, sl, kappa, 1.0 / kappa)
+    (V,) = _d_pass(S, kappa, xi, (kn._V, kn._DV), c)
+    return _d_layer_block(S, xi, V, kappa, 1.0 / kappa)
 
 
 def d_magnetic_block(
@@ -313,15 +303,14 @@ def d_magnetic_block(
 ) -> np.ndarray:
     """Derivative of the transported magnetic block at the base surface,
     applied to the coefficient batch c (the matrix when c is None)."""
-    mats = _d_wave_mats(S, kappa, xi)
-    return _d_magnetic_block(S, kappa, xi, _d_single_layer(S, xi, mats, c), mats)
+    return _d_magnetic_block(S, kappa, xi, *_d_pass(S, kappa, xi, _D_WAVE, c))
 
 
 def d_static_block(S: Surface, xi: DeformationField, c=None) -> np.ndarray:
     """Derivative of the transported static coupling block, applied to the
     coefficient batch c (the matrix when c is None)."""
-    sl = _d_single_layer(S, xi, iter(kn.dvmat(S, 0.0, xi)), c)
-    return _d_layer_block(S, xi, sl, 1.0, -1.0)
+    (V,) = _d_pass(S, 0.0, xi, (kn._V, kn._DV), c)
+    return _d_layer_block(S, xi, V, 1.0, -1.0)
 
 
 # -- far-field operators --------------------------------------------------

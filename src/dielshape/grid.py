@@ -11,6 +11,7 @@ kernels (singular_weights), which carries the reference chord in it.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -29,7 +30,7 @@ def _real_apply(op: np.ndarray, f: np.ndarray) -> np.ndarray:
     data take the same path.
     """
     f = np.ascontiguousarray(f, dtype=np.result_type(f, float))
-    cols = f.reshape(f.shape[0], int(np.prod(f.shape[1:]))).view(np.float64)
+    cols = f.reshape(f.shape[0], math.prod(f.shape[1:])).view(np.float64)
     out = np.ascontiguousarray(op @ cols)
     return out.view(f.dtype).reshape(out.shape[:1] + f.shape[1:])
 

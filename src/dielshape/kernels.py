@@ -43,11 +43,12 @@ caller via the ``B``/``w`` structure baked in here), i.e. ``mat @ u``
 approximates the boundary integral of the kernel against ``u ds``.  The
 derivative matrices are those of the transported integrals, so they include
 the measure variation dJ = J div_Gamma xi as the term K diag(div_Gamma xi).
-That term needs the primal matrix K, so derivative kernels come in (K, dK)
-pairs from one assembly, and one pass can build several pairs of one
-wavenumber on shared distances, radial factors and numerators.  The pass
-yields each matrix as soon as it is built, so a caller that uses each pair
-and drops it never holds the matrices of the whole pass.
+That term needs the primal kernel K, so derivative kernels come in (K, dK)
+pairs, and one pass builds several pairs of one wavenumber on shared
+distances, radial factors and numerators.  A pass (_kernel_mats) yields
+real row blocks of BLOCK_ELEMS node pairs, and all its temporaries are
+block-sized.  The public matrices stack the blocks (_stack); route A
+applies each block to its densities as it comes (bio._d_pass).
 """
 
 from __future__ import annotations
@@ -73,6 +74,8 @@ __all__ = [
 NEAR = 0.25
 # Directions of approach averaged for the diagonal limits (probe_geometry).
 PROBE_NDIRS = 8
+# Node pairs per row block of a kernel pass, the size of its temporaries.
+BLOCK_ELEMS = 1 << 14
 
 # Kernel terms (order p, coefficient, numerator factors); see the docstring.
 _V = ((0, 1.0, ()),)
@@ -100,40 +103,61 @@ def _singular_radial(p, z, c, s):
     return (3.0 * A - z * z * c) / 2.0
 
 
-def _smooth_radial(p, kappa, R, z, c, s):
-    """Imaginary parts of the order-p radial factors over 4 pi R^(2p+1).
-
-    p = 0: sin(kR)/(4 pi R); p = 1: (kR cos kR - sin kR)/(4 pi R^3); p = 2:
-    its d/d(R^2).  Series branches keep them accurate for small kR."""
-    out = np.empty_like(R)
+def _smooth_radial(p, kappa, rinv, z, c, s):
+    """Imaginary parts of the order-p radial factors over 4 pi R^(2p+1), for
+    rinv = 1/R^(2p+1): p = 0: sin(kR)/(4 pi R); p = 1: (kR cos kR -
+    sin kR)/(4 pi R^3); p = 2: its d/d(R^2).  Series branches keep orders 1
+    and 2 accurate for small kR."""
     if p == 0:
-        small = R < 1e-12
-        np.divide(s, 4.0 * np.pi * R, out=out, where=~small)
-        out[small] = kappa / (4.0 * np.pi)
-    elif p == 1:
+        return s * rinv / (4.0 * np.pi)
+    if p == 1:
         small = z < 1e-2
-        np.divide(z * c - s, 4.0 * np.pi * R**3, out=out, where=~small)
+        out = (z * c - s) * rinv / (4.0 * np.pi)
         zs = z[small]
         out[small] = kappa**3 / (4.0 * np.pi) * (-1 / 3 + zs**2 / 30 - zs**4 / 840)
-    else:
-        small = z < 5e-2
-        num = -(z**2) * s - 3.0 * (z * c - s)
-        np.divide(num, 8.0 * np.pi * R**5, out=out, where=~small)
-        out[small] = kappa**5 / (8.0 * np.pi) * (1.0 / 15.0 - z[small] ** 2 / 210.0)
+        return out
+    small = z < 5e-2
+    out = (-(z**2) * s - 3.0 * (z * c - s)) * rinv / (8.0 * np.pi)
+    out[small] = kappa**5 / (8.0 * np.pi) * (1.0 / 15.0 - z[small] ** 2 / 210.0)
     return out
 
 
+def _radial(kappa, R, orders) -> tuple:
+    """The singular and smooth radial factors over R^(2p+1) of the orders,
+    dicts p -> factor on the distances R of one row block; the smooth ones
+    are None at kappa = 0.  1/R^(2p+1) comes from powers of one reciprocal."""
+    zcs = _trig(kappa, R)
+    rinv = [1.0 / R]
+    inv2 = rinv[0] * rinv[0]
+    while len(rinv) <= max(orders):
+        rinv.append(rinv[-1] * inv2)
+    sing = {p: _singular_radial(p, *zcs) * rinv[p] for p in orders}
+    if kappa == 0.0:
+        return sing, None
+    return sing, {p: _smooth_radial(p, kappa, rinv[p], *zcs) for p in orders}
+
+
 # -- pairwise and diagonal geometry --------------------------------------
+def _row_blocks(N: int):
+    """Slices of consecutive target rows, BLOCK_ELEMS pairs (one row at least)."""
+    step = max(1, BLOCK_ELEMS // N)
+    return (slice(a, min(a + step, N)) for a in range(0, N, step))
+
+
 @surface_memo
 def pair_geometry(S: Surface) -> dict:
     """Cached pairwise distances R and the indices (I, J) of the near pairs,
-    those closer than NEAR times the body's radius about its centroid.
+    those closer than NEAR times the body's radius about its centroid, in
+    row-major order.  R is built in the row blocks of the kernel passes, so
+    no N x N x 3 difference array is formed.
 
     The diagonal of R is set to 1 (never used directly; diagonal kernel
     values are the closed-form limits of _kernel_mats)."""
     x = S.points
-    dx = x[:, None, :] - x[None, :, :]
-    R = np.sqrt(np.einsum("ijk,ijk->ij", dx, dx))
+    R = np.empty((len(x), len(x)))
+    for rows in _row_blocks(len(x)):
+        dx = x[rows, None, :] - x[None, :, :]
+        np.sqrt(np.einsum("ijk,ijk->ij", dx, dx), out=R[rows])
     np.fill_diagonal(R, 1.0)
     xc = x - x.mean(axis=0)
     return {"R": R, "near": np.nonzero(R < NEAR * np.sqrt(_dot(xc, xc).max()))}
@@ -215,25 +239,29 @@ def _gram_factors(nd: dict, nm: str) -> tuple:
 
 
 def _pair_numerators(near, nodes: dict, names):
-    """A function nm -> numerator nm on all node pairs, from the node data x,
-    n and, for derivatives, xi and dn.
+    """A function rows -> {nm: numerator nm on the node pairs of the row
+    block rows}, from the node data x, n and, for derivatives, xi and dn.
 
     A Gram product on the centred data (the numerators do not change when
     x or xi is shifted by a constant) gives every pair; the near pairs
     (I, J) of pair_geometry, where the Gram form loses accuracy like
-    eps |x|^2 / R^2, then take the difference form, evaluated for all names
-    at once."""
+    eps |x|^2 / R^2, then take the difference form.  A block finds its
+    near pairs by searchsorted on the row-major I."""
     I, J = near
-    near = _numerators(*({k: v[idx] for k, v in nodes.items()} for idx in (I, J)), names)
     centred = {k: v - v.mean(axis=0) if k in ("x", "xi") else v for k, v in nodes.items()}
+    factors = {nm: _gram_factors(centred, nm) for nm in names}
 
-    def numerator(nm):
-        U, W = _gram_factors(centred, nm)
-        out = U @ W.T
-        out[I, J] = near[nm]
+    def numerators(rows):
+        lo, hi = np.searchsorted(I, (rows.start, rows.stop))
+        i, j = I[lo:hi], J[lo:hi]
+        ends = ({k: v[idx] for k, v in nodes.items()} for idx in (i, j))
+        diff = _numerators(*ends, names)
+        out = {nm: U[rows] @ W.T for nm, (U, W) in factors.items()}
+        for nm, block in out.items():
+            block[i - rows.start, j] = diff[nm]
         return out
 
-    return numerator
+    return numerators
 
 
 def _term_sum(terms, nums, radial):
@@ -250,31 +278,25 @@ def _term_sum(terms, nums, radial):
 
 
 def _kernel_mats(S: Surface, kappa: float, groups, xi=None):
-    """Yield the matrices B F J + 1j sm w J, one per group of (order,
-    coefficient, numerator factors) terms, each as soon as it is built; for
-    kappa = 0, where sm vanishes, the real matrices B F J.  The groups share
-    the radial factors and the numerators; a numerator is formed when a group
-    first needs it, and each is dropped after the last group that uses it.
-    This is the one place where diagonals are set: F from its closed-form
-    direction-mean limit (see the module docstring), sm from its R = 0 limit.
+    """Yield, per block of target rows (_row_blocks), (rows, [(re, im) per
+    group of (order, coefficient, numerator factors) terms]): the real and
+    imaginary parts re = B F J, im = sm w J of the rows of B F J + 1j sm w J
+    (im None at kappa = 0, where sm vanishes).  The groups share the radial
+    factors and numerators of a block.  This is the one place where
+    diagonals are set: F from its closed-form direction-mean limit (see the
+    module docstring), sm from its R = 0 limit.
 
-    With a deformation xi the groups come as consecutive (terms, dterms)
-    pairs, and the second matrix of each pair becomes the derivative of the
-    transported first one: dK + K diag(div_Gamma xi), the measure term
-    coming from dJ = J div_Gamma xi; dN, div_Gamma xi, xi_u and dh are read
-    from the per-node record surfcalc._dgeom.  The generator keeps only the
-    last primal it yielded, so a caller that uses each pair and drops it
-    holds one pair at a time."""
+    With a deformation xi the groups come as (terms, dterms) pairs, and the
+    second of each is the derivative of the transported first one:
+    dK + K diag(div_Gamma xi), from dJ = J div_Gamma xi, with the measure
+    term folded into F and sm before weighting; dN, div_Gamma xi, xi_u and
+    dh are read from the per-node record surfcalc._dgeom."""
     g = S.grid
+    N = g.nnodes
     P = pair_geometry(S)
     pr = probe_geometry(S)
-    R = P["R"]
     names = {nm for terms in groups for _, _, nms in terms for nm in nms}
     orders = {p for terms in groups for p, _, _ in terms}
-    last = {}  # radial order or numerator name -> index of its last group
-    for i, terms in enumerate(groups):
-        for p, _, nms in terms:
-            last.update(dict.fromkeys((p, *nms), i))
 
     # numerator limits over s^2 and radial factors at R = 0 over |v|^(2p+1)
     nodes = {"x": S.points, "n": S.normal}
@@ -285,43 +307,51 @@ def _kernel_mats(S: Surface, kappa: float, groups, xi=None):
         lim["Phi"] = _dot(pr["v"], _along(pr["u"], *dg["xi_ang"]))
         lim["dT"] = -0.5 * _form(dg["dh"], pr["u"])
     rad0 = {p: _singular_radial(p, 0, 1, 0) / pr["vn"] ** (2 * p + 1) for p in orders}
-    pair_numerator = _pair_numerators(P["near"], nodes, names)
-
-    zcs = _trig(kappa, R)
-    sing = {p: _singular_radial(p, *zcs) / R ** (2 * p + 1) for p in orders}
-    smooth = {}
-    if kappa != 0.0:
-        smooth = {p: _smooth_radial(p, kappa, R, *zcs) for p in orders}
-    del zcs  # three N x N arrays; a pass of several groups peaks below
+    pair_numerators = _pair_numerators(P["near"], nodes, names)
 
     B = g.singular_weights
     J = S.jacobian
     wJ = g.weights * J
-    nums = {}
-    prev = None
-    for i, terms in enumerate(groups):
-        for nm in {nm for _, _, nms in terms for nm in nms} - nums.keys():
-            nums[nm] = pair_numerator(nm)
-        # diagonal: direction mean of the limit of F; the smooth part is
-        # kappa/(4 pi) for order 0 and vanishes for the higher orders
-        diag = B.diagonal() * _term_sum(terms, lim, rad0).mean(axis=1) * J
-        if kappa != 0.0:
-            M = np.empty(R.shape, dtype=complex)
-            M.real = B * _term_sum(terms, nums, sing) * J[None, :]
-            M.imag = _term_sum(terms, nums, smooth) * wJ[None, :]
-            if any(p == 0 for p, _, _ in terms):
-                diag = diag + 1j * (kappa / (4.0 * np.pi) * wJ)
-        else:
-            M = B * _term_sum(terms, nums, sing) * J[None, :]
-        np.fill_diagonal(M, diag)
-        if xi is not None and i % 2:
-            M += prev * dg["divxi"][None, :]
-        for key in [key for key, li in last.items() if li == i]:
-            for data in (sing, smooth, nums):
-                data.pop(key, None)
-        prev = None if i % 2 else M
-        yield M
-        del M
+    # diagonals: direction mean of the limit of F; the smooth part is
+    # kappa/(4 pi) for order 0 and vanishes for the higher orders
+    diag_F = [_term_sum(t, lim, rad0).mean(axis=1) for t in groups]
+    k0 = kappa / (4.0 * np.pi)
+    diag_sm = [np.full(N, k0 * any(p == 0 for p, _, _ in t)) for t in groups]
+
+    def weigh(parts, diag, weight, rows):
+        """The block parts (F or sm) of the groups with their diagonal limits
+        and measure terms, times their weights."""
+        for F, dF in zip(parts, diag):
+            np.fill_diagonal(F[:, rows], dF[rows])
+        if xi is not None:
+            for i in range(1, len(parts), 2):
+                parts[i] = parts[i] + parts[i - 1] * dg["divxi"]
+        for i, F in enumerate(parts):
+            parts[i] = F * weight
+        return parts
+
+    def block(rows):
+        sing, smooth = _radial(kappa, P["R"][rows], orders)
+        nums = pair_numerators(rows)
+        re = weigh([_term_sum(t, nums, sing) for t in groups], diag_F, B[rows] * J, rows)
+        im = [None] * len(groups)
+        if smooth is not None:
+            im = weigh([_term_sum(t, nums, smooth) for t in groups], diag_sm, wJ, rows)
+        return list(zip(re, im))
+
+    for rows in _row_blocks(N):
+        yield rows, block(rows)
+
+
+def _stack(S: Surface, kappa: float, groups, xi=None) -> list:
+    """The matrices of one kernel pass, stacked from its row blocks: the
+    complex B F J + 1j sm w J, or the real B F J at kappa = 0."""
+    N = S.grid.nnodes
+    mats = [np.empty((N, N), complex if kappa != 0.0 else float) for _ in groups]
+    for rows, blocks in _kernel_mats(S, kappa, groups, xi):
+        for M, (re, im) in zip(mats, blocks):
+            M[rows] = re if im is None else re + 1j * im
+    return mats
 
 
 # -- primal kernel matrices -------------------------------------------------
@@ -331,12 +361,12 @@ def vmat(S: Surface, kappa: float) -> np.ndarray:
     (vmat @ u)[i] ~ int_Gamma exp(i k R)/(4 pi R) u(y) ds(y) at x_i.
     Supports kappa = 0 (the static kernel of C0*, a real matrix).
     """
-    return next(_kernel_mats(S, kappa, (_V,)))
+    return _stack(S, kappa, (_V,))[0]
 
 
 def kprime_mat(S: Surface, kappa: float) -> np.ndarray:
     """Matrix of K'_kappa u(x) = int (d/dn(x)) G_kappa(|x-y|) u(y) ds(y)."""
-    return next(_kernel_mats(S, kappa, (_KP,)))
+    return _stack(S, kappa, (_KP,))[0]
 
 
 def kprime_src_mat(S: Surface, kappa: float) -> np.ndarray:
@@ -356,13 +386,13 @@ def _adjoint(S: Surface, K: np.ndarray) -> np.ndarray:
 def dvmat(S: Surface, kappa: float, xi: DeformationField) -> tuple:
     """(vmat, dV) with dV = d/dt of  int G(kappa, |x_t - y_t|) u(y) J_t ds(y)
     at t = 0, where x_t = x + t xi."""
-    return tuple(_kernel_mats(S, kappa, (_V, _DV), xi))
+    return tuple(_stack(S, kappa, (_V, _DV), xi))
 
 
 def dkprime_mat(S: Surface, kappa: float, xi: DeformationField) -> tuple:
     """(kprime_mat, dK') for the kernel T_t g(R_t), T_t = n_t(x).(x_t - y_t);
     uses dT = dN(x).(x-y) + n(x).(xi(x)-xi(y)) and the chain rule in R^2."""
-    return tuple(_kernel_mats(S, kappa, (_KP, _DKP), xi))
+    return tuple(_stack(S, kappa, (_KP, _DKP), xi))
 
 
 def dkprime_src_mat(S: Surface, kappa: float, xi: DeformationField) -> tuple:

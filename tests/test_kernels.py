@@ -1,12 +1,17 @@
 """Singular quadrature of the scalar layer kernels, checked against the
 separable sphere eigenvalues and finite differences of deformed surfaces."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.special import spherical_jn, spherical_yn
 
+
 from dielshape import kernels as kn
+from dielshape import shapederiv as sd
+from dielshape import solver
 from dielshape.bio import scalar_single_layer
 from dielshape.errors import TargetOnSurface
 from dielshape.geometry import DeformationField, Surface, build_surface, deform, sphere
@@ -202,7 +207,7 @@ class TestSourceNormalKernel:
         ref = S.grid.singular_weights * (kn._singular_radial(1, *zcs) / R**3 * Ts)
         ref = ref * J[None, :]
         if kap != 0.0:
-            smooth = kn._smooth_radial(1, kap, R, *zcs) * Ts
+            smooth = kn._smooth_radial(1, kap, 1 / R**3, *zcs) * Ts
             ref = ref + 1j * smooth * (S.grid.weights * J)[None, :]
         KS = kn.kprime_src_mat(S, kap)
         off = ~np.eye(len(R), dtype=bool)
@@ -236,9 +241,10 @@ class TestPairNumerators:
         }
         del dx, dxi
         off = ~np.eye(g.nnodes, dtype=bool)
-        numerator = kn._pair_numerators(kn.pair_geometry(S)["near"], nodes, ref)
+        numerators = kn._pair_numerators(kn.pair_geometry(S)["near"], nodes, ref)
+        block = numerators(slice(0, g.nnodes))
         for nm, want in ref.items():
-            err = np.abs(numerator(nm) - want)[off] / R2[off]
+            err = np.abs(block[nm] - want)[off] / R2[off]
             assert err.max() < 1e-11, nm
 
 
@@ -255,3 +261,40 @@ class TestPairGeometry:
             if isinstance(a, np.ndarray) and a.shape == (N, N) and not np.iscomplexobj(a)
         ]
         assert sum(a.nbytes for a in square) == 2 * N * N * 8
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("budget", ["one row", "one block"])
+    def test_block_budget_changes_no_result(
+        self, wobbly_surface, generic_xi, material, wave, unit_directions, monkeypatch,
+        budget,
+    ):
+        # A kernel pass evaluates its rows in blocks of BLOCK_ELEMS node
+        # pairs, each block with its own near pairs and diagonal entries.
+        # One row per block and a single block for the whole pass must give
+        # the matrices and route A's far field of the default budget.  The
+        # far field only sees rounding: BLAS sums a product over the nodes
+        # in an order that depends on the block's row count (measured up to
+        # 2e-15 of the largest entry).
+        S = wobbly_surface
+        N = S.grid.nnodes
+        sol = solver.solve(S, material, wave)
+        runs = {}
+        for kap in (0.0, 1.3):
+            runs[f"vmat {kap}"] = partial(kn.vmat, S, kap)
+            runs[f"kprime_mat {kap}"] = partial(kn.kprime_mat, S, kap)
+            runs[f"dvmat {kap}"] = partial(kn.dvmat, S, kap, generic_xi)
+            runs[f"dkprime_mat {kap}"] = partial(kn.dkprime_mat, S, kap, generic_xi)
+        runs["far field"] = lambda: sd.d_solution_routeA(
+            S, material, wave, generic_xi, unit_directions, sol=sol
+        ).dE_far
+        refs = {key: np.asarray(run()) for key, run in runs.items()}
+        ref_pairs = kn.pair_geometry.__wrapped__(S)
+
+        monkeypatch.setattr(kn, "BLOCK_ELEMS", {"one row": 1, "one block": N * N}[budget])
+        pairs = kn.pair_geometry.__wrapped__(S)
+        assert np.array_equal(pairs["R"], ref_pairs["R"])
+        assert all(map(np.array_equal, pairs["near"], ref_pairs["near"]))
+        for key, run in runs.items():
+            ref, tol = refs[key], 1e-14 if key == "far field" else 1e-15
+            assert np.abs(np.asarray(run()) - ref).max() <= tol * np.abs(ref).max(), key
