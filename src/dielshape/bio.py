@@ -38,13 +38,14 @@ block is one product of kernel data with wavenumber-independent test data:
   Df_b = div_Gamma(e_b ^ GY) - 2 H TK_b come in closed form from the shape
   operator (surfcalc._basis_fields).
 
-The recipes take the kernel matrices as arguments.  ``wave_blocks`` stacks
-(V, K') of one wavenumber from a single kernel pass and returns both the
-electric and the magnetic block, which share V and V j; a forward assembly
-thus makes three kernel passes (kappa_e, kappa_i, static) and keeps no matrix
-afterwards.  Kernel matrices meet the real basis batches through their real
-and imaginary parts, so no real operand is promoted to complex; the static
-kernels are real.
+The recipes take the kernels of a pass as real pairs (Re, Im) of N x N
+matrices (kernels._stack), Im None for the static kernel.  ``wave_blocks``
+returns the electric and magnetic blocks of one wavenumber, which share V
+and V j, from one pass of (V, K'); a forward assembly makes three passes
+(kappa_e, kappa_i, static) and keeps no matrix afterwards.  Every product
+of kernel and node data is _block_apply, two real products, so no real
+operand is promoted to complex; K'^T is the transposed pair, which BLAS
+reads without a copy.
 
 ``d_*_block`` variants return the first derivative, at the base surface, of
 the transported-operator family r -> block(Gamma + r xi) with the potential
@@ -102,20 +103,13 @@ __all__ = [
 
 
 # -- kernel x basis plumbing ---------------------------------------------
-def _block_apply(block: tuple, U: np.ndarray) -> np.ndarray:
-    """re @ U + 1j (im @ U) for real (r, N) kernel rows (re, im), im None for
-    a real kernel, and node data U of shape (N, ...), in real arithmetic."""
-    re, im = block
+def _block_apply(pair: tuple, U: np.ndarray) -> np.ndarray:
+    """re @ U + 1j (im @ U) for a kernel pair (re, im) of real (r, N) rows,
+    im None for a real kernel, and node data U of shape (N, ...), in real
+    arithmetic."""
+    re, im = pair
     out = _real_apply(re, U)
     return out if im is None else out + 1j * _real_apply(im, U)
-
-
-def _vec_apply(Kmat: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Kmat @ U for an (r, N) kernel matrix: one complex product when both
-    are complex, else through the real and imaginary parts of Kmat."""
-    if np.iscomplexobj(Kmat) and np.iscomplexobj(U):
-        return np.tensordot(Kmat, U, axes=1)
-    return _block_apply((Kmat.real, Kmat.imag if np.iscomplexobj(Kmat) else None), U)
 
 
 def _project(S: Surface, f: np.ndarray) -> np.ndarray:
@@ -125,16 +119,9 @@ def _project(S: Surface, f: np.ndarray) -> np.ndarray:
 
 
 # -- primal operator blocks ----------------------------------------------
-# The recipes take the kernel matrices and the product V jb, which the
-# electric and magnetic blocks of one wavenumber share; the public blocks
-# make them, wave_blocks from a single kernel pass.  divb vanishes on the K
-# curl columns, so products with it run on the K gradient columns only.
-def _single_layer(S: Surface, V: np.ndarray) -> tuple:
-    """(V, V jb): the single-layer matrix and its product with the basis
-    densities jb, the data the blocks of one wavenumber share."""
-    return V, _vec_apply(V, sc.density_basis(S)[0])
-
-
+# The recipes take the kernel pairs of a pass and the product V jb, which the
+# electric and magnetic blocks of one wavenumber share.  divb vanishes on the
+# K curl columns, so products with it run on the K gradient columns only.
 def _layer_block(S: Surface, V, Vj, sa: float, sv: float) -> np.ndarray:
     """Weak-form single-layer recipe shared by the electric and static
     blocks: p = -sa A^{-1} T_TK^T V j, q = sa A^{-1} T_GY^T V j + sv P(V div j)
@@ -144,12 +131,12 @@ def _layer_block(S: Surface, V, Vj, sa: float, sv: float) -> np.ndarray:
     bb = sc._basis_fields(S)
     K = Vj.shape[2] // 2
     C = sa * sc._bsum(bb["Zc"], Vj)
-    C[K:, :K] += sv * _project(S, _vec_apply(V, bb["divb"][:, :K]))
+    C[K:, :K] += sv * _project(S, _block_apply(V, bb["divb"][:, :K]))
     return C
 
 
 def _magnetic_block(S: Surface, kappa: float, V, Vj, KP) -> np.ndarray:
-    """Magnetic recipe on the kernel matrices V and K' of kappa and the
+    """Magnetic recipe on the kernel pairs V and K' of kappa and the
     product V jb.  The rotational right-hand side needs V^T y with
     y = w J jb, which is w J (V jb) since V = core diag(w J) with a symmetric
     core; its K's term sum_b TK_b^T K's^T y_b is sum_b (K'^T (w J TK_b))^T
@@ -159,21 +146,23 @@ def _magnetic_block(S: Surface, kappa: float, V, Vj, KP) -> np.ndarray:
     K = divb.shape[1] // 2
 
     f = kappa**2 * np.einsum("ij,ijk->ik", S.normal, Vj)
-    f[:, :K] += _vec_apply(KP, divb[:, :K])
+    f[:, :K] += _block_apply(KP, divb[:, :K])
     p_rows = _real_apply(bb["Zp"].T, f)
-    KZ = _vec_apply(KP.T, bb["Zc"][..., :K])
+    KPT = tuple(None if M is None else M.T for M in KP)
+    KZ = _block_apply(KPT, bb["Zc"][..., :K])
     q_rows = sc._bsum(bb["Zq"], Vj) - sc._bsum(jb, KZ).T
     return np.concatenate([p_rows, q_rows], axis=0)
 
 
-def _wave_mats(S: Surface, kappa: float) -> tuple:
-    """(V, K') of kappa from one kernel pass."""
-    return tuple(kn._stack(S, kappa, (kn._V, kn._KP)))
+def _single_layer_block(S: Surface, kappa: float, sa: float, sv: float) -> np.ndarray:
+    """The weak-form single-layer recipe on a single-group kernel pass of V."""
+    (V,) = kn._stack(S, kappa, (kn._V,))
+    return _layer_block(S, V, _block_apply(V, sc.density_basis(S)[0]), sa, sv)
 
 
 def electric_block(S: Surface, kappa: float) -> np.ndarray:
     """Matrix of C_kappa = gamma_D Psi_E on stacked (p, q) coefficients."""
-    return _layer_block(S, *_single_layer(S, kn.vmat(S, kappa)), kappa, 1.0 / kappa)
+    return _single_layer_block(S, kappa, kappa, 1.0 / kappa)
 
 
 def magnetic_block(S: Surface, kappa: float) -> np.ndarray:
@@ -185,15 +174,14 @@ def magnetic_block(S: Surface, kappa: float) -> np.ndarray:
     parts so that only weakly singular kernels appear.  Its right-hand side
     is sum_b Df[b]^T V^T y_b - TK_b^T KS^T y_b with y_b = w J j_b.
     """
-    V, KP = _wave_mats(S, kappa)
-    return _magnetic_block(S, kappa, *_single_layer(S, V), KP)
+    return wave_blocks(S, kappa)[1]
 
 
 def wave_blocks(S: Surface, kappa: float) -> tuple:
     """(electric_block, magnetic_block) of one wavenumber from one kernel
     pass; the two blocks share V and its product with the basis."""
-    V, KP = _wave_mats(S, kappa)
-    V, Vj = _single_layer(S, V)
+    V, KP = kn._stack(S, kappa, (kn._V, kn._KP))
+    Vj = _block_apply(V, sc.density_basis(S)[0])
     C = _layer_block(S, V, Vj, kappa, 1.0 / kappa)
     return C, _magnetic_block(S, kappa, V, Vj, KP)
 
@@ -201,7 +189,7 @@ def wave_blocks(S: Surface, kappa: float) -> tuple:
 def static_block(S: Surface) -> np.ndarray:
     """Matrix of the static coupling j -> -n^V_0 j - curl_Gamma V_0 div_Gamma j
     (real: the static kernel is real)."""
-    return _layer_block(S, *_single_layer(S, kn.vmat(S, 0.0)), 1.0, -1.0)
+    return _single_layer_block(S, 0.0, 1.0, -1.0)
 
 
 # -- shape derivatives of the blocks --------------------------------------
@@ -337,12 +325,12 @@ def _far_moments(S: Surface, kappa: float, d: np.ndarray, c=None, xi=None):
     phase = np.exp(-1j * kappa * (d @ S.points.T))
     jc = sc._times(sc.density_basis(S)[0], c)
     if xi is None:
-        return _vec_apply(phase * wJ[None, :], jc)
+        return np.tensordot(phase * wJ[None, :], jc, axes=1)
     djc = sc._times(sc._dbasis(S, xi)["djb"], c)
     dphase = phase * (-1j * kappa) * (d @ xi.values.T)
     wdJ = g.weights * sc._dgeom(S, xi)["dJ"]
-    I = _vec_apply(phase * wdJ[None, :] + dphase * wJ[None, :], jc)
-    I += _vec_apply(phase * wJ[None, :], djc)
+    I = np.tensordot(phase * wdJ[None, :] + dphase * wJ[None, :], jc, axes=1)
+    I += np.tensordot(phase * wJ[None, :], djc, axes=1)
     return I
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -58,9 +59,16 @@ def _apply_thread_limit():
 
 # -- configuration ---------------------------------------------------------
 def load_config(path) -> dict:
+    def finite(text):
+        # NaN, Infinity and overflowing literals such as 1e400 all read as
+        # non-finite floats
+        if not math.isfinite(float(text)):
+            raise ConfigError(f"config file {path} holds the non-finite number {text}")
+        return float(text)
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=finite, parse_constant=finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -301,6 +309,8 @@ def cmd_dsolve(cfg, routes):
     xi = build_deformation(cfg, S)
     theta, phi, dirs = direction_grid(cfg)
     h = _number(cfg, "h", 1e-3)
+    if not 0 < h < np.inf:
+        raise ConfigError(f"'h' must be a finite positive number, got {h!r}")
     out = _outdir(cfg)
 
     sol = solver.solve(S, mat, wave)
@@ -332,7 +342,7 @@ def cmd_dsolve(cfg, routes):
             ref = np.linalg.norm(results[r1].dE_far)
             pair_diffs[f"{r1}-{r2}"] = float(d / max(ref, 1e-300))
     summary["pairwise_relative_l2"] = pair_diffs
-    write_summary(_outdir(cfg), summary)
+    write_summary(out, summary)
     return summary
 
 

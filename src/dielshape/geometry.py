@@ -49,7 +49,7 @@ class Material:
 
     def __post_init__(self):
         for name in ("eps_i", "eps_e", "mu_i", "mu_e", "omega", "eta"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # written so that NaN fails
                 raise ValueError(f"material constant {name} must be positive")
 
     @property
@@ -185,8 +185,8 @@ def build_surface(radial, L: int, nquad: int) -> Surface:
             raise ValueError("radial coefficient vector longer than grid basis")
         rho_c[: vec.shape[0]] = vec
     rho = grid.synthesize(rho_c)
-    if np.any(rho <= 0):
-        raise NonPositiveRadial(f"min rho = {rho.min():.3e} <= 0 on the grid")
+    if not np.all(rho > 0):  # written so that NaN fails
+        raise NonPositiveRadial(f"min rho = {rho.min():.3e} on the grid, not positive")
     coef = grid.analyze(rho[:, None] * grid.nodes, grid.Lmax).T
     return Surface(grid, coef, radial=rho_c)
 

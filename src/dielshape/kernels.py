@@ -47,8 +47,10 @@ That term needs the primal kernel K, so derivative kernels come in (K, dK)
 pairs, and one pass builds several pairs of one wavenumber on shared
 distances, radial factors and numerators.  A pass (_kernel_mats) yields
 real row blocks of BLOCK_ELEMS node pairs, and all its temporaries are
-block-sized.  The public matrices stack the blocks (_stack); route A
-applies each block to its densities as it comes (bio._d_pass).
+block-sized.  Kernels reach bio as real data only: the forward blocks take a
+pass stacked into real pairs (Re, Im) (_stack), route A its row blocks
+(bio._d_pass).  The public complex matrices, built from the pairs, serve
+tests and tracing; no package module outside this one calls them.
 """
 
 from __future__ import annotations
@@ -344,14 +346,22 @@ def _kernel_mats(S: Surface, kappa: float, groups, xi=None):
 
 
 def _stack(S: Surface, kappa: float, groups, xi=None) -> list:
-    """The matrices of one kernel pass, stacked from its row blocks: the
-    complex B F J + 1j sm w J, or the real B F J at kappa = 0."""
+    """The matrices of one kernel pass, filled from its row blocks: per group
+    the pair (Re, Im) = (B F J, sm w J) of contiguous real N x N arrays, Im
+    None at kappa = 0.  This pair is the kernel format bio applies."""
     N = S.grid.nnodes
-    mats = [np.empty((N, N), complex if kappa != 0.0 else float) for _ in groups]
+    pairs = [(np.empty((N, N)), np.empty((N, N)) if kappa else None) for _ in groups]
     for rows, blocks in _kernel_mats(S, kappa, groups, xi):
-        for M, (re, im) in zip(mats, blocks):
-            M[rows] = re if im is None else re + 1j * im
-    return mats
+        for (Re, Im), (re, im) in zip(pairs, blocks):
+            Re[rows] = re
+            if Im is not None:
+                Im[rows] = im
+    return pairs
+
+
+def _complex_mats(S: Surface, kappa: float, groups, xi=None) -> list:
+    """The matrices Re + 1j Im of a kernel pass, the real Re at kappa = 0."""
+    return [re if im is None else re + 1j * im for re, im in _stack(S, kappa, groups, xi)]
 
 
 # -- primal kernel matrices -------------------------------------------------
@@ -361,12 +371,12 @@ def vmat(S: Surface, kappa: float) -> np.ndarray:
     (vmat @ u)[i] ~ int_Gamma exp(i k R)/(4 pi R) u(y) ds(y) at x_i.
     Supports kappa = 0 (the static kernel of C0*, a real matrix).
     """
-    return _stack(S, kappa, (_V,))[0]
+    return _complex_mats(S, kappa, (_V,))[0]
 
 
 def kprime_mat(S: Surface, kappa: float) -> np.ndarray:
     """Matrix of K'_kappa u(x) = int (d/dn(x)) G_kappa(|x-y|) u(y) ds(y)."""
-    return _stack(S, kappa, (_KP,))[0]
+    return _complex_mats(S, kappa, (_KP,))[0]
 
 
 def kprime_src_mat(S: Surface, kappa: float) -> np.ndarray:
@@ -386,13 +396,13 @@ def _adjoint(S: Surface, K: np.ndarray) -> np.ndarray:
 def dvmat(S: Surface, kappa: float, xi: DeformationField) -> tuple:
     """(vmat, dV) with dV = d/dt of  int G(kappa, |x_t - y_t|) u(y) J_t ds(y)
     at t = 0, where x_t = x + t xi."""
-    return tuple(_stack(S, kappa, (_V, _DV), xi))
+    return tuple(_complex_mats(S, kappa, (_V, _DV), xi))
 
 
 def dkprime_mat(S: Surface, kappa: float, xi: DeformationField) -> tuple:
     """(kprime_mat, dK') for the kernel T_t g(R_t), T_t = n_t(x).(x_t - y_t);
     uses dT = dN(x).(x-y) + n(x).(xi(x)-xi(y)) and the chain rule in R^2."""
-    return tuple(_stack(S, kappa, (_KP, _DKP), xi))
+    return tuple(_complex_mats(S, kappa, (_KP, _DKP), xi))
 
 
 def dkprime_src_mat(S: Surface, kappa: float, xi: DeformationField) -> tuple:

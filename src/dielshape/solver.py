@@ -62,6 +62,9 @@ class PlaneWave:
     def __post_init__(self):
         d = np.asarray(self.direction, dtype=float)
         p = np.asarray(self.polarization, dtype=float)
+        for name, v in (("direction", d), ("polarization", p)):
+            if not 0 < np.linalg.norm(v) < np.inf:
+                raise ValueError(f"{name} must be a nonzero finite vector")
         d = d / np.linalg.norm(d)
         if abs(p @ d) > 1e-12 * np.linalg.norm(p):
             raise ValueError("polarization must be orthogonal to the direction")
@@ -190,7 +193,7 @@ def solve(
     b = ops.rhs(gD, gN)
     j = ops.solve(b)
     res = np.linalg.norm(ops.S @ j - b) / max(np.linalg.norm(b), 1e-300)
-    if res > RESIDUAL_TOL:
+    if not res <= RESIDUAL_TOL:  # written so that a NaN residual fails
         raise NoConvergence(f"relative residual {res:.3e} exceeds {RESIDUAL_TOL:.1e}")
     return ScatteringSolution(
         surface=S, material=mat, wave=wave, ops=ops, j=j, gD=gD, gN=gN, residual=res

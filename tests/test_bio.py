@@ -13,7 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import dielshape
-from dielshape import bio, kernels, solver
+from dielshape import bio, kernels, shapederiv, solver
 from dielshape import surfcalc as sc
 from dielshape.errors import TargetOnSurface
 from dielshape.geometry import DeformationField, build_surface, deform, sphere
@@ -386,6 +386,31 @@ def test_kernel_passes_build_no_source_normal_kernel(
     assert [len(groups) for groups in requested] == [2, 4]
     terms = [term for groups in requested for group in groups for term in group]
     assert not {nm for _, _, nms in terms for nm in nms} & {"Ts", "dTs"}
+
+
+def test_package_builds_no_complex_kernel_matrix(
+    wobbly_surface, material, wave, generic_xi, directions, monkeypatch
+):
+    # The blocks and routes take their kernels from kernel passes as real
+    # pairs; the public complex kernel matrices serve tests and tracing only
+    def refuse(*args, **kwargs):
+        raise AssertionError("a public kernel matrix was built")
+
+    for name in (
+        "vmat",
+        "kprime_mat",
+        "kprime_src_mat",
+        "dvmat",
+        "dkprime_mat",
+        "dkprime_src_mat",
+    ):
+        monkeypatch.setattr(kernels, name, refuse)
+    S = wobbly_surface
+    bio.electric_block(S, KAPPA)
+    bio.magnetic_block(S, KAPPA)
+    bio.static_block(S)
+    sol = solver.solve(S, material, wave)
+    shapederiv.d_solution_routeA(S, material, wave, generic_xi, directions, sol=sol)
 
 
 _BLOCKS_SCRIPT = """

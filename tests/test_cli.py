@@ -89,6 +89,15 @@ class TestDsolve:
         cfg = write_cfg(tmp_path)
         assert main(["dsolve", "--config", str(cfg), "--routes", "A"]) == EXIT_CONFIG
 
+    def test_shipped_example_config_runs(self, tmp_path):
+        example = Path(__file__).resolve().parents[1] / "demos" / "cli_example.json"
+        cfg = dict(json.loads(example.read_text()), output=str(tmp_path))
+        path = tmp_path / "cli_example.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["dsolve", "--config", str(path)]) == EXIT_OK
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert sorted(summary["tables"]) == ["A", "B", "C"]
+
 
 class TestMie:
     def test_mie_table(self, tmp_path):
@@ -136,6 +145,12 @@ class TestErrors:
         path.write_text("{not json")
         assert main(["solve", "--config", str(path)]) == EXIT_CONFIG
 
+    def test_overflowing_number_rejected(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text('{"material": {"eps_i": 1e400}}')
+        assert main(["solve", "--config", str(path)]) == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().out)["error"] == "config"
+
     def test_unknown_material_key(self, tmp_path):
         cfg = write_cfg(tmp_path, material={"eps_i": 2.25, "color": "blue"})
         assert main(["solve", "--config", str(cfg)]) == EXIT_CONFIG
@@ -165,6 +180,12 @@ class TestErrors:
             ("solve", {"surface": {"type": "ellipsoid", "radius": 2}}),
             ("solve", {"surface": {"type": "sphere", "radial": {"0,0": 3.5449077018110318}}}),
             ("solve", {"surface": {"radius": 2, "radial": {"0,0": 3.5449077018110318}}}),
+            # json reads NaN; it, zero wave vectors and a zero step are rejected
+            ("solve", {"material": {"eps_i": float("nan")}}),
+            ("solve", {"surface": {"radius": float("nan")}}),
+            ("solve", {"wave": {"direction": [0, 0, 0]}}),
+            ("solve", {"wave": {"polarization": [0, 0, 0]}}),
+            ("dsolve", {"deformation": "radial", "h": 0}),
         ],
     )
     def test_malformed_section(self, tmp_path, capsys, command, overrides):

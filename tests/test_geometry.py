@@ -82,6 +82,10 @@ class TestMaterial:
         with pytest.raises(ValueError):
             Material(omega=0.0)
 
+    def test_nan_constant_rejected(self):
+        with pytest.raises(ValueError):
+            Material(eps_i=float("nan"))
+
 
 class TestSurface:
     def test_unit_sphere_node_data(self):
@@ -110,6 +114,10 @@ class TestSurface:
     def test_nonpositive_radial_rejected(self):
         with pytest.raises(NonPositiveRadial):
             build_surface({"0,0": 0.1, "1,0": 5.0}, 6, 14)
+
+    def test_nan_radial_rejected(self):
+        with pytest.raises(NonPositiveRadial):
+            build_surface(float("nan"), 6, 14)
 
     def test_probe_directions_on_sphere(self):
         # on a sphere of radius a every tangent u has |v| = a and h(u, u) = -a

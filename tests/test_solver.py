@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from dielshape import bio, kernels, oracle, solver
 from dielshape import surfcalc as sc
-from dielshape.errors import SingularSystem
+from dielshape.errors import NoConvergence, SingularSystem
 from dielshape.geometry import Material, build_surface, sphere
 
 
@@ -24,6 +24,13 @@ class TestPlaneWave:
     def test_polarization_must_be_transverse(self):
         with pytest.raises(ValueError):
             solver.PlaneWave(direction=(0, 0, 1), polarization=(0.1, 0.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "direction, polarization", [((0, 0, 0), (1, 0, 0)), ((0, 0, 1), (0, 0, 0))]
+    )
+    def test_zero_vectors_rejected(self, direction, polarization):
+        with pytest.raises(ValueError):
+            solver.PlaneWave(direction=direction, polarization=polarization)
 
     def test_curl_relation(self):
         w = solver.PlaneWave(direction=(0, 1, 0), polarization=(0, 0, 2.0))
@@ -53,6 +60,12 @@ class TestSolve:
         ops = solver.SystemOperators(small_sphere, material, Z, Z, Z, Z, Z)
         with pytest.raises(SingularSystem):
             ops.solve(np.ones(4))
+
+    def test_nan_residual_raises(self, small_sphere, material, wave):
+        ops = solver.build_system(small_sphere, material)
+        ops.S[0, 0] = np.nan
+        with pytest.raises(NoConvergence):
+            solver.solve(small_sphere, material, wave, ops=ops)
 
     def test_one_kernel_pass_per_wavenumber(self, small_sphere, material, monkeypatch):
         # (V, K') of each of kappa_e and kappa_i come from one kernel
