@@ -11,6 +11,7 @@ bio        boundary integral operators / potentials in Helmholtz coordinates
 solver     the single-source transmission integral equation
 shapederiv three routes to the first shape derivative of the far field
 oracle     Mie series ground truth for the dielectric sphere
+checks     the accuracy checks: validation suites and the relative error
 cli        configuration-driven command line entry points
 """
 
@@ -37,7 +38,7 @@ _EXPORTS = {
     "mie_radius_derivative": "oracle",
 }
 _SUBMODULES = {
-    "bio", "cli", "errors", "geometry", "grid", "kernels", "oracle", "sh",
+    "bio", "checks", "cli", "errors", "geometry", "grid", "kernels", "oracle", "sh",
     "shapederiv", "solver", "surfcalc",
 }
 

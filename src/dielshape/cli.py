@@ -4,17 +4,19 @@ Subcommands
 -----------
 solve     solve the scattering problem, write the far field as CSV
 dsolve    far-field shape derivative by the requested routes (A, B, C)
-validate  run a named property suite and report pass/fail per property
+validate  run a named suite of dielshape.checks, report pass/fail per property
 mie       series far field of the dielectric ball
 
 All commands read a single JSON configuration file (``--config``).  Output is
 a summary JSON document plus CSV tables with columns
-theta, phi, re_Ex, im_Ex, re_Ey, im_Ey, re_Ez, im_Ez.
+theta, phi, re_Ex, im_Ex, re_Ey, im_Ey, re_Ez, im_Ez.  Every accuracy number
+comes from dielshape.checks; one without a value, such as an error relative
+to a zero field, is written as null.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.  The
 environment variable DIELSHAPE_NUM_THREADS (an integer >= 1) bounds the
 BLAS/OpenMP thread count; it must be set before numpy is loaded, which is
-why the numeric modules are imported lazily inside :func:`main` and why the
+why the numeric modules are imported lazily inside the commands and why the
 package's re-exports resolve lazily.
 """
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import os
@@ -59,16 +62,19 @@ def _apply_thread_limit():
 
 # -- configuration ---------------------------------------------------------
 def load_config(path) -> dict:
-    def finite(text):
-        # NaN, Infinity and overflowing literals such as 1e400 all read as
-        # non-finite floats
+    def finite(text, kind=float):
+        # NaN, Infinity and literals beyond float range, such as 1e400 or a
+        # 400-digit integer, all read as non-finite floats
         if not math.isfinite(float(text)):
             raise ConfigError(f"config file {path} holds the non-finite number {text}")
-        return float(text)
+        return kind(text)
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh, parse_float=finite, parse_constant=finite)
+            cfg = json.load(
+                fh, parse_float=finite, parse_constant=finite,
+                parse_int=lambda text: finite(text, int),
+            )
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -95,12 +101,25 @@ def _section(cfg, key):
 
 
 def _number(section, key, default, kind=float):
-    """section[key] (or the default) converted by kind, as a ConfigError if not numeric."""
+    """section[key] (or the default) converted by kind, as a ConfigError if it
+    is a boolean, not numeric, or for kind int not integral."""
     v = section.get(key, default)
     try:
-        return kind(v)
+        x = kind(v)
+        if isinstance(v, bool) or x != float(v):  # true, or 3.7 read as an int
+            raise ValueError(v)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key!r} must be a number, got {v!r}") from exc
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key!r} must be {what}, got {v!r}") from exc
+    return x
+
+
+def _step(cfg):
+    """Route C's finite-difference step h, finite and positive."""
+    h = _number(cfg, "h", 1e-3)
+    if not 0 < h < math.inf:
+        raise ConfigError(f"'h' must be a finite positive number, got {h!r}")
+    return h
 
 
 def build_material(cfg):
@@ -112,8 +131,8 @@ def build_material(cfg):
     if bad:
         raise ConfigError(f"unknown material keys {sorted(bad)}")
     try:
-        return Material(**{k: float(v) for k, v in m.items()})
-    except (TypeError, ValueError) as exc:
+        return Material(**{k: _number(m, k, None) for k in m})
+    except ValueError as exc:
         raise ConfigError(f"invalid material: {exc}") from exc
 
 
@@ -225,9 +244,7 @@ def direction_grid(cfg):
     phi = np.arange(nphi) * 2.0 * np.pi / nphi
     T, P = np.meshgrid(theta, phi, indexing="ij")
     t, p = T.ravel(), P.ravel()
-    dirs = np.stack(
-        [np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)], axis=1
-    )
+    dirs = np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)], axis=1)
     return t, p, dirs
 
 
@@ -238,19 +255,15 @@ def write_far_csv(path, theta, phi, F):
         w.writerow(
             ["theta", "phi", "re_Ex", "im_Ex", "re_Ey", "im_Ey", "re_Ez", "im_Ez"]
         )
-        for i in range(len(theta)):
-            row = [f"{theta[i]:.17g}", f"{phi[i]:.17g}"]
-            for c in range(3):
-                row += [f"{F[i, c].real:.17g}", f"{F[i, c].imag:.17g}"]
-            w.writerow(row)
+        for t, p, Fi in zip(theta, phi, F):
+            row = [t, p] + [x for z in Fi for x in (z.real, z.imag)]
+            w.writerow([f"{x:.17g}" for x in row])
 
 
 def write_summary(outdir, summary):
-    path = Path(outdir) / "summary.json"
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(Path(outdir) / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
 def _outdir(cfg):
@@ -266,7 +279,7 @@ def _outdir(cfg):
 def cmd_solve(cfg):
     import numpy as np
 
-    from . import oracle, solver
+    from . import checks, oracle, solver
 
     mat = build_material(cfg)
     wave = build_wave(cfg)
@@ -290,17 +303,13 @@ def cmd_solve(cfg):
     if S.radial is not None and np.allclose(S.radial[1:], 0.0):
         radius = float(S.radial[0] / np.sqrt(4.0 * np.pi))
         Fm = oracle.mie_far_field(mat, radius, wave, dirs)
-        summary["mie_relative_l2_error"] = float(
-            np.linalg.norm(F - Fm) / np.linalg.norm(Fm)
-        )
+        summary["mie_relative_l2_error"] = checks.relative_l2(F - Fm, Fm)
     write_summary(out, summary)
     return summary
 
 
 def cmd_dsolve(cfg, routes):
-    import numpy as np
-
-    from . import shapederiv, solver
+    from . import checks, shapederiv, solver
 
     mat = build_material(cfg)
     wave = build_wave(cfg)
@@ -308,40 +317,34 @@ def cmd_dsolve(cfg, routes):
     S = build_surface(cfg, L, nquad)
     xi = build_deformation(cfg, S)
     theta, phi, dirs = direction_grid(cfg)
-    h = _number(cfg, "h", 1e-3)
-    if not 0 < h < np.inf:
-        raise ConfigError(f"'h' must be a finite positive number, got {h!r}")
+    h = _step(cfg)
     out = _outdir(cfg)
 
     sol = solver.solve(S, mat, wave)
-    results = {}
-    for route in routes:
-        if route == "A":
-            res = shapederiv.d_solution_routeA(S, mat, wave, xi, dirs, sol=sol)
-        elif route == "B":
-            res = shapederiv.d_solution_routeB(S, mat, wave, xi, dirs, sol=sol)
-        elif route == "C":
-            res = shapederiv.d_solution_routeC(S, mat, wave, xi, dirs, h=h)
-        else:
-            raise ConfigError(f"unknown route {route!r}")
-        results[route] = res
+    run = {
+        "A": lambda: shapederiv.d_solution_routeA(S, mat, wave, xi, dirs, sol=sol),
+        "B": lambda: shapederiv.d_solution_routeB(S, mat, wave, xi, dirs, sol=sol),
+        "C": lambda: shapederiv.d_solution_routeC(S, mat, wave, xi, dirs, h=h),
+    }
+    results = {route: run[route]() for route in routes}
+    for route, res in results.items():
         write_far_csv(out / f"dfar_route{route}.csv", theta, phi, res.dE_far)
 
+    keys = sorted(results)
     summary = {
         "command": "dsolve",
         "routes": routes,
         "L": L,
         "nquad": nquad,
         "tables": {r: f"dfar_route{r}.csv" for r in results},
+        "pairwise_relative_l2": {
+            f"{r1}-{r2}": checks.relative_l2(
+                results[r1].dE_far - results[r2].dE_far, results[r1].dE_far
+            )
+            for i, r1 in enumerate(keys)
+            for r2 in keys[i + 1 :]
+        },
     }
-    pair_diffs = {}
-    keys = sorted(results)
-    for i, r1 in enumerate(keys):
-        for r2 in keys[i + 1 :]:
-            d = np.linalg.norm(results[r1].dE_far - results[r2].dE_far)
-            ref = np.linalg.norm(results[r1].dE_far)
-            pair_diffs[f"{r1}-{r2}"] = float(d / max(ref, 1e-300))
-    summary["pairwise_relative_l2"] = pair_diffs
     write_summary(out, summary)
     return summary
 
@@ -359,9 +362,7 @@ def cmd_mie(cfg):
         raise ConfigError("mie needs a sphere; the series has no radial surface")
     theta, phi, dirs = direction_grid(cfg)
     out = _outdir(cfg)
-    F = oracle.mie_far_field(
-        mat, radius, wave, dirs, nmax=None if nmie is None else int(nmie)
-    )
+    F = oracle.mie_far_field(mat, radius, wave, dirs, nmax=nmie)
     write_far_csv(out / "mie_far_field.csv", theta, phi, F)
     summary = {
         "command": "mie",
@@ -373,133 +374,25 @@ def cmd_mie(cfg):
     return summary
 
 
-# -- validation suites -----------------------------------------------------
-def _suite_surfcalc(cfg):
-    import numpy as np
-
-    from . import geometry, surfcalc as sc
-
-    L, nquad, _ = build_discretization(cfg)
-    S = build_surface(cfg, L, nquad)
-    g = S.grid
-    rng = np.random.default_rng(0)
-    ncL = g.ncoef(g.L)
-    c = np.zeros(g.ncoef(g.Lmax))
-    c[1:ncL] = rng.normal(size=ncL - 1) * np.exp(-0.5 * np.arange(1, ncL))
-    f = g.synthesize(c)
-    checks = {}
-    # differential identities
-    checks["scurl_grad_zero"] = float(
-        np.abs(sc.surface_scalar_curl(S, sc.surface_gradient(S, f))).max()
-    )
-    checks["div_curl_zero"] = float(
-        np.abs(sc.surface_divergence(S, sc.tangential_vector_curl(S, f))).max()
-    )
-    # duality of grad/div and curl/scurl
-    u = sc.surface_gradient(S, g.synthesize(np.roll(c, 1)))
-    w = g.weights * S.jacobian
-    lhs = np.sum(w * np.einsum("ij,ij->i", sc.surface_gradient(S, f), u))
-    rhs = -np.sum(w * f * sc.surface_divergence(S, u))
-    checks["grad_div_duality"] = float(abs(lhs - rhs) / max(abs(lhs), 1e-300))
-    return checks, {
-        "scurl_grad_zero": 1e-10,
-        "div_curl_zero": 1e-10,
-        "grad_div_duality": 1e-9,
-    }
-
-
-def _suite_bio(cfg):
-    import numpy as np
-
-    from . import bio
-
-    L, nquad, _ = build_discretization(cfg)
-    S = build_surface(cfg, L, nquad)
-    checks = {}
-    # translation invariance of operator derivatives
-    from .geometry import DeformationField
-
-    xi = DeformationField.translation(S.grid, [0.3, -0.2, 0.5])
-    kappa = build_material(cfg).kappa_e
-    for name, mat_d in (
-        ("dC_translation", bio.d_electric_block(S, kappa, xi)),
-        ("dM_translation", bio.d_magnetic_block(S, kappa, xi)),
-        ("dC0_translation", bio.d_static_block(S, xi)),
-    ):
-        checks[name] = float(np.abs(mat_d).max())
-    tols = {k: 1e-8 for k in checks}
-    return checks, tols
-
-
-def _suite_solver(cfg):
-    import numpy as np
-
-    from . import solver
-    from .geometry import Material
-
-    L, nquad, _ = build_discretization(cfg)
-    S = build_surface(cfg, L, nquad)
-    wave = build_wave(cfg)
-    rng = np.random.default_rng(1)
-    dirs = rng.normal(size=(16, 3))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    checks = {}
-    mat0 = Material(eps_i=1.0)
-    sol0 = solver.solve(S, mat0, wave)
-    checks["no_contrast_far"] = float(np.abs(solver.far_field(sol0, dirs)).max())
-    mat = build_material(cfg)
-    mat2 = Material(
-        eps_i=mat.eps_i, eps_e=mat.eps_e, mu_i=mat.mu_i, mu_e=mat.mu_e,
-        omega=mat.omega, eta=0.5 * mat.eta,
-    )
-    F1 = solver.far_field(solver.solve(S, mat, wave), dirs)
-    F2 = solver.far_field(solver.solve(S, mat2, wave), dirs)
-    checks["eta_independence"] = float(
-        np.abs(F1 - F2).max() / max(np.abs(F1).max(), 1e-300)
-    )
-    return checks, {"no_contrast_far": 1e-7, "eta_independence": 1e-6}
-
-
-def _suite_shapederiv(cfg):
-    import numpy as np
-
-    from . import shapederiv, solver
-
-    L, nquad, _ = build_discretization(cfg)
-    S = build_surface(cfg, L, nquad)
-    mat = build_material(cfg)
-    wave = build_wave(cfg)
-    xi = build_deformation(cfg, S)
-    rng = np.random.default_rng(2)
-    dirs = rng.normal(size=(12, 3))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    sol = solver.solve(S, mat, wave)
-    A = shapederiv.d_solution_routeA(S, mat, wave, xi, dirs, sol=sol)
-    B = shapederiv.d_solution_routeB(S, mat, wave, xi, dirs, sol=sol)
-    C = shapederiv.d_solution_routeC(S, mat, wave, xi, dirs, h=_number(cfg, "h", 1e-3))
-    Fn = np.linalg.norm(solver.far_field(sol, dirs))
-    checks = {
-        "routeA_routeC": float(np.linalg.norm(A.dE_far - C.dE_far) / Fn),
-        "routeA_routeB": float(np.linalg.norm(A.dE_far - B.dE_far) / Fn),
-    }
-    return checks, {"routeA_routeC": 1e-4, "routeA_routeB": 1e-2}
-
-
-SUITES = {
-    "surfcalc": _suite_surfcalc,
-    "bio": _suite_bio,
-    "solver": _suite_solver,
-    "shapederiv": _suite_shapederiv,
-}
-
-
 def cmd_validate(cfg, suite):
+    from .checks import SUITES
+
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
-    checks, tols = SUITES[suite](cfg)
+    check, tols = SUITES[suite]
+    L, nquad, _ = build_discretization(cfg)
+    S = build_surface(cfg, L, nquad)
+    build = {
+        "mat": lambda: build_material(cfg),
+        "wave": lambda: build_wave(cfg),
+        "xi": lambda: build_deformation(cfg, S),
+        "h": lambda: _step(cfg),
+    }
+    names = list(inspect.signature(check).parameters)[1:]  # inputs after S
+    measured = check(S, **{name: build[name]() for name in names})
     properties = {
-        name: {"measured": val, "tolerance": tols[name], "pass": val < tols[name]}
-        for name, val in checks.items()
+        k: {"measured": v, "tolerance": tols[k], "pass": v is not None and v < tols[k]}
+        for k, v in measured.items()
     }
     summary = {
         "command": "validate",
@@ -548,17 +441,12 @@ def main(argv=None) -> int:
         else:
             summary = cmd_validate(cfg, args.suite)
     except ConfigError as exc:
-        json.dump({"error": "config", "message": str(exc)}, sys.stdout)
-        sys.stdout.write("\n")
+        print(json.dumps({"error": "config", "message": str(exc)}))
         return EXIT_CONFIG
     except DielshapeError as exc:
-        json.dump(
-            {"error": type(exc).__name__, "message": str(exc)}, sys.stdout
-        )
-        sys.stdout.write("\n")
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
         return EXIT_NUMERICAL
-    json.dump(summary, sys.stdout)
-    sys.stdout.write("\n")
+    print(json.dumps(summary))
     return EXIT_OK
 
 

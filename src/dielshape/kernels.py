@@ -38,8 +38,8 @@ N x N x 3 difference array is formed.  The Gram form loses accuracy like
 eps |x|^2 / R^2, so the near pairs (R below NEAR times the body's radius)
 keep the difference form.
 
-All matrices include the surface measure (weights are applied by the
-caller via the ``B``/``w`` structure baked in here), i.e. ``mat @ u``
+All matrices include the surface measure: a pass weights the singular part
+by the product rule's B J and the smooth part by w J, so ``mat @ u``
 approximates the boundary integral of the kernel against ``u ds``.  The
 derivative matrices are those of the transported integrals, so they include
 the measure variation dJ = J div_Gamma xi as the term K diag(div_Gamma xi).

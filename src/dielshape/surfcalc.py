@@ -286,15 +286,16 @@ def laplace_beltrami_inverse(
     """
     rhs = -_real_apply(_lb_data(S)["mass"], f)
     if check_mean:
-        mean = rhs[0] / np.sqrt(4.0 * np.pi)  # int f ds
-        scale = np.max(np.abs(f)) + 1e-300
-        if np.max(np.abs(mean)) > 1e-6 * scale:
-            raise NonZeroMean(
-                f"laplace_beltrami_inverse requires mean-zero data; "
-                f"|int f ds| = {np.max(np.abs(mean)):.3e}"
-            )
+        _check_mean(f, rhs)
     u = S.grid.synthesize(_lb_solve(S, rhs))
     return u - mean_value(S, u)
+
+
+def _check_mean(f: np.ndarray, rhs: np.ndarray):
+    """NonZeroMean unless f, of Galerkin right-hand side rhs, has mean zero."""
+    mean = np.max(np.abs(rhs[0])) / np.sqrt(4.0 * np.pi)  # abs(int f ds) / 4 pi
+    if mean > 1e-6 * (np.max(np.abs(f)) + 1e-300):
+        raise NonZeroMean(f"the inverse Laplacian needs mean-zero data; mean {mean:.3e}")
 
 
 # -- potential basis and test fields --------------------------------------
@@ -537,14 +538,14 @@ def d_laplace_inverse(S: Surface, xi: DeformationField, f: np.ndarray) -> np.nda
     family L*(r) = -R*(r) R(r) = J_rel Delta_r, mean-zero.
 
     On every transported surface the Galerkin right-hand side of
-    laplace_beltrami_inverse(Gamma_r, f / J_rel) is -int f Y_k ds on Gamma,
-    so its derivative is -A^{-1} dA u for the coefficients u of
-    laplace_beltrami_inverse(S, f), which the grid analyses exactly: the
-    exact derivative of the discrete inverse, up to the constant of its mean
-    gauge.  dA u is applied without forming dA."""
-    g = S.grid
-    u = g.analyze(laplace_beltrami_inverse(S, f), g.Lmax)
-    du = g.synthesize(_lb_solve(S, -_metric_gram(g, *_dgeom(S, xi)["dmetric"], u)))
+    laplace_beltrami_inverse(Gamma_r, f / J_rel) is -int f Y_k ds on Gamma:
+    it is _d_weak_poisson with df = -div_Gamma xi f, whose right-hand side
+    derivative vanishes and leaves du = -A^{-1} dA u, the exact derivative
+    of the discrete inverse up to the constant of its mean gauge."""
+    _check_mean(f, -_real_apply(_lb_data(S)["mass"], f))
+    fc = f[:, None]
+    dc = _d_weak_poisson(S, xi, fc, -_dgeom(S, xi)["divxi"][:, None] * fc)
+    du = S.grid.synthesize(dc[:, 0])
     return du - mean_value(S, du)
 
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,15 @@ def write_cfg(tmp_path, name="cfg.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
+
+
+def strict_json(path):
+    """The JSON document at path; NaN and Infinity tokens are an error."""
+
+    def reject(token):
+        raise ValueError(f"{path} holds the non-JSON token {token}")
+
+    return json.loads(Path(path).read_text(), parse_constant=reject)
 
 
 def read_csv(path):
@@ -58,6 +68,16 @@ class TestSolve:
         first = (tmp_path / "far_field.csv").read_bytes()
         main(["solve", "--config", str(cfg)])
         assert (tmp_path / "far_field.csv").read_bytes() == first
+
+    def test_no_contrast_writes_null_mie_error(self, tmp_path):
+        # without contrast the series field is zero, so the relative error
+        # has no value; it is written as null, not as the token Infinity
+        cfg = write_cfg(tmp_path, material={"eps_i": 1})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["solve", "--config", str(cfg)]) == EXIT_OK
+        summary = strict_json(tmp_path / "summary.json")
+        assert summary["mie_relative_l2_error"] is None
 
     def test_wobbly_surface_accepted(self, tmp_path):
         cfg = write_cfg(
@@ -127,6 +147,29 @@ class TestValidate:
         assert set(props) == {"no_contrast_far", "eta_independence"}
         assert props["eta_independence"]["pass"] is True
 
+    @pytest.mark.parametrize(
+        "suite,overrides,names",
+        [
+            ("surfcalc", {}, {"scurl_grad_zero", "div_curl_zero", "grad_div_duality"}),
+            ("shapederiv", {"deformation": "radial"}, {"routeA_routeC", "routeA_routeB"}),
+        ],
+    )
+    def test_suite_passes_on_sphere(self, tmp_path, suite, overrides, names):
+        cfg = write_cfg(tmp_path, **overrides)
+        assert main(["validate", "--config", str(cfg), "--suite", suite]) == EXIT_OK
+        summary = strict_json(tmp_path / "summary.json")
+        assert set(summary["properties"]) == names
+        for prop in summary["properties"].values():
+            assert np.isfinite(prop["measured"]) and prop["pass"] is True
+        assert summary["all_pass"] is True
+
+    def test_zero_step_rejected(self, tmp_path, capsys):
+        # the step h is read as dsolve reads it, so h = 0 is no NaN
+        cfg = write_cfg(tmp_path, deformation="radial", h=0)
+        rc = main(["validate", "--config", str(cfg), "--suite", "shapederiv"])
+        assert rc == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().out)["error"] == "config"
+
     def test_unknown_suite_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path)
         assert (
@@ -146,10 +189,17 @@ class TestErrors:
         assert main(["solve", "--config", str(path)]) == EXIT_CONFIG
 
     def test_overflowing_number_rejected(self, tmp_path, capsys):
-        path = tmp_path / "big.json"
-        path.write_text('{"material": {"eps_i": 1e400}}')
-        assert main(["solve", "--config", str(path)]) == EXIT_CONFIG
-        assert json.loads(capsys.readouterr().out)["error"] == "config"
+        big = "1" + "0" * 400  # an integer beyond float range
+        for command, text in [
+            ("solve", '{"material": {"eps_i": 1e400}}'),
+            ("solve", '{"material": {"eps_i": %s}}' % big),
+            ("solve", '{"discretization": {"L": %s}}' % big),
+            ("dsolve", '{"deformation": "radial", "h": %s}' % big),
+        ]:
+            path = tmp_path / "big.json"
+            path.write_text(text)
+            assert main([command, "--config", str(path)]) == EXIT_CONFIG, text
+            assert json.loads(capsys.readouterr().out)["error"] == "config"
 
     def test_unknown_material_key(self, tmp_path):
         cfg = write_cfg(tmp_path, material={"eps_i": 2.25, "color": "blue"})
@@ -186,6 +236,14 @@ class TestErrors:
             ("solve", {"wave": {"direction": [0, 0, 0]}}),
             ("solve", {"wave": {"polarization": [0, 0, 0]}}),
             ("dsolve", {"deformation": "radial", "h": 0}),
+            # booleans are no numbers, and sizes must be integral
+            ("solve", {"material": {"eps_i": True}}),
+            ("solve", {"discretization": {"L": 3.7}}),
+            ("solve", {"discretization": {"L": 6, "nquad": 14.5}}),
+            ("solve", {"directions": {"n_theta": 2.9}}),
+            ("solve", {"directions": {"n_theta": True}}),
+            ("solve", {"directions": {"n_phi": 5.5}}),
+            ("mie", {"discretization": {"N_mie": 10.5}}),
         ],
     )
     def test_malformed_section(self, tmp_path, capsys, command, overrides):
