@@ -65,13 +65,18 @@ pass.  The recipes read only the products of a pass with the densities,
 taken block by block as it yields its rows (_d_pass), so no N x N kernel
 matrix is formed.
 
-Far-field operators and smooth off-surface potential evaluations are at the
-end of the module.  The far-field operators are the moments of the basis
-densities; a coefficient batch takes the moments of its node values, one
-(ndir, N) x (N, 3m) product, without forming the operators.  The potentials
-take the coefficient stack c of their density and form its node values
-from the basis; they and ``scalar_single_layer`` share one target-kernel
-helper for G, grad G and, under a deformation, their derivatives.
+Far-field operators and the fields of the layer pair Psi_E cE + Psi_M cM
+are at the end of the module.  The far-field operators are the moments of
+the basis densities; a coefficient batch takes the moments of its node
+values, one (ndir, N) x (N, 3m) product, without forming the operators.
+Two evaluators give the fields of the pair for coefficient stacks cE, cM:
+``layer_field`` at off-surface targets, from one target-kernel call (G,
+grad G and, under a deformation, their derivatives), and
+``layer_far_field`` at directions, from the moments of both stacks.  With a
+deformation xi each returns the derivative of the transported field at
+fixed coefficients, one product rule over kernel, measure w J and node
+values.  ``electric_potential`` and ``magnetic_potential`` are the pair
+with one stack zero.
 """
 
 from __future__ import annotations
@@ -95,10 +100,10 @@ __all__ = [
     "far_field_block",
     "d_far_field_block",
     "scalar_single_layer",
+    "layer_field",
+    "layer_far_field",
     "electric_potential",
     "magnetic_potential",
-    "d_electric_potential",
-    "d_magnetic_potential",
 ]
 
 
@@ -354,14 +359,13 @@ def d_far_field_block(
     return _far_kind(kappa, d, _far_moments(S, kappa, d, xi=xi), kind)
 
 
-# -- off-surface potentials ----------------------------------------------
+# -- off-surface fields --------------------------------------------------
 def _target_kernels(S: Surface, kappa: float, targets, xi=None) -> tuple:
-    """(diff, G, grad G) between the targets x and the nodes y: diff = x - y,
-    G = exp(i kappa R) / (4 pi R) and grad_x G = gp diff, returned as gp.
-    With a deformation xi also (dG, d grad_x G), their derivatives under
-    y -> y + t xi at fixed targets.  Targets closer to the surface than half
-    a polar spacing raise TargetOnSurface: the smooth rule is unreliable
-    there."""
+    """(G, grad_x G) between the targets x and the nodes y, shapes (T, N) and
+    (T, N, 3), with G = exp(i kappa R) / (4 pi R).  With a deformation xi
+    also (dG, d grad_x G), their derivatives under y -> y + t xi at fixed
+    targets.  Targets closer to the surface than half a polar spacing raise
+    TargetOnSurface: the smooth rule is unreliable there."""
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     diff = targets[:, None, :] - S.points[None, :, :]
     R = np.linalg.norm(diff, axis=2)
@@ -372,13 +376,14 @@ def _target_kernels(S: Surface, kappa: float, targets, xi=None) -> tuple:
     ekr = np.exp(1j * kappa * R)
     G = ekr / (4.0 * np.pi * R)
     gp = ekr * (1j * kappa * R - 1.0) / (4.0 * np.pi * R**3)
+    grad = gp[:, :, None] * diff
     if xi is None:
-        return diff, G, gp
+        return G, grad
     dxi = np.einsum("tna,na->tn", diff, xi.values)
     g2 = ekr * (3.0 - 3j * kappa * R - kappa**2 * R * R) / (4.0 * np.pi * R**5)
     # d of (gp * diff) = -g2 (diff.xi) diff - gp xi
     dgrad = -(g2 * dxi)[:, :, None] * diff - gp[:, :, None] * xi.values[None, :, :]
-    return diff, G, gp, -gp * dxi, dgrad
+    return G, grad, -gp * dxi, dgrad
 
 
 def _densities(S: Surface, c, xi=None) -> tuple:
@@ -395,61 +400,62 @@ def _densities(S: Surface, c, xi=None) -> tuple:
 
 def scalar_single_layer(S: Surface, kappa: float, f: np.ndarray, targets):
     """V_kappa f evaluated at off-surface points by the smooth rule."""
-    _, G, _ = _target_kernels(S, kappa, targets)
+    G, _ = _target_kernels(S, kappa, targets)
     wJ = S.grid.weights * S.jacobian
     return (G * wJ[None, :]) @ f
 
 
-def electric_potential(S: Surface, kappa: float, c, targets) -> np.ndarray:
+def layer_field(S: Surface, kappa: float, cE, cM, targets, xi=None) -> np.ndarray:
+    """Psi_E jE + Psi_M jM at off-surface targets, shape (T, 3), for the
+    densities with coefficient stacks cE and cM: the smooth rule for
+        sum_y w J [kappa G jE + (1/kappa) grad G div_Gamma jE + grad G ^ jM].
+
+    With a deformation xi, the derivative of the transported field at fixed
+    targets and coefficients.  The sum is linear in each of the kernels
+    (G, grad G), the measure w J and the node values, so the derivative is
+    one product rule over the three."""
+    kers = _target_kernels(S, kappa, targets, xi)
+    nodes = _densities(S, np.stack([cE, cM], axis=1), xi)
+
+    def field(G, grad, wJ, j, divj):
+        out = kappa * ((G * wJ[None, :]) @ j[:, :, 0])
+        out += (1.0 / kappa) * np.tensordot(grad, wJ * divj[:, 0], axes=(1, 0))
+        jM = wJ[:, None] * j[:, :, 1]
+        return out + np.cross(grad, jM[None], axis=2).sum(axis=1)
+
+    w = S.grid.weights
+    wJ = w * S.jacobian
+    if xi is None:
+        return field(*kers, wJ, *nodes)
+    G, grad, dG, dgrad = kers
+    j, divj, dj, ddivj = nodes
+    wdJ = w * sc._dgeom(S, xi)["dJ"]
+    out = field(dG, dgrad, wJ, j, divj) + field(G, grad, wdJ, j, divj)
+    return out + field(G, grad, wJ, dj, ddivj)
+
+
+def layer_far_field(
+    S: Surface, kappa: float, cE, cM, directions: np.ndarray, xi=None
+) -> np.ndarray:
+    """Far field of Psi_E jE + Psi_M jM at unit directions, shape (ndir, 3),
+    from the moments of both coefficient stacks (far_field_block gives the
+    two kinds).  With a deformation xi, the derivative of the transported
+    far field at fixed coefficients."""
+    d = np.atleast_2d(np.asarray(directions, dtype=float))
+    I = _far_moments(S, kappa, d, np.stack([cE, cM], axis=1), xi)
+    F = _far_kind(kappa, d, I[:, :, :1], "electric")
+    return (F + _far_kind(kappa, d, I[:, :, 1:], "magnetic"))[:, :, 0]
+
+
+def electric_potential(S: Surface, kappa: float, c, targets, xi=None) -> np.ndarray:
     """Psi_E j = kappa V j + (1/kappa) grad V (div_Gamma j) off the surface,
-    for the density j with coefficient stack c."""
-    diff, G, gp = _target_kernels(S, kappa, targets)
-    j, divj = _densities(S, c)
-    wJ = S.grid.weights * S.jacobian
-    out = kappa * np.tensordot(G * wJ[None, :], j, axes=(1, 0))
-    out += (1.0 / kappa) * np.einsum("tn,tna,n->ta", gp, diff, wJ * divj)
-    return out
+    for the density j with coefficient stack c; with xi, the derivative of
+    the transported potential (layer_field)."""
+    return layer_field(S, kappa, c, np.zeros_like(c), targets, xi)
 
 
-def magnetic_potential(S: Surface, kappa: float, c, targets) -> np.ndarray:
+def magnetic_potential(S: Surface, kappa: float, c, targets, xi=None) -> np.ndarray:
     """Psi_M j = curl V j off the surface, for the density j with coefficient
-    stack c."""
-    diff, _, gp = _target_kernels(S, kappa, targets)
-    j, _ = _densities(S, c)
-    ker = (gp * (S.grid.weights * S.jacobian)[None, :])[:, :, None] * diff
-    return np.cross(ker, j[None, :, :], axis=2).sum(axis=1)
-
-
-def d_electric_potential(S: Surface, kappa: float, c, targets, xi) -> np.ndarray:
-    """Derivative of the transported electric potential at fixed targets and
-    fixed coefficients c."""
-    diff, G, gp, dG, dgrad = _target_kernels(S, kappa, targets, xi)
-    j, divj, dj, ddivj = _densities(S, c, xi)
-    w = S.grid.weights
-    wJ = w * S.jacobian
-    wdJ = w * sc._dgeom(S, xi)["dJ"]
-    out = kappa * (
-        np.tensordot(dG * wJ[None, :], j, axes=(1, 0))
-        + np.tensordot(G * wJ[None, :], dj, axes=(1, 0))
-        + np.tensordot(G * wdJ[None, :], j, axes=(1, 0))
-    )
-    out += (1.0 / kappa) * (
-        np.einsum("tna,n->ta", dgrad, wJ * divj)
-        + np.einsum("tn,tna,n->ta", gp, diff, wJ * ddivj + wdJ * divj)
-    )
-    return out
-
-
-def d_magnetic_potential(S: Surface, kappa: float, c, targets, xi) -> np.ndarray:
-    """Derivative of the transported magnetic potential at fixed targets and
-    fixed coefficients c."""
-    diff, _, gp, _, dgrad = _target_kernels(S, kappa, targets, xi)
-    j, _, dj, _ = _densities(S, c, xi)
-    w = S.grid.weights
-    wJ = w * S.jacobian
-    wdJ = w * sc._dgeom(S, xi)["dJ"]
-    ker = dgrad * wJ[None, :, None] + (gp * wdJ[None, :])[:, :, None] * diff
-    out = np.cross(ker, j[None, :, :], axis=2).sum(axis=1)
-    ker2 = (gp * wJ[None, :])[:, :, None] * diff
-    out += np.cross(ker2, dj[None, :, :], axis=2).sum(axis=1)
-    return out
+    stack c; with xi, the derivative of the transported potential
+    (layer_field)."""
+    return layer_field(S, kappa, np.zeros_like(c), c, targets, xi)

@@ -114,6 +114,20 @@ def _number(section, key, default, kind=float):
     return x
 
 
+def _numbers(section, key, default):
+    """section[key] (or the default) as a list, each entry read by _number."""
+    v = section.get(key, default)
+    if not isinstance(v, (list, tuple)):
+        raise ConfigError(f"{key!r} must be a list of numbers, got {v!r}")
+    return [_number({key: x}, key, None) for x in v]
+
+
+def _coefficients(cmap):
+    """A {"n,m": value} coefficient map, each value read by _number."""
+    cmap = dict(cmap)
+    return {k: _number(cmap, k, None) for k in cmap}
+
+
 def _step(cfg):
     """Route C's finite-difference step h, finite and positive."""
     h = _number(cfg, "h", 1e-3)
@@ -142,8 +156,8 @@ def build_wave(cfg):
     w = _section(cfg, "wave")
     try:
         return PlaneWave(
-            direction=tuple(w.get("direction", (0.0, 0.0, 1.0))),
-            polarization=tuple(w.get("polarization", (1.0, 0.0, 0.0))),
+            direction=_numbers(w, "direction", (0.0, 0.0, 1.0)),
+            polarization=_numbers(w, "polarization", (1.0, 0.0, 0.0)),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid wave: {exc}") from exc
@@ -155,8 +169,10 @@ def build_discretization(cfg):
     nquad = _number(d, "nquad", 2 * L + 2, int)
     if L < 1 or nquad < 2:
         raise ConfigError(f"invalid discretization L={L}, nquad={nquad}")
-    nmie = d.get("N_mie")
-    return L, nquad, None if nmie is None else _number(d, "N_mie", None, int)
+    nmie = None if d.get("N_mie") is None else _number(d, "N_mie", None, int)
+    if nmie is not None and nmie < 1:
+        raise ConfigError(f"'N_mie' must be at least 1, got {nmie}")
+    return L, nquad, nmie
 
 
 def _sphere_radius(s):
@@ -187,7 +203,7 @@ def build_surface(cfg, L, nquad):
     try:
         if radius is not None:
             return geometry.sphere(radius, L, nquad)
-        return geometry.build_surface(dict(s["radial"]), L, nquad)
+        return geometry.build_surface(_coefficients(s["radial"]), L, nquad)
     except (NonPositiveRadial, ResolutionTooLow, TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"invalid surface: {exc}") from exc
 
@@ -211,12 +227,12 @@ def _deformation_field(d, grid):
     from .geometry import DeformationField
 
     if "translation" in d:
-        vec = d["translation"]
+        vec = _numbers(d, "translation", None)
         if len(vec) != 3:
             raise ConfigError("'translation' needs a 3-vector")
-        return DeformationField.translation(grid, [float(v) for v in vec])
+        return DeformationField.translation(grid, vec)
     if "radial_profile" in d:
-        prof = sh.coeff_dict_to_vector(dict(d["radial_profile"]), grid.Lmax)
+        prof = sh.coeff_dict_to_vector(_coefficients(d["radial_profile"]), grid.Lmax)
         return DeformationField.radial_profile(grid, prof)
     if "components" in d:
         import numpy as np
@@ -226,7 +242,7 @@ def _deformation_field(d, grid):
             raise ConfigError("'components' needs three coefficient maps")
         coef = np.zeros((3, grid.ncoef(grid.Lmax)))
         for a, cmap in enumerate(comps):
-            vec = sh.coeff_dict_to_vector(dict(cmap), grid.Lmax)
+            vec = sh.coeff_dict_to_vector(_coefficients(cmap), grid.Lmax)
             coef[a, : vec.shape[0]] = vec
         return DeformationField(grid, coef)
     raise ConfigError(f"unrecognized deformation specification {d!r}")

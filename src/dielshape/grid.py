@@ -82,7 +82,7 @@ class ReferenceGrid:
         self.Y, self.Yth, self.Yph = sh.sh_basis(self.Lmax, self.theta, self.phi)
         # analysis: c_k = sum_i w_i Y_k(x_i) f(x_i)
         self.analysis_full = (self.weights[:, None] * self.Y).T
-        self.degrees, self.orders = sh.degree_order_arrays(self.Lmax)
+        self.degrees = sh.degree_order_arrays(self.Lmax)[0]
 
     # -- construction ----------------------------------------------------
     @classmethod

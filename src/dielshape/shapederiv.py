@@ -75,27 +75,9 @@ class DerivativeResult:
 
 
 def incident_trace_derivative(S: Surface, mat: Material, wave: sv.PlaneWave, xi):
-    """Derivatives of the transported incident trace coefficients.
-
-    Returns stacked coefficient vectors (dgD, dgN) of d/dt at t=0 of the
-    Helmholtz decomposition, on Gamma_{t xi}, of the incident traces: the
-    derivative of the weak projection of sc.helmholtz_decompose
-    (sc._d_weak_project) on the node traces and their stage derivatives.
-    """
-    ke = mat.kappa_e
-    n = S.normal
-    dN = sc._dgeom(S, xi)["dN"]
-    E = wave.field(ke, S.points)
-    dE = 1j * ke * (xi.values @ wave.d)[:, None] * E  # (xi . grad) E_inc
-    dxE = 1j * np.cross(wave.d, E)  # (1/k) curl E_inc
-    ddxE = 1j * np.cross(wave.d, dE)
-    v = np.stack([np.cross(E, n), np.cross(dxE, n)], axis=2)
-    dv = np.stack(
-        [np.cross(dE, n) + np.cross(E, dN), np.cross(ddxE, n) + np.cross(dxE, dN)],
-        axis=2,
-    )
-    dgD, dgN = sc._stack_pq(sc._d_weak_project(S, xi, v, dv)).T
-    return dgD, dgN
+    """Derivatives (dgD, dgN) of the transported incident trace coefficients,
+    sv.incident_traces with the deformation xi."""
+    return sv.incident_traces(S, mat, wave, xi)
 
 
 def d_solution_routeA(
@@ -142,38 +124,32 @@ def d_solution_routeA(
 
     dj = ops.solve(rhs)
 
-    # the far field is linear in (j, a): differentiate the transported
-    # moments at fixed (j, a) and add the moments of (dj, da)
+    # the fields are linear in their layer coefficients: differentiate the
+    # transported fields at fixed coefficients and add the fields of the
+    # coefficient derivatives
     da = dC0_j + ops.C0 @ dj
-    d = np.atleast_2d(np.asarray(directions, dtype=float))
-    I = bio._far_moments(S, ke, d, ja, xi)
-    I += bio._far_moments(S, ke, d, np.stack([dj, da], axis=1))
-    dF = sv._ansatz_far_field(ke, eta, d, I)
+    ext = ((-j, -1j * eta * a), (-dj, -1j * eta * da))
 
-    dE_near = None
-    if exterior_probes is not None or interior_probes is not None:
-        dE_near = {}
-        if exterior_probes is not None:
-            pts = exterior_probes
-            out = -bio.d_electric_potential(S, ke, j, pts, xi)
-            out -= bio.electric_potential(S, ke, dj, pts)
-            out -= 1j * eta * bio.d_magnetic_potential(S, ke, a, pts, xi)
-            out -= 1j * eta * bio.magnetic_potential(S, ke, da, pts)
-            dE_near["exterior"] = out
-        if interior_probes is not None:
-            pts = interior_probes
-            dtD = dgD - dL_j - ops.L @ dj
-            dtN = (dgN - dN_j - ops.N @ dj) / rho
-            out = bio.d_electric_potential(S, ki, sol.tN, pts, xi)
-            out += bio.electric_potential(S, ki, dtN, pts)
-            out += bio.d_magnetic_potential(S, ki, sol.tD, pts, xi)
-            out += bio.magnetic_potential(S, ki, dtD, pts)
-            dE_near["interior"] = out
+    def field(evaluate, kappa, pairs, at):
+        (cE, cM), (dcE, dcM) = pairs
+        return evaluate(S, kappa, cE, cM, at, xi) + evaluate(S, kappa, dcE, dcM, at)
+
+    d = np.atleast_2d(np.asarray(directions, dtype=float))
+    dF = field(bio.layer_far_field, ke, ext, d)
+
+    dE_near = {}
+    if exterior_probes is not None:
+        dE_near["exterior"] = field(bio.layer_field, ke, ext, exterior_probes)
+    if interior_probes is not None:
+        dtD = dgD - dL_j - ops.L @ dj
+        dtN = (dgN - dN_j - ops.N @ dj) / rho
+        pairs = ((sol.tN, sol.tD), (dtN, dtD))
+        dE_near["interior"] = field(bio.layer_field, ki, pairs, interior_probes)
     return DerivativeResult(
         route="A",
         directions=d,
         dE_far=dF,
-        dE_near=dE_near,
+        dE_near=dE_near or None,
         diagnostics={"dj_norm": float(np.linalg.norm(dj))},
     )
 
@@ -247,11 +223,11 @@ def d_solution_routeB(
     b = ops.rhs(gD_eff, gN_eff)
     jB = ops.solve(b)
     d = np.atleast_2d(np.asarray(directions, dtype=float))
-    I = bio._far_moments(S, mat.kappa_e, d, np.stack([jB, ops.C0 @ jB], axis=1))
+    dF = bio.layer_far_field(S, mat.kappa_e, -jB, -1j * mat.eta * (ops.C0 @ jB), d)
     return DerivativeResult(
         route="B",
         directions=d,
-        dE_far=sv._ansatz_far_field(mat.kappa_e, mat.eta, d, I),
+        dE_far=dF,
         diagnostics={"data_norm": float(np.abs(data.g_D).max() + np.abs(data.g_N).max())},
     )
 

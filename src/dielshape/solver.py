@@ -21,7 +21,9 @@ Calderon identity yields the square system
 with g_D, g_N the incident traces and rho = k_i mu_e / (k_e mu_i).  The
 interior field is recovered from the representation
 E_i = Psi_E^(k_i) t_N + Psi_M^(k_i) t_D with the interior Cauchy data
-t_D = g_D - L j and t_N = (g_N - N j)/rho.
+t_D = g_D - L j and t_N = (g_N - N j)/rho.  Both fields are layer pairs
+Psi_E c_E + Psi_M c_M, which bio evaluates near (layer_field) and far
+(layer_far_field).
 """
 
 from __future__ import annotations
@@ -87,13 +89,25 @@ class PlaneWave:
         return 1j * kappa * np.cross(self.d, self.field(kappa, points))
 
 
-def incident_traces(S: Surface, mat: Material, wave: PlaneWave):
+def incident_traces(S: Surface, mat: Material, wave: PlaneWave, xi=None):
     """Coefficient stacks (g_D, g_N) of the incident traces E ^ n and
-    (1/k_e) curl E ^ n, from one batched weak projection."""
+    (1/k_e) curl E ^ n, from one batched weak projection.  With a
+    deformation xi, the derivatives of the transported stacks at t = 0: the
+    derivative of the weak projection (surfcalc._d_weak_project) on the node
+    traces and their stage derivatives, with (xi . grad) E = i k_e (xi . d) E
+    for both plane waves E and curl E / k_e."""
     ke = mat.kappa_e
+    n = S.normal[:, :, None]
     E = np.stack([wave.field(ke, S.points), wave.curl(ke, S.points) / ke], axis=2)
-    gD, gN = sc.helmholtz_decompose(S, np.cross(E, S.normal[:, :, None], axis=1)).T
-    return gD, gN
+    v = np.cross(E, n, axis=1)
+    if xi is None:
+        gD, gN = sc.helmholtz_decompose(S, v).T
+        return gD, gN
+    dE = 1j * ke * (xi.values @ wave.d)[:, None, None] * E
+    dN = sc._dgeom(S, xi)["dN"][:, :, None]
+    dv = np.cross(dE, n, axis=1) + np.cross(E, dN, axis=1)
+    dgD, dgN = sc._stack_pq(sc._d_weak_project(S, xi, v, dv)).T
+    return dgD, dgN
 
 
 @dataclass
@@ -201,15 +215,6 @@ def solve(
 
 
 # -- evaluation -----------------------------------------------------------
-def _ansatz_far_field(kappa: float, eta: float, d: np.ndarray, I: np.ndarray):
-    """Far field of the ansatz -Psi_E j - i eta Psi_M a at the directions d
-    from the moments I of shape (ndir, 3, 2) of j (column 0) and a (column 1);
-    see bio.far_field_block for the two kinds."""
-    FE = bio._far_kind(kappa, d, I, "electric")[:, :, 0]
-    FM = bio._far_kind(kappa, d, I, "magnetic")[:, :, 1]
-    return -FE - 1j * eta * FM
-
-
 def far_field(sol: ScatteringSolution, directions: np.ndarray) -> np.ndarray:
     """Scattered far field E_inf at unit directions, shape (ndir, 3).
 
@@ -217,27 +222,18 @@ def far_field(sol: ScatteringSolution, directions: np.ndarray) -> np.ndarray:
     j and a = C0 j come from their node values, without forming the
     far-field operators.
     """
-    ke = sol.material.kappa_e
-    d = np.atleast_2d(np.asarray(directions, dtype=float))
-    ja = np.stack([sol.j, sol.ops.C0 @ sol.j], axis=1)
-    I = bio._far_moments(sol.surface, ke, d, ja)
-    return _ansatz_far_field(ke, sol.material.eta, d, I)
+    ke, eta = sol.material.kappa_e, sol.material.eta
+    a = sol.ops.C0 @ sol.j
+    return bio.layer_far_field(sol.surface, ke, -sol.j, -1j * eta * a, directions)
 
 
 def scattered_field(sol: ScatteringSolution, targets: np.ndarray) -> np.ndarray:
     """E_s at exterior points (smooth-rule evaluation)."""
-    S = sol.surface
-    ke = sol.material.kappa_e
-    out = -bio.electric_potential(S, ke, sol.j, targets)
+    ke, eta = sol.material.kappa_e, sol.material.eta
     a = sol.ops.C0 @ sol.j
-    out -= 1j * sol.material.eta * bio.magnetic_potential(S, ke, a, targets)
-    return out
+    return bio.layer_field(sol.surface, ke, -sol.j, -1j * eta * a, targets)
 
 
 def interior_field(sol: ScatteringSolution, targets: np.ndarray) -> np.ndarray:
     """E_i at interior points from the interior representation."""
-    S = sol.surface
-    ki = sol.material.kappa_i
-    return bio.electric_potential(S, ki, sol.tN, targets) + bio.magnetic_potential(
-        S, ki, sol.tD, targets
-    )
+    return bio.layer_field(sol.surface, sol.material.kappa_i, sol.tN, sol.tD, targets)

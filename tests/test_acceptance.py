@@ -427,8 +427,8 @@ class TestFieldResiduals:
         cases = [
             lambda x: bio.electric_potential(S, kap, dens, x),
             lambda x: bio.magnetic_potential(S, kap, dens, x),
-            lambda x: bio.d_electric_potential(S, kap, dens, x, xi),
-            lambda x: bio.d_magnetic_potential(S, kap, dens, x, xi),
+            lambda x: bio.electric_potential(S, kap, dens, x, xi=xi),
+            lambda x: bio.magnetic_potential(S, kap, dens, x, xi=xi),
         ]
         for fn in cases:
             assert self._helmholtz_residual(fn, kap) < 1e-5

@@ -334,17 +334,14 @@ class TestShapeDerivativeBlocks:
         dens = np.concatenate([p[1:], q[1:]])
         targets = 2.0 * S.points[::29]
 
-        for fn, dfn in [
-            (bio.electric_potential, bio.d_electric_potential),
-            (bio.magnetic_potential, bio.d_magnetic_potential),
-        ]:
+        for fn in (bio.electric_potential, bio.magnetic_potential):
 
             def at(t):
                 St = deform(S, generic_xi, t)
                 return fn(St, KAPPA, dens, targets)
 
             fd = (at(self.h) - at(-self.h)) / (2.0 * self.h)
-            out = dfn(S, KAPPA, dens, targets, generic_xi)
+            out = fn(S, KAPPA, dens, targets, xi=generic_xi)
             assert_allclose(out, fd, atol=1e-7 * np.abs(fd).max())
 
 

@@ -118,6 +118,27 @@ class TestDsolve:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert sorted(summary["tables"]) == ["A", "B", "C"]
 
+    def test_deformation_specs_build_the_same_fields(self):
+        # a translation is the constant components a sqrt(4 pi), and on the
+        # unit sphere the constant radial profile sqrt(4 pi) is "radial"
+        from dielshape.cli import build_deformation
+        from dielshape.geometry import sphere
+
+        S = sphere(1.0, 4, 10)
+        r4pi = np.sqrt(4.0 * np.pi)
+        shift = (0.3, -0.2, 0.5)
+        pairs = [
+            (
+                {"translation": list(shift)},
+                {"components": [{"0,0": a * r4pi} for a in shift]},
+            ),
+            ({"radial_profile": {"0,0": r4pi}}, "radial"),
+        ]
+        for spec, same in pairs:
+            xi = build_deformation({"deformation": spec}, S).values
+            ref = build_deformation({"deformation": same}, S).values
+            np.testing.assert_allclose(xi, ref, rtol=0, atol=1e-13)
+
 
 class TestMie:
     def test_mie_table(self, tmp_path):
@@ -244,6 +265,16 @@ class TestErrors:
             ("solve", {"directions": {"n_theta": True}}),
             ("solve", {"directions": {"n_phi": 5.5}}),
             ("mie", {"discretization": {"N_mie": 10.5}}),
+            # every entry of a config vector or coefficient map is a number
+            ("solve", {"wave": {"direction": [0, 0, True]}}),
+            ("solve", {"wave": {"polarization": [True, 0, 0]}}),
+            ("dsolve", {"deformation": {"translation": [True, False, 0]}}),
+            ("solve", {"surface": {"radial": {"0,0": True}}}),
+            ("dsolve", {"deformation": {"radial_profile": {"0,0": True}}}),
+            ("dsolve", {"deformation": {"components": [{"0,0": True}, {}, {}]}}),
+            # the series needs at least one order
+            ("mie", {"discretization": {"N_mie": 0}}),
+            ("mie", {"discretization": {"N_mie": -2}}),
         ],
     )
     def test_malformed_section(self, tmp_path, capsys, command, overrides):

@@ -336,15 +336,15 @@ class TestRouteAMatrixReference:
         dFM = bio.d_far_field_block(S, ke, dirs, "magnetic", xi)
         dF = -(dFE @ sol.j + FE @ dj) - 1j * eta * (dFM @ a + FM @ da)
 
-        d_ext = -bio.d_electric_potential(S, ke, sol.j, ext, xi)
+        d_ext = -bio.electric_potential(S, ke, sol.j, ext, xi=xi)
         d_ext -= bio.electric_potential(S, ke, dj, ext)
-        d_ext -= 1j * eta * bio.d_magnetic_potential(S, ke, a, ext, xi)
+        d_ext -= 1j * eta * bio.magnetic_potential(S, ke, a, ext, xi=xi)
         d_ext -= 1j * eta * bio.magnetic_potential(S, ke, da, ext)
         dtD = dgD - dL @ sol.j - ops.L @ dj
         dtN = (dgN - dN @ sol.j - ops.N @ dj) / rho
-        d_int = bio.d_electric_potential(S, ki, sol.tN, itr, xi)
+        d_int = bio.electric_potential(S, ki, sol.tN, itr, xi=xi)
         d_int += bio.electric_potential(S, ki, dtN, itr)
-        d_int += bio.d_magnetic_potential(S, ki, sol.tD, itr, xi)
+        d_int += bio.magnetic_potential(S, ki, sol.tD, itr, xi=xi)
         d_int += bio.magnetic_potential(S, ki, dtD, itr)
 
         assert abs(A.diagnostics["dj_norm"] / np.linalg.norm(dj) - 1.0) < 1e-12
