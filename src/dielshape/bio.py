@@ -49,11 +49,14 @@ reads without a copy.
 
 ``d_*_block`` variants return the first derivative, at the base surface, of
 the transported-operator family r -> block(Gamma + r xi) with the potential
-coefficients held fixed; they differentiate the exact discrete recipe
-(kernel matrices, test fields, Galerkin solves) term by term, so they agree
-with finite differences of the primal assembly to O(h^2).  The weak-form
-recipe differentiates through surfcalc._d_weak_project and the stage
-derivatives of the basis (surfcalc._dbasis, on the record surfcalc._dgeom).
+coefficients held fixed.  Each block kind is one recipe, linear in the
+products of a kernel pass with the densities (_layer_rows, _magnetic_rows):
+the forward block is the recipe on the forward products, and its derivative
+is one product rule, the same recipe on the derivative products (kernel,
+measure w J and the basis derivatives surfcalc._dbasis) plus the derivative
+of the test side (frames and Galerkin solves, surfcalc._d_weak_project and
+_d_lb_solve) at fixed products.  It differentiates the exact discrete
+recipe, so it agrees with finite differences of the assembly to O(h^2).
 
 They take an optional coefficient batch c of shape (2K, m) and return
 dBlock @ c without forming the matrix: every stage then runs on m columns
@@ -124,45 +127,43 @@ def _project(S: Surface, f: np.ndarray) -> np.ndarray:
 
 
 # -- primal operator blocks ----------------------------------------------
-# The recipes take the kernel pairs of a pass and the product V jb, which the
-# electric and magnetic blocks of one wavenumber share.  divb vanishes on the
-# K curl columns, so products with it run on the K gradient columns only.
-def _layer_block(S: Surface, V, Vj, sa: float, sv: float) -> np.ndarray:
+# One recipe per block kind, linear in the products of a pass (module docstring).
+def _layer_rows(S: Surface, Vj, Vdivj, sa: float, sv: float) -> np.ndarray:
     """Weak-form single-layer recipe shared by the electric and static
     blocks: p = -sa A^{-1} T_TK^T V j, q = sa A^{-1} T_GY^T V j + sv P(V div j)
     with T = w J [TK | GY], the Galerkin form of p = -sa Delta^{-1} div a,
     q = sa Delta^{-1} curl a for a = n ^ V j (see the module docstring).
-    The rows of A^{-1} come folded into the test fields Zc."""
+    The rows of A^{-1} come folded into the test fields Zc; V div j may
+    cover only the leading columns of V j, where div j is nonzero."""
+    K = S.grid.ncoef(S.grid.L) - 1
+    rows = sa * sc._bsum(sc._basis_fields(S)["Zc"], Vj)
+    rows[K:, : Vdivj.shape[1]] += sv * _project(S, Vdivj)
+    return rows
+
+
+def _magnetic_rows(S: Surface, kappa: float, Vj, ks, f) -> np.ndarray:
+    """Magnetic recipe on the product V j, the rows ks of the K's term
+    sum_b TK_b^T K's^T y_b of the rotational potential (y = w J j) and the
+    K' div j part f of the gradient right-hand side, on the leading columns
+    of V j.  The rotational right-hand side takes V^T y = w J (V j)."""
     bb = sc._basis_fields(S)
-    K = Vj.shape[2] // 2
-    C = sa * sc._bsum(bb["Zc"], Vj)
-    C[K:, :K] += sv * _project(S, _block_apply(V, bb["divb"][:, :K]))
-    return C
+    rhs = kappa**2 * np.einsum("ij,ijk->ik", S.normal, Vj)
+    rhs[:, : f.shape[1]] += f
+    q_rows = sc._bsum(bb["Zq"], Vj) - ks
+    return np.concatenate([_real_apply(bb["Zp"].T, rhs), q_rows], axis=0)
 
 
-def _magnetic_block(S: Surface, kappa: float, V, Vj, KP) -> np.ndarray:
-    """Magnetic recipe on the kernel pairs V and K' of kappa and the
-    product V jb.  The rotational right-hand side needs V^T y with
-    y = w J jb, which is w J (V jb) since V = core diag(w J) with a symmetric
-    core; its K's term sum_b TK_b^T K's^T y_b is sum_b (K'^T (w J TK_b))^T
-    jb_b, with -w J TK the first K columns of Zc."""
-    bb = sc._basis_fields(S)
-    jb, divb = bb["jb"], bb["divb"]
-    K = divb.shape[1] // 2
-
-    f = kappa**2 * np.einsum("ij,ijk->ik", S.normal, Vj)
-    f[:, :K] += _block_apply(KP, divb[:, :K])
-    p_rows = _real_apply(bb["Zp"].T, f)
-    KPT = tuple(None if M is None else M.T for M in KP)
-    KZ = _block_apply(KPT, bb["Zc"][..., :K])
-    q_rows = sc._bsum(bb["Zq"], Vj) - sc._bsum(jb, KZ).T
-    return np.concatenate([p_rows, q_rows], axis=0)
+def _layer_products(S: Surface, V) -> tuple:
+    """(V jb, V divb) of a forward pass; divb vanishes on the K curl
+    columns, so its product runs on the K gradient columns only."""
+    jb, divb = sc.density_basis(S)
+    return _block_apply(V, jb), _block_apply(V, divb[:, : divb.shape[1] // 2])
 
 
 def _single_layer_block(S: Surface, kappa: float, sa: float, sv: float) -> np.ndarray:
     """The weak-form single-layer recipe on a single-group kernel pass of V."""
     (V,) = kn._stack(S, kappa, (kn._V,))
-    return _layer_block(S, V, _block_apply(V, sc.density_basis(S)[0]), sa, sv)
+    return _layer_rows(S, *_layer_products(S, V), sa, sv)
 
 
 def electric_block(S: Surface, kappa: float) -> np.ndarray:
@@ -176,19 +177,22 @@ def magnetic_block(S: Surface, kappa: float) -> np.ndarray:
     The gradient potential follows from div_Gamma(M j) = kappa^2 n.Vj +
     K'(div_Gamma j); the rotational potential from the weak form
     int curl_Gamma Y . M j ds = int grad Y . (grad G ^ j) ds integrated by
-    parts so that only weakly singular kernels appear.  Its right-hand side
-    is sum_b Df[b]^T V^T y_b - TK_b^T KS^T y_b with y_b = w J j_b.
-    """
+    parts, with right-hand side sum_b Df_b^T V^T y_b - TK_b^T KS^T y_b."""
     return wave_blocks(S, kappa)[1]
 
 
 def wave_blocks(S: Surface, kappa: float) -> tuple:
     """(electric_block, magnetic_block) of one wavenumber from one kernel
-    pass; the two blocks share V and its product with the basis."""
+    pass; the two blocks share V and its product with the basis.  The K's
+    rows are the transposed product K'^T Zc against the basis."""
     V, KP = kn._stack(S, kappa, (kn._V, kn._KP))
-    Vj = _block_apply(V, sc.density_basis(S)[0])
-    C = _layer_block(S, V, Vj, kappa, 1.0 / kappa)
-    return C, _magnetic_block(S, kappa, V, Vj, KP)
+    Vj, Vdivj = _layer_products(S, V)
+    bb = sc._basis_fields(S)
+    K = Vdivj.shape[1]
+    KPT = tuple(None if M is None else M.T for M in KP)
+    ks = sc._bsum(bb["jb"], _block_apply(KPT, bb["Zc"][..., :K])).T
+    M = _magnetic_rows(S, kappa, Vj, ks, _block_apply(KP, bb["divb"][:, :K]))
+    return _layer_rows(S, Vj, Vdivj, kappa, 1.0 / kappa), M
 
 
 def static_block(S: Surface) -> np.ndarray:
@@ -221,53 +225,42 @@ def _d_pass(S: Surface, kappa: float, xi: DeformationField, groups, c) -> list:
     ]
 
 
-def _d_layer_block(S: Surface, xi, V, sa: float, sv: float):
-    """Derivative of the weak-form single-layer recipe of _layer_block, on the
-    products V of the pair (V, dV) from _d_pass: the derivative of the weak
-    projection of V j (sc._d_weak_project) with d(V j) = dV j + V dj."""
+def _d_layer_rows(S: Surface, xi, V, sa: float, sv: float):
+    """Derivative of the layer recipe on the products V of the pair (V, dV)
+    from _d_pass: _layer_rows on (dV j + V dj, dV divj + V ddivj) plus the
+    derivative of the weak projection of V j at fixed V j."""
     Vj, _, dVj, dVdivj = V
-    K = S.grid.ncoef(S.grid.L) - 1
-    rows = sa * sc._d_weak_project(S, xi, Vj, dVj)
-    rows[K:] += sv * _project(S, dVdivj)
-    return rows
+    return _layer_rows(S, dVj, dVdivj, sa, sv) + sa * sc._d_weak_project(S, xi, Vj)
 
 
-def _d_magnetic_block(S: Surface, kappa: float, xi, V, KP):
+def _d_magnetic_rows(S: Surface, kappa: float, xi, V, KP):
     """Derivative of the magnetic recipe on the products V and KP of the
     pairs (V, dV) and (K', dK') of kappa from _d_pass.
 
-    The Galerkin right-hand side sum_b Df_b^T V^T y_b - TK_b^T KS^T y_b and
-    its derivative are applied factor by factor to y_b = w J j_b, the test
-    fields through their frames (_frame_rows), so no (N, nc_full) matrix is
-    formed.  V^T y = w J (V j) and KS^T y = w J (K' j) hold on every
-    transported surface (see _magnetic_block), so their derivatives are
-    w J d(V j) + w dJ V j and w J (dK' j + K' dj) + w dJ K' j."""
-    g = S.grid
-    Vj, _, dVj, _ = V
-    Kj, Kdivj, dKj, dKdivj = KP
-    dg = sc._dgeom(S, xi)
-    fr, dfr = sc._basis_fields(S)["frames"], sc._dbasis(S, xi)["frames"]
-    n, dN = S.normal, dg["dN"]
+    The recipe takes the derivatives of its inputs: d(w J V j) =
+    w J (d(V j) + div_Gamma xi V j), since w dJ = w J div_Gamma xi, likewise
+    for K' j, and d(n . V j) = n . d(V j) + dN . V j.  At fixed products the
+    test side moves: the Galerkin solves of both potentials
+    (surfcalc._d_lb_solve) and the frames dDf, dTK of the rotational one."""
+    g, bb, dg = S.grid, sc._basis_fields(S), sc._dgeom(S, xi)
+    (Vj, _, dVj, _), (Kj, Kdivj, dKj, dKdivj) = V, KP
+    K = g.ncoef(g.L) - 1
+    dx = dg["divxi"][:, None]
+    f = dKdivj + dx * Kdivj + kappa**2 * np.einsum("ij,ijk->ik", dg["dN"], Vj)
+    ks = sc._bsum(bb["Zc"][..., :K], dKj + dx[..., None] * Kj)
+    rows = _magnetic_rows(S, kappa, dVj + dx[..., None] * Vj, ks, f)
+
     wJ = (g.weights * S.jacobian)[:, None, None]
-    wdJ = (g.weights * dg["dJ"])[:, None, None]
-    ncL = g.ncoef(g.L)
+    Vy, Ky = wJ * Vj, wJ * Kj
 
-    # gradient potential
-    f = kappa**2 * np.einsum("ij,ijk->ik", n, Vj) + Kdivj
-    dnVj = np.einsum("ij,ijk->ik", dN, Vj) + np.einsum("ij,ijk->ik", n, dVj)
-    df = kappa**2 * dnVj + dKdivj
-    p_rows = sc._d_weak_poisson(S, xi, f, df)[1:ncL]
+    def rot(fr):  # the rotational right-hand side on the frames fr
+        return sc._frame_rows(g, fr["Df"], Vy) - sc._frame_rows(g, fr["TK"], Ky)
 
-    # rotational potential: Q = A^{-1} rc, dQ = A^{-1}(drc - dA Q)
-    Vy = wJ * Vj
-    dVy = wJ * dVj + wdJ * Vj
-    Ky = wJ * Kj
-    dKy = wJ * dKj + wdJ * Kj
-    rc = sc._frame_rows(g, fr["Df"], Vy) - sc._frame_rows(g, fr["TK"], Ky)
-    drc = sc._frame_rows(g, fr["Df"], dVy) + sc._frame_rows(g, dfr["Df"], Vy)
-    drc -= sc._frame_rows(g, fr["TK"], dKy) + sc._frame_rows(g, dfr["TK"], Ky)
-    q_rows = -sc._d_lb_solve(S, xi, rc, drc)[1:ncL]
-    return np.concatenate([p_rows, q_rows], axis=0)
+    fp = kappa**2 * np.einsum("ij,ijk->ik", S.normal, Vj) + Kdivj
+    dp = sc._d_lb_solve(S, xi, -_real_apply(sc._lb_data(S)["mass"], fp))
+    dfr = sc._dbasis(S, xi)["frames"]
+    dq = sc._lb_solve(S, rot(dfr)) + sc._d_lb_solve(S, xi, rot(bb["frames"]))
+    return rows + np.concatenate([dp[1 : K + 1], -dq[1 : K + 1]])
 
 
 _D_WAVE = (kn._V, kn._DV, kn._KP, kn._DKP)
@@ -278,8 +271,8 @@ def d_wave_blocks(S: Surface, kappa: float, xi: DeformationField, c) -> tuple:
     kernel pass; the two recipes share the products V j, dV j and V dj of
     the densities j of the batch c."""
     V, KP = _d_pass(S, kappa, xi, _D_WAVE, c)
-    dC = _d_layer_block(S, xi, V, kappa, 1.0 / kappa)
-    return dC, _d_magnetic_block(S, kappa, xi, V, KP)
+    dC = _d_layer_rows(S, xi, V, kappa, 1.0 / kappa)
+    return dC, _d_magnetic_rows(S, kappa, xi, V, KP)
 
 
 def d_electric_block(
@@ -288,7 +281,7 @@ def d_electric_block(
     """Derivative of the transported electric block at the base surface,
     applied to the coefficient batch c (the matrix when c is None)."""
     (V,) = _d_pass(S, kappa, xi, (kn._V, kn._DV), c)
-    return _d_layer_block(S, xi, V, kappa, 1.0 / kappa)
+    return _d_layer_rows(S, xi, V, kappa, 1.0 / kappa)
 
 
 def d_magnetic_block(
@@ -296,14 +289,14 @@ def d_magnetic_block(
 ) -> np.ndarray:
     """Derivative of the transported magnetic block at the base surface,
     applied to the coefficient batch c (the matrix when c is None)."""
-    return _d_magnetic_block(S, kappa, xi, *_d_pass(S, kappa, xi, _D_WAVE, c))
+    return _d_magnetic_rows(S, kappa, xi, *_d_pass(S, kappa, xi, _D_WAVE, c))
 
 
 def d_static_block(S: Surface, xi: DeformationField, c=None) -> np.ndarray:
     """Derivative of the transported static coupling block, applied to the
     coefficient batch c (the matrix when c is None)."""
     (V,) = _d_pass(S, 0.0, xi, (kn._V, kn._DV), c)
-    return _d_layer_block(S, xi, V, 1.0, -1.0)
+    return _d_layer_rows(S, xi, V, 1.0, -1.0)
 
 
 # -- far-field operators --------------------------------------------------

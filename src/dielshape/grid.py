@@ -12,6 +12,7 @@ kernels (singular_weights), which carries the reference chord in it.
 from __future__ import annotations
 
 import math
+import weakref
 from functools import cached_property
 
 import numpy as np
@@ -20,6 +21,10 @@ from . import sh
 from .errors import ResolutionTooLow
 
 __all__ = ["ReferenceGrid"]
+
+# Grids that ReferenceGrid.get holds alive, the most recently used ones.
+GRID_CACHE = 4
+
 
 def _real_apply(op: np.ndarray, f: np.ndarray) -> np.ndarray:
     """The real matrix op applied along the first axis of f, in real
@@ -46,7 +51,8 @@ class ReferenceGrid:
         Number of Gauss-Legendre polar nodes; must satisfy nquad >= 2L+2.
     """
 
-    _cache: dict = {}
+    _live = weakref.WeakValueDictionary()  # (L, nquad) -> every live grid
+    _recent: list = []  # strong references, most recent first
 
     def __init__(self, L: int, nquad: int):
         if L < 2:
@@ -87,11 +93,16 @@ class ReferenceGrid:
     # -- construction ----------------------------------------------------
     @classmethod
     def get(cls, L: int, nquad: int) -> "ReferenceGrid":
-        """Memoized constructor (grids are immutable and expensive)."""
+        """Memoized constructor (grids are immutable and expensive).  A live
+        grid is always the one returned, so surfaces and fields built on one
+        (L, nquad) share it; only the GRID_CACHE most recent stay alive
+        when nothing else holds them."""
         key = (int(L), int(nquad))
-        if key not in cls._cache:
-            cls._cache[key] = cls(L, nquad)
-        return cls._cache[key]
+        grid = cls._live.get(key)
+        if grid is None:
+            grid = cls._live[key] = cls(L, nquad)
+        cls._recent = [grid] + [g for g in cls._recent if g is not grid][: GRID_CACHE - 1]
+        return grid
 
     # -- transforms ------------------------------------------------------
     def ncoef(self, L: int | None = None) -> int:

@@ -90,24 +90,24 @@ class PlaneWave:
 
 
 def incident_traces(S: Surface, mat: Material, wave: PlaneWave, xi=None):
-    """Coefficient stacks (g_D, g_N) of the incident traces E ^ n and
+    """Coefficient stacks (g_D, g_N) of the incident traces v = E ^ n and
     (1/k_e) curl E ^ n, from one batched weak projection.  With a
-    deformation xi, the derivatives of the transported stacks at t = 0: the
-    derivative of the weak projection (surfcalc._d_weak_project) on the node
-    traces and their stage derivatives, with (xi . grad) E = i k_e (xi . d) E
-    for both plane waves E and curl E / k_e."""
+    deformation xi, the derivatives of the transported stacks at t = 0, by
+    the product rule: the projection of the traces' stage derivatives dv,
+    with (xi . grad) E = i k_e (xi . d) E for both plane waves E and
+    curl E / k_e, plus the derivative of the projection at fixed v
+    (surfcalc._d_weak_project)."""
     ke = mat.kappa_e
     n = S.normal[:, :, None]
     E = np.stack([wave.field(ke, S.points), wave.curl(ke, S.points) / ke], axis=2)
     v = np.cross(E, n, axis=1)
     if xi is None:
-        gD, gN = sc.helmholtz_decompose(S, v).T
-        return gD, gN
+        return tuple(sc.helmholtz_decompose(S, v).T)
     dE = 1j * ke * (xi.values @ wave.d)[:, None, None] * E
     dN = sc._dgeom(S, xi)["dN"][:, :, None]
     dv = np.cross(dE, n, axis=1) + np.cross(E, dN, axis=1)
-    dgD, dgN = sc._stack_pq(sc._d_weak_project(S, xi, v, dv)).T
-    return dgD, dgN
+    dc = sc.helmholtz_decompose(S, dv) + sc._stack_pq(sc._d_weak_project(S, xi, v))
+    return tuple(dc.T)
 
 
 @dataclass

@@ -45,9 +45,10 @@ projection is an exact left inverse of jb on every surface.  For the same
 reason, and because the stiffness matrix is the Gram matrix of TK under
 the same rule, curl_Gamma f of scalar node data f projects to (0; the
 degree 1..L coefficients of f), so TK times those coefficients stands in
-for the curl.  The derivative of the projection on the transported
-surfaces (_d_weak_project) serves route A's layer blocks and incident
-traces alike.
+for the curl.  The Galerkin helpers differentiate only the operator:
+_d_weak_project and _d_lb_solve give the derivative of the projection and
+of the solve at fixed data, and a caller adds the plain operator on its
+data derivative, the product rule of route A's blocks and incident traces.
 """
 
 from __future__ import annotations
@@ -515,22 +516,13 @@ def d_rstar(S: Surface, xi: DeformationField, u: np.ndarray) -> np.ndarray:
 
 
 # -- Galerkin stage derivatives -------------------------------------------
-def _d_lb_solve(S: Surface, xi: DeformationField, r: np.ndarray, dr: np.ndarray):
-    """Derivative of the transported Galerkin solve u = A^{-1} r:
-    du = A^{-1}(dr - dA u), over the full grid degree (batched); dA u is
-    applied on the record's "dmetric" without forming dA (_metric_gram)."""
+# At fixed data: a caller adds the plain operator on its data derivative.
+def _d_lb_solve(S: Surface, xi: DeformationField, r: np.ndarray) -> np.ndarray:
+    """Derivative -A^{-1} dA A^{-1} r of the transported Galerkin solve
+    u = A^{-1} r at fixed r, over the full grid degree (batched); dA acts
+    on the record's "dmetric" without being formed (_metric_gram)."""
     u = _lb_solve(S, r)
-    return _lb_solve(S, dr - _metric_gram(S.grid, *_dgeom(S, xi)["dmetric"], u))
-
-
-def _d_weak_poisson(S: Surface, xi: DeformationField, f: np.ndarray, df: np.ndarray):
-    """Derivative of the transported mean-zero weak solution of Delta u = f
-    (f of shape (N, m)), the Galerkin solve with right-hand side
-    -int f Y_k ds; the measure term int f Y_k dJ ds, dJ = J div_Gamma xi,
-    takes the mass rows on div_Gamma xi f."""
-    mass = _lb_data(S)["mass"]
-    dr = -_real_apply(mass, _dgeom(S, xi)["divxi"][:, None] * f + df)
-    return _d_lb_solve(S, xi, -_real_apply(mass, f), dr)
+    return _lb_solve(S, -_metric_gram(S.grid, *_dgeom(S, xi)["dmetric"], u))
 
 
 def d_laplace_inverse(S: Surface, xi: DeformationField, f: np.ndarray) -> np.ndarray:
@@ -538,14 +530,12 @@ def d_laplace_inverse(S: Surface, xi: DeformationField, f: np.ndarray) -> np.nda
     family L*(r) = -R*(r) R(r) = J_rel Delta_r, mean-zero.
 
     On every transported surface the Galerkin right-hand side of
-    laplace_beltrami_inverse(Gamma_r, f / J_rel) is -int f Y_k ds on Gamma:
-    it is _d_weak_poisson with df = -div_Gamma xi f, whose right-hand side
-    derivative vanishes and leaves du = -A^{-1} dA u, the exact derivative
-    of the discrete inverse up to the constant of its mean gauge."""
-    _check_mean(f, -_real_apply(_lb_data(S)["mass"], f))
-    fc = f[:, None]
-    dc = _d_weak_poisson(S, xi, fc, -_dgeom(S, xi)["divxi"][:, None] * fc)
-    du = S.grid.synthesize(dc[:, 0])
+    laplace_beltrami_inverse(Gamma_r, f / J_rel) is -int f Y_k ds on Gamma,
+    so only the solve moves: du = -A^{-1} dA u (_d_lb_solve), the exact
+    derivative of the discrete inverse up to the constant of its mean gauge."""
+    rhs = -_real_apply(_lb_data(S)["mass"], f[:, None])
+    _check_mean(f, rhs)
+    du = S.grid.synthesize(_d_lb_solve(S, xi, rhs)[:, 0])
     return du - mean_value(S, du)
 
 
@@ -585,27 +575,24 @@ def _dbasis(S: Surface, xi: DeformationField) -> dict:
     }
 
 
-def _d_weak_project(S: Surface, xi: DeformationField, u: np.ndarray, du: np.ndarray):
-    """Derivative of the transported weak projection _bsum(Zc, u) of node data
-    u (N, 3, m) whose own derivative is du, shape (2K, m) in the row order of
-    Zc, [-TK | GY].
+def _d_weak_project(S: Surface, xi: DeformationField, u: np.ndarray) -> np.ndarray:
+    """Derivative of the transported weak projection _bsum(Zc, u) at fixed
+    node data u (N, 3, m), shape (2K, m) in the row order of Zc, [-TK | GY].
 
     With U = A^{-1} T^T u over the full grid degree, T = w J [-TK | GY],
-    dU = A^{-1}(dT^T u + T^T du - dA U), dT = w dJ [-TK | GY] +
-    w J [-dTK | dGY].  The weights w J and w dJ scale the m columns of u and
-    du, and the test fields enter through their frames (_frame_rows), so no
-    (N, 3, nc) array is formed per call."""
+    dU = A^{-1} dT^T u - A^{-1} dA U, dT = w dJ [-TK | GY] + w J [-dTK | dGY]:
+    the measure term and the frames' derivatives, which enter through their
+    frames (_frame_rows), so no (N, 3, nc) array is formed per call."""
     g = S.grid
     fr, dg = _frames(S), _dgeom(S, xi)
     K = g.ncoef(g.L) - 1
-    wJ = (g.weights * S.jacobian)[:, None, None]
-    wdJ = (g.weights * dg["dJ"])[:, None, None]
 
     def rhs(fr, y):  # the -TK and GY right-hand sides side by side, (nc, 2, m)
         return np.stack(
             [-_frame_rows(g, fr["TK"], y), _frame_rows(g, fr["GY"], y)], axis=1
         )
 
-    y, dy = wJ * u, wJ * du + wdJ * u
-    dU = _d_lb_solve(S, xi, rhs(fr, y), rhs(fr, dy) + rhs(dg["frames"], y))[1 : K + 1]
+    y = (g.weights * S.jacobian)[:, None, None] * u
+    dr = rhs(fr, (g.weights * dg["dJ"])[:, None, None] * u) + rhs(dg["frames"], y)
+    dU = (_lb_solve(S, dr) + _d_lb_solve(S, xi, rhs(fr, y)))[1 : K + 1]
     return dU.swapaxes(0, 1).reshape(2 * K, -1)

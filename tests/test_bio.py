@@ -264,19 +264,19 @@ class TestShapeDerivativeBlocks:
         S = wobbly_surface
         fd = self._fd(lambda St: bio.electric_block(St, KAPPA), generic_xi, S)
         out = bio.d_electric_block(S, KAPPA, generic_xi)
-        assert_allclose(out, fd, atol=1e-6 * np.abs(fd).max())
+        assert_allclose(out, fd, atol=1e-8 * np.abs(fd).max())
 
     def test_d_magnetic_block(self, wobbly_surface, generic_xi):
         S = wobbly_surface
         fd = self._fd(lambda St: bio.magnetic_block(St, KAPPA), generic_xi, S)
         out = bio.d_magnetic_block(S, KAPPA, generic_xi)
-        assert_allclose(out, fd, atol=1e-5 * np.abs(fd).max())
+        assert_allclose(out, fd, atol=1e-8 * np.abs(fd).max())
 
     def test_d_static_block(self, wobbly_surface, generic_xi):
         S = wobbly_surface
         fd = self._fd(bio.static_block, generic_xi, S)
         out = bio.d_static_block(S, generic_xi)
-        assert_allclose(out, fd, atol=1e-7 * np.abs(fd).max())
+        assert_allclose(out, fd, atol=1e-8 * np.abs(fd).max())
 
     @pytest.mark.parametrize("kind", ["electric", "magnetic"])
     def test_d_far_field_block(self, wobbly_surface, generic_xi, directions, kind):

@@ -1,9 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from dielshape.errors import ResolutionTooLow
-from dielshape.grid import ReferenceGrid
+from dielshape.grid import GRID_CACHE, ReferenceGrid
 
 
 def test_weights_sum_to_sphere_area():
@@ -21,6 +24,16 @@ def test_analysis_inverts_synthesis():
 
 def test_memoized_instances_shared():
     assert ReferenceGrid.get(6, 14) is ReferenceGrid.get(6, 14)
+
+
+def test_cache_is_bounded_and_keeps_held_grids_shared():
+    # of 8 grids built and dropped, only the GRID_CACHE most recent stay
+    # alive; a grid still held elsewhere is the one get keeps returning
+    held = ReferenceGrid.get(2, 14)
+    refs = [weakref.ref(ReferenceGrid.get(2, nquad)) for nquad in range(6, 14)]
+    gc.collect()
+    assert sum(r() is not None for r in refs) <= GRID_CACHE == 4
+    assert ReferenceGrid.get(2, 14) is held
 
 
 def test_resolution_guard():

@@ -274,6 +274,17 @@ class TestShapeDerivatives:
         assert_allclose(out, fd, atol=1e-6 * np.abs(fd).max())
         assert abs(np.sum(sph_weight(S) * out)) < 1e-10 * np.abs(out).max()
 
+    def test_d_weak_project_matches_fd(self, wobbly_surface, generic_xi):
+        # the derivative of the weak projection at fixed node data u
+        S = wobbly_surface
+        rng = np.random.default_rng(15)
+        u = rng.normal(size=(S.grid.nnodes, 3, 2)) + 1j * rng.normal(
+            size=(S.grid.nnodes, 3, 2)
+        )
+        fd = self.fd(lambda t: sc.helmholtz_decompose(deform(S, generic_xi, t), u), 1e-4)
+        out = sc._stack_pq(sc._d_weak_project(S, generic_xi, u))
+        assert np.abs(out - fd).max() < 1e-8 * np.abs(fd).max()
+
     def test_cached_record_survives_caller_writes(self, wobbly_surface, generic_xi):
         # d_normal and d_jacobian read the per-surface derivative record that
         # the kernel passes also read; writing into what they return must
