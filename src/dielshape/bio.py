@@ -55,7 +55,7 @@ the forward block is the recipe on the forward products, and its derivative
 is one product rule, the same recipe on the derivative products (kernel,
 measure w J and the basis derivatives surfcalc._dbasis) plus the derivative
 of the test side (frames and Galerkin solves, surfcalc._d_weak_project and
-_d_lb_solve) at fixed products.  It differentiates the exact discrete
+_d_lb_rhs) at fixed products.  It differentiates the exact discrete
 recipe, so it agrees with finite differences of the assembly to O(h^2).
 
 They take an optional coefficient batch c of shape (2K, m) and return
@@ -120,12 +120,6 @@ def _block_apply(pair: tuple, U: np.ndarray) -> np.ndarray:
     return out if im is None else out + 1j * _real_apply(im, U)
 
 
-def _project(S: Surface, f: np.ndarray) -> np.ndarray:
-    """Mean-zero reference-sphere coefficients of node values, solver degrees."""
-    ncL = S.grid.ncoef(S.grid.L)
-    return S.grid.analyze(f, S.grid.L)[1:ncL]
-
-
 # -- primal operator blocks ----------------------------------------------
 # One recipe per block kind, linear in the products of a pass (module docstring).
 def _layer_rows(S: Surface, Vj, Vdivj, sa: float, sv: float) -> np.ndarray:
@@ -133,24 +127,31 @@ def _layer_rows(S: Surface, Vj, Vdivj, sa: float, sv: float) -> np.ndarray:
     blocks: p = -sa A^{-1} T_TK^T V j, q = sa A^{-1} T_GY^T V j + sv P(V div j)
     with T = w J [TK | GY], the Galerkin form of p = -sa Delta^{-1} div a,
     q = sa Delta^{-1} curl a for a = n ^ V j (see the module docstring).
-    The rows of A^{-1} come folded into the test fields Zc; V div j may
-    cover only the leading columns of V j, where div j is nonzero."""
+    The rows of A^{-1} come folded into the test fields Zc, and P takes the
+    mean-zero coefficients of solver degree; V div j may cover only the
+    leading columns of V j, where div j is nonzero."""
     K = S.grid.ncoef(S.grid.L) - 1
     rows = sa * sc._bsum(sc._basis_fields(S)["Zc"], Vj)
-    rows[K:, : Vdivj.shape[1]] += sv * _project(S, Vdivj)
+    rows[K:, : Vdivj.shape[1]] += sv * S.grid.analyze(Vdivj, S.grid.L)[1 : K + 1]
     return rows
+
+
+def _grad_rhs(n, kappa: float, Vj, f) -> np.ndarray:
+    """kappa^2 n . V j + f, the magnetic gradient right-hand side
+    div_Gamma(M j) with f = K' div j on the leading columns of V j."""
+    rhs = kappa**2 * np.einsum("ij,ijk->ik", n, Vj)
+    rhs[:, : f.shape[1]] += f
+    return rhs
 
 
 def _magnetic_rows(S: Surface, kappa: float, Vj, ks, f) -> np.ndarray:
     """Magnetic recipe on the product V j, the rows ks of the K's term
     sum_b TK_b^T K's^T y_b of the rotational potential (y = w J j) and the
-    K' div j part f of the gradient right-hand side, on the leading columns
-    of V j.  The rotational right-hand side takes V^T y = w J (V j)."""
+    K' div j part f of the gradient right-hand side (_grad_rhs).  The
+    rotational right-hand side takes V^T y = w J (V j)."""
     bb = sc._basis_fields(S)
-    rhs = kappa**2 * np.einsum("ij,ijk->ik", S.normal, Vj)
-    rhs[:, : f.shape[1]] += f
-    q_rows = sc._bsum(bb["Zq"], Vj) - ks
-    return np.concatenate([_real_apply(bb["Zp"].T, rhs), q_rows], axis=0)
+    p_rows = _real_apply(bb["Zp"].T, _grad_rhs(S.normal, kappa, Vj, f))
+    return np.concatenate([p_rows, sc._bsum(bb["Zq"], Vj) - ks], axis=0)
 
 
 def _layer_products(S: Surface, V) -> tuple:
@@ -241,12 +242,15 @@ def _d_magnetic_rows(S: Surface, kappa: float, xi, V, KP):
     w J (d(V j) + div_Gamma xi V j), since w dJ = w J div_Gamma xi, likewise
     for K' j, and d(n . V j) = n . d(V j) + dN . V j.  At fixed products the
     test side moves: the Galerkin solves of both potentials
-    (surfcalc._d_lb_solve) and the frames dDf, dTK of the rotational one."""
+    (surfcalc._d_lb_rhs) and the frames dDf, dTK of the rotational one.
+    -dA A^{-1} r needs A^{-1} r over the full grid degree, but the forward
+    recipe folds only the solver rows of A^{-1} into Zp, Zq and ks, so both
+    right-hand sides r are taken unfolded here (_grad_rhs and rot)."""
     g, bb, dg = S.grid, sc._basis_fields(S), sc._dgeom(S, xi)
     (Vj, _, dVj, _), (Kj, Kdivj, dKj, dKdivj) = V, KP
     K = g.ncoef(g.L) - 1
     dx = dg["divxi"][:, None]
-    f = dKdivj + dx * Kdivj + kappa**2 * np.einsum("ij,ijk->ik", dg["dN"], Vj)
+    f = _grad_rhs(dg["dN"], kappa, Vj, dKdivj + dx * Kdivj)
     ks = sc._bsum(bb["Zc"][..., :K], dKj + dx[..., None] * Kj)
     rows = _magnetic_rows(S, kappa, dVj + dx[..., None] * Vj, ks, f)
 
@@ -256,10 +260,10 @@ def _d_magnetic_rows(S: Surface, kappa: float, xi, V, KP):
     def rot(fr):  # the rotational right-hand side on the frames fr
         return sc._frame_rows(g, fr["Df"], Vy) - sc._frame_rows(g, fr["TK"], Ky)
 
-    fp = kappa**2 * np.einsum("ij,ijk->ik", S.normal, Vj) + Kdivj
-    dp = sc._d_lb_solve(S, xi, -_real_apply(sc._lb_data(S)["mass"], fp))
+    rp = -_real_apply(sc._lb_data(S)["mass"], _grad_rhs(S.normal, kappa, Vj, Kdivj))
+    dp = sc._lb_solve(S, sc._d_lb_rhs(S, xi, rp))
     dfr = sc._dbasis(S, xi)["frames"]
-    dq = sc._lb_solve(S, rot(dfr)) + sc._d_lb_solve(S, xi, rot(bb["frames"]))
+    dq = sc._lb_solve(S, rot(dfr) + sc._d_lb_rhs(S, xi, rot(bb["frames"])))
     return rows + np.concatenate([dp[1 : K + 1], -dq[1 : K + 1]])
 
 

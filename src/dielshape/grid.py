@@ -22,10 +22,6 @@ from .errors import ResolutionTooLow
 
 __all__ = ["ReferenceGrid"]
 
-# Grids that ReferenceGrid.get holds alive, the most recently used ones.
-GRID_CACHE = 4
-
-
 def _real_apply(op: np.ndarray, f: np.ndarray) -> np.ndarray:
     """The real matrix op applied along the first axis of f, in real
     arithmetic.
@@ -52,7 +48,6 @@ class ReferenceGrid:
     """
 
     _live = weakref.WeakValueDictionary()  # (L, nquad) -> every live grid
-    _recent: list = []  # strong references, most recent first
 
     def __init__(self, L: int, nquad: int):
         if L < 2:
@@ -95,13 +90,11 @@ class ReferenceGrid:
     def get(cls, L: int, nquad: int) -> "ReferenceGrid":
         """Memoized constructor (grids are immutable and expensive).  A live
         grid is always the one returned, so surfaces and fields built on one
-        (L, nquad) share it; only the GRID_CACHE most recent stay alive
-        when nothing else holds them."""
+        (L, nquad) share it; a grid that nothing holds is freed."""
         key = (int(L), int(nquad))
         grid = cls._live.get(key)
         if grid is None:
             grid = cls._live[key] = cls(L, nquad)
-        cls._recent = [grid] + [g for g in cls._recent if g is not grid][: GRID_CACHE - 1]
         return grid
 
     # -- transforms ------------------------------------------------------

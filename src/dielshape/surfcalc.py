@@ -46,9 +46,10 @@ reason, and because the stiffness matrix is the Gram matrix of TK under
 the same rule, curl_Gamma f of scalar node data f projects to (0; the
 degree 1..L coefficients of f), so TK times those coefficients stands in
 for the curl.  The Galerkin helpers differentiate only the operator:
-_d_weak_project and _d_lb_solve give the derivative of the projection and
-of the solve at fixed data, and a caller adds the plain operator on its
-data derivative, the product rule of route A's blocks and incident traces.
+_d_weak_project gives the derivative of the projection at fixed data and
+_d_lb_rhs the term -dA A^{-1} r of the solve's, and a caller adds the
+plain operator on its data derivative, the product rule of route A's
+blocks and incident traces.
 """
 
 from __future__ import annotations
@@ -517,12 +518,12 @@ def d_rstar(S: Surface, xi: DeformationField, u: np.ndarray) -> np.ndarray:
 
 # -- Galerkin stage derivatives -------------------------------------------
 # At fixed data: a caller adds the plain operator on its data derivative.
-def _d_lb_solve(S: Surface, xi: DeformationField, r: np.ndarray) -> np.ndarray:
-    """Derivative -A^{-1} dA A^{-1} r of the transported Galerkin solve
-    u = A^{-1} r at fixed r, over the full grid degree (batched); dA acts
-    on the record's "dmetric" without being formed (_metric_gram)."""
-    u = _lb_solve(S, r)
-    return _lb_solve(S, -_metric_gram(S.grid, *_dgeom(S, xi)["dmetric"], u))
+def _d_lb_rhs(S: Surface, xi: DeformationField, r: np.ndarray) -> np.ndarray:
+    """-dA A^{-1} r over the full grid degree (batched), dA acting on the
+    record's "dmetric" without being formed (_metric_gram): A^{-1} of it is
+    the derivative of the transported solve u = A^{-1} r at fixed r, and a
+    caller adds its data derivative dr first, du = A^{-1}(dr - dA u)."""
+    return -_metric_gram(S.grid, *_dgeom(S, xi)["dmetric"], _lb_solve(S, r))
 
 
 def d_laplace_inverse(S: Surface, xi: DeformationField, f: np.ndarray) -> np.ndarray:
@@ -531,11 +532,11 @@ def d_laplace_inverse(S: Surface, xi: DeformationField, f: np.ndarray) -> np.nda
 
     On every transported surface the Galerkin right-hand side of
     laplace_beltrami_inverse(Gamma_r, f / J_rel) is -int f Y_k ds on Gamma,
-    so only the solve moves: du = -A^{-1} dA u (_d_lb_solve), the exact
+    so only the solve moves: du = -A^{-1} dA u (_d_lb_rhs), the exact
     derivative of the discrete inverse up to the constant of its mean gauge."""
     rhs = -_real_apply(_lb_data(S)["mass"], f[:, None])
     _check_mean(f, rhs)
-    du = S.grid.synthesize(_d_lb_solve(S, xi, rhs)[:, 0])
+    du = S.grid.synthesize(_lb_solve(S, _d_lb_rhs(S, xi, rhs))[:, 0])
     return du - mean_value(S, du)
 
 
@@ -580,7 +581,7 @@ def _d_weak_project(S: Surface, xi: DeformationField, u: np.ndarray) -> np.ndarr
     node data u (N, 3, m), shape (2K, m) in the row order of Zc, [-TK | GY].
 
     With U = A^{-1} T^T u over the full grid degree, T = w J [-TK | GY],
-    dU = A^{-1} dT^T u - A^{-1} dA U, dT = w dJ [-TK | GY] + w J [-dTK | dGY]:
+    dU = A^{-1}(dT^T u - dA U), dT = w dJ [-TK | GY] + w J [-dTK | dGY]:
     the measure term and the frames' derivatives, which enter through their
     frames (_frame_rows), so no (N, 3, nc) array is formed per call."""
     g = S.grid
@@ -594,5 +595,5 @@ def _d_weak_project(S: Surface, xi: DeformationField, u: np.ndarray) -> np.ndarr
 
     y = (g.weights * S.jacobian)[:, None, None] * u
     dr = rhs(fr, (g.weights * dg["dJ"])[:, None, None] * u) + rhs(dg["frames"], y)
-    dU = (_lb_solve(S, dr) + _d_lb_solve(S, xi, rhs(fr, y)))[1 : K + 1]
+    dU = _lb_solve(S, dr + _d_lb_rhs(S, xi, rhs(fr, y)))[1 : K + 1]
     return dU.swapaxes(0, 1).reshape(2 * K, -1)

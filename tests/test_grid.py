@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dielshape.errors import ResolutionTooLow
-from dielshape.grid import GRID_CACHE, ReferenceGrid
+from dielshape.grid import ReferenceGrid
 
 
 def test_weights_sum_to_sphere_area():
@@ -26,13 +26,13 @@ def test_memoized_instances_shared():
     assert ReferenceGrid.get(6, 14) is ReferenceGrid.get(6, 14)
 
 
-def test_cache_is_bounded_and_keeps_held_grids_shared():
-    # of 8 grids built and dropped, only the GRID_CACHE most recent stay
-    # alive; a grid still held elsewhere is the one get keeps returning
+def test_cache_frees_dropped_grids_and_keeps_held_grids_shared():
+    # of 8 grids built and dropped, none stays alive; a grid still held
+    # elsewhere is the one get keeps returning
     held = ReferenceGrid.get(2, 14)
     refs = [weakref.ref(ReferenceGrid.get(2, nquad)) for nquad in range(6, 14)]
     gc.collect()
-    assert sum(r() is not None for r in refs) <= GRID_CACHE == 4
+    assert all(r() is None for r in refs)
     assert ReferenceGrid.get(2, 14) is held
 
 
